@@ -61,24 +61,23 @@ uint64_t ConfigFingerprint(const BingoConfig& config) {
 graph::WeightedEdgeList CanonicalEdgeList(const graph::DynamicGraph& g) {
   graph::WeightedEdgeList edges;
   edges.reserve(g.NumEdges());
+  const auto by_timestamp = [](const graph::WeightedEdge& a,
+                               const graph::WeightedEdge& b) {
+    return a.timestamp < b.timestamp;
+  };
   for (graph::VertexId v = 0; v < g.NumVertices(); ++v) {
-    // Emit in timestamp order: the adjacency array's index order is not
-    // timestamp order after swap-with-tail deletions, and the duplicate-
-    // edge deletion rule keys on per-vertex insertion order.
-    std::vector<const graph::Edge*> ordered;
-    ordered.reserve(g.Degree(v));
+    const auto first = static_cast<std::ptrdiff_t>(edges.size());
     for (const graph::Edge& e : g.Neighbors(v)) {
-      ordered.push_back(&e);
+      edges.push_back(graph::WeightedEdge{v, e.dst, e.bias, e.timestamp});
     }
-    // Stable: epoch-stamped duplicates can share a timestamp, and ties must
-    // keep the adjacency order (the same (timestamp, index) order the
-    // duplicate-deletion rule consults).
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const graph::Edge* a, const graph::Edge* b) {
-                       return a->timestamp < b->timestamp;
-                     });
-    for (const graph::Edge* e : ordered) {
-      edges.push_back(graph::WeightedEdge{v, e->dst, e->bias, e->timestamp});
+    // Timestamp order: the adjacency array's index order is not timestamp
+    // order after swap-with-tail deletions, and the duplicate-edge deletion
+    // rule keys on per-vertex insertion order. Stable: epoch-stamped
+    // duplicates can share a timestamp, and ties must keep the adjacency
+    // order (the same (timestamp, index) order the duplicate-deletion rule
+    // consults). Most vertices are already ordered and skip the sort.
+    if (!std::is_sorted(edges.begin() + first, edges.end(), by_timestamp)) {
+      std::stable_sort(edges.begin() + first, edges.end(), by_timestamp);
     }
   }
   return edges;
@@ -87,8 +86,14 @@ graph::WeightedEdgeList CanonicalEdgeList(const graph::DynamicGraph& g) {
 bool SaveGraphSnapshot(const graph::DynamicGraph& g, const BingoConfig& config,
                        const std::string& path, uint64_t wal_seq,
                        uint64_t* bytes_written) {
-  const graph::WeightedEdgeList edges = CanonicalEdgeList(g);
+  return SaveEdgeSnapshot(CanonicalEdgeList(g), g.NumVertices(), config, path,
+                          wal_seq, bytes_written);
+}
 
+bool SaveEdgeSnapshot(const graph::WeightedEdgeList& edges,
+                      graph::VertexId num_vertices, const BingoConfig& config,
+                      const std::string& path, uint64_t wal_seq,
+                      uint64_t* bytes_written) {
   util::AtomicFileWriter writer(path);
   if (!writer.ok()) {
     return false;
@@ -98,7 +103,7 @@ bool SaveGraphSnapshot(const graph::DynamicGraph& g, const BingoConfig& config,
   AppendPod(header, kSnapshotVersion);
   AppendPod(header, uint32_t{0});  // reserved
   AppendPod(header, ConfigFingerprint(config));
-  AppendPod(header, static_cast<uint64_t>(g.NumVertices()));
+  AppendPod(header, static_cast<uint64_t>(num_vertices));
   AppendPod(header, static_cast<uint64_t>(edges.size()));
   AppendPod(header, wal_seq);
   AppendPod(header, static_cast<uint64_t>(config.logical_epoch));

@@ -63,8 +63,16 @@ uint64_t ConfigFingerprint(const BingoConfig& config);
 // timestamp order — the order snapshots persist and rebuilds replay.
 graph::WeightedEdgeList CanonicalEdgeList(const graph::DynamicGraph& g);
 
-// Writes `g`'s live edges as a snapshot at `path` (atomically). On success
-// `*bytes_written` (if given) receives the file size.
+// Writes `edges` as the snapshot of a `num_vertices`-vertex graph at `path`
+// (atomically), in the order given: pass CanonicalEdgeList(g) to persist
+// g. On success `*bytes_written` (if given) receives the file size.
+bool SaveEdgeSnapshot(const graph::WeightedEdgeList& edges,
+                      graph::VertexId num_vertices, const BingoConfig& config,
+                      const std::string& path, uint64_t wal_seq = 0,
+                      uint64_t* bytes_written = nullptr);
+
+// Writes `g`'s live edges as a snapshot at `path`: SaveEdgeSnapshot over
+// CanonicalEdgeList(g).
 bool SaveGraphSnapshot(const graph::DynamicGraph& g, const BingoConfig& config,
                        const std::string& path, uint64_t wal_seq = 0,
                        uint64_t* bytes_written = nullptr);

@@ -224,16 +224,39 @@ bool CsrFileWriter::Finish(std::string* error) {
 bool WriteCsrFile(const std::string& path, VertexId num_vertices,
                   const WeightedEdgeList& edges, uint64_t block_bytes_target,
                   std::string* error) {
-  WeightedEdgeList sorted = edges;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const WeightedEdge& a, const WeightedEdge& b) {
-                     return a.src < b.src;
-                   });
+  const auto fail = [error] {
+    SetError(error, "csr writer: append failed (vertex out of range?)");
+    return false;
+  };
+  // The writer takes edges vertex-major. Input already in that order (the
+  // canonical lists every caller passes) streams straight through;
+  // otherwise a stable counting sort by src builds the order, keeping each
+  // vertex's edges in input order.
+  std::vector<const WeightedEdge*> order;
+  if (!std::is_sorted(edges.begin(), edges.end(),
+                      [](const WeightedEdge& a, const WeightedEdge& b) {
+                        return a.src < b.src;
+                      })) {
+    std::vector<uint64_t> next(static_cast<std::size_t>(num_vertices) + 1, 0);
+    for (const WeightedEdge& e : edges) {
+      if (e.src >= num_vertices) {
+        return fail();
+      }
+      ++next[e.src + 1];
+    }
+    for (VertexId v = 0; v < num_vertices; ++v) {
+      next[v + 1] += next[v];
+    }
+    order.resize(edges.size());
+    for (const WeightedEdge& e : edges) {
+      order[next[e.src]++] = &e;
+    }
+  }
   CsrFileWriter writer(path, num_vertices, block_bytes_target);
-  for (const WeightedEdge& e : sorted) {
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const WeightedEdge& e = order.empty() ? edges[i] : *order[i];
     if (!writer.Append(e.src, Edge{e.dst, e.timestamp, e.bias})) {
-      SetError(error, "csr writer: append failed (vertex out of range?)");
-      return false;
+      return fail();
     }
   }
   return writer.Finish(error);

@@ -109,7 +109,8 @@ DynamicGraph::DynamicGraph(DynamicGraph&& other) noexcept
     : pool_(std::move(other.pool_)),
       slots_(std::move(other.slots_)),
       num_edges_(other.num_edges_.load(std::memory_order_relaxed)),
-      next_timestamp_(other.next_timestamp_.load(std::memory_order_relaxed)) {}
+      next_timestamp_(other.next_timestamp_.load(std::memory_order_relaxed)),
+      unmodified_(other.unmodified_.load(std::memory_order_relaxed)) {}
 
 DynamicGraph& DynamicGraph::operator=(DynamicGraph&& other) noexcept {
   if (this != &other) {
@@ -200,6 +201,7 @@ uint32_t DynamicGraph::Insert(VertexId src, VertexId dst, double bias) {
 
 uint32_t DynamicGraph::Insert(VertexId src, VertexId dst, double bias,
                               uint32_t timestamp) {
+  MarkModified();
   Slot& s = slots_[src];
   if (s.size == s.capacity) {
     Grow(s);
@@ -217,6 +219,7 @@ uint32_t DynamicGraph::Insert(VertexId src, VertexId dst, double bias,
 
 DynamicGraph::SwapRemoveResult DynamicGraph::SwapRemove(VertexId src,
                                                         uint32_t index) {
+  MarkModified();
   Slot& s = slots_[src];
   SwapRemoveResult result;
   result.removed = s.edges[index];
@@ -281,6 +284,7 @@ std::vector<DynamicGraph::MoveRecord> DynamicGraph::BatchSwapRemove(
   if (n == 0) {
     return moves;
   }
+  MarkModified();
   const uint32_t m = s.size;
   const uint32_t window_begin = m - n;
 
@@ -363,6 +367,20 @@ std::optional<uint32_t> DynamicGraph::FindEarliest(VertexId src, VertexId dst) c
 
 bool DynamicGraph::HasEdge(VertexId src, VertexId dst) const {
   return FindEarliest(src, dst).has_value();
+}
+
+bool DynamicGraph::IsCanonical() const {
+  if (!unmodified_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  for (const Slot& s : slots_) {
+    for (uint32_t i = 1; i < s.size; ++i) {
+      if (s.edges[i].timestamp < s.edges[i - 1].timestamp) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void DynamicGraph::AddVertices(VertexId count) {

@@ -134,8 +134,19 @@ class DynamicGraph {
 
   // Overwrites the bias of the edge at `index` (bias update event).
   void SetBias(VertexId src, uint32_t index, double bias) {
+    MarkModified();
     slots_[src].edges[index].bias = bias;
   }
+
+  // True when this graph is bit-identical to the bulk load of its own
+  // canonical edge list (vertex-major, per-vertex stable timestamp order;
+  // see core::CanonicalEdgeList): no edge was inserted, removed or
+  // re-biased since FromEdges, and every vertex's adjacency is already in
+  // non-decreasing timestamp order. The bulk load then reproduces the same
+  // adjacency order, block capacities, finders and insertion counter
+  // (FromEdges resumes it past the maximum timestamp of the same edges).
+  // O(E) scan.
+  bool IsCanonical() const;
 
   // Bytes reserved by adjacency blocks and finders (analytic accounting).
   std::size_t MemoryBytes() const;
@@ -175,6 +186,13 @@ class DynamicGraph {
 
   void Grow(Slot& slot);
   void EnsureFinder(VertexId v);
+  // Check-then-store keeps the line shared once the flag is down, since
+  // batched updates mutate disjoint vertices in parallel.
+  void MarkModified() {
+    if (unmodified_.load(std::memory_order_relaxed)) {
+      unmodified_.store(false, std::memory_order_relaxed);
+    }
+  }
 
   std::unique_ptr<util::MemoryPool> pool_;
   std::vector<Slot> slots_;
@@ -182,6 +200,9 @@ class DynamicGraph {
   // parallel; per-vertex state itself is never shared across workers.
   std::atomic<uint64_t> num_edges_{0};
   std::atomic<uint32_t> next_timestamp_{0};
+  // No edge inserted, removed or re-biased since construction/bulk load.
+  // Growing the vertex set keeps it: new vertices are empty either way.
+  std::atomic<bool> unmodified_{true};
 };
 
 }  // namespace bingo::graph

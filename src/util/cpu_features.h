@@ -16,6 +16,8 @@
 //
 // Because both paths are bit-identical by construction, dispatch is a pure
 // performance decision: walk outputs never depend on the host CPU.
+// util::Crc32c (src/util/checksum.h) dispatches its SSE4.2 path on the
+// same level, so on-disk bytes never depend on it either.
 
 #ifndef BINGO_SRC_UTIL_CPU_FEATURES_H_
 #define BINGO_SRC_UTIL_CPU_FEATURES_H_

@@ -233,6 +233,7 @@ class WalkServiceT {
   core::BatchResult ApplyBatch(const graph::UpdateList& updates)
       BINGO_EXCLUDES(update_mutex_, front_mutex_) {
     util::MutexLock wlock(update_mutex_);
+    replicas_as_built_ = false;
     if (wal_ != nullptr) {
       if (wal_->Append(updates)) {
         wal_records_.fetch_add(1, std::memory_order_relaxed);
@@ -294,6 +295,16 @@ class WalkServiceT {
   // updates. (Canonicalization preserves every per-vertex distribution and
   // the duplicate-deletion order; only the internal adjacency/sampler
   // layout is normalized, the same normalization recovery performs.)
+  //
+  // The rebuild is skipped when the replicas already ARE that bulk load:
+  // no batch was applied since they were built or last rebuilt, and each
+  // replica's graph is the untouched bulk load of its own canonical edge
+  // list (DynamicGraph::IsCanonical). The store is then Store(graph,
+  // config) for exactly the graph recovery loads (Theorem 4.1), so the
+  // rebuild could only reproduce it. This is the common AttachWal case —
+  // a freshly bulk-loaded service — and it costs no second store copy and
+  // no epoch. After updates (and so on every compaction that follows
+  // them) the rebuild runs as described.
   //
   // The ApplyBatch caveat applies: never call these while holding a live
   // Snapshot of this service.
@@ -504,9 +515,9 @@ class WalkServiceT {
   }
 
   // Writes dir/base.snapshot covering wal_seq and starts a fresh WAL
-  // segment; canonicalizes the replicas first so live state == what
-  // recovery rebuilds. Caller holds update_mutex_ and owns the checkpoint/
-  // compaction counters.
+  // segment; canonicalizes the replicas first (unless they already are
+  // canonical, see AttachWal) so live state == what recovery rebuilds.
+  // Caller holds update_mutex_ and owns the checkpoint/compaction counters.
   CheckpointResult WriteBaseLocked(uint64_t wal_seq)
     requires CheckpointableStore<Store>
   {
@@ -515,28 +526,33 @@ class WalkServiceT {
     result.compacted = true;
     result.wal_seq = wal_seq;
 
-    // Canonicalize: both replicas become the bulk-load of the canonical
-    // edge list the base persists (publish protocol, back first).
+    // One canonical pass: the list both rebuilds load and the base persists.
     const graph::WeightedEdgeList edges =
         core::CanonicalEdgeList(replicas_[0].store->Graph());
-    int back;
-    {
-      util::MutexLock lock(front_mutex_);
-      back = 1 - front_;
+    if (!replicas_as_built_ || !replicas_[0].store->Graph().IsCanonical() ||
+        !replicas_[1].store->Graph().IsCanonical()) {
+      // Canonicalize: both replicas become the bulk-load of the canonical
+      // edge list (publish protocol, back first).
+      int back;
+      {
+        util::MutexLock lock(front_mutex_);
+        back = 1 - front_;
+      }
+      RebuildReplica(replicas_[back], edges);
+      {
+        util::MutexLock lock(front_mutex_);
+        front_ = back;
+        epoch_.fetch_add(1, std::memory_order_relaxed);
+      }
+      RebuildReplica(replicas_[1 - back], edges);
+      replicas_as_built_ = true;
     }
-    RebuildReplica(replicas_[back], edges);
-    {
-      util::MutexLock lock(front_mutex_);
-      front_ = back;
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-    RebuildReplica(replicas_[1 - back], edges);
 
     uint64_t base_bytes = 0;
     const Store& store = *replicas_[0].store;
-    if (!core::SaveGraphSnapshot(store.Graph(), store.Config(),
-                                 wal_dir_ + "/base.snapshot", wal_seq,
-                                 &base_bytes)) {
+    if (!core::SaveEdgeSnapshot(edges, store.NumVertices(), store.Config(),
+                                wal_dir_ + "/base.snapshot", wal_seq,
+                                &base_bytes)) {
       return result;
     }
     // Fresh WAL segment, crash-safe: the new file is complete (and fsync'd)
@@ -568,6 +584,9 @@ class WalkServiceT {
   int front_ BINGO_GUARDED_BY(front_mutex_) = 0;
   std::atomic<uint64_t> epoch_{0};
   mutable util::Mutex update_mutex_;  // serializes writers
+  // No batch applied since the replicas were built or last rebuilt: with
+  // canonical graphs, they equal what a base write would rebuild.
+  bool replicas_as_built_ BINGO_GUARDED_BY(update_mutex_) = true;
   util::ThreadPool* update_pool_;
   mutable std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> batches_{0};

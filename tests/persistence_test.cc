@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -103,11 +104,11 @@ void Canonicalize(std::unique_ptr<BingoStore>& store) {
                                        store->Config());
 }
 
-// DeepWalk + node2vec + PPR on the service snapshot vs the reference store;
+// DeepWalk + node2vec + PPR on a live store view vs the reference store;
 // paths and visit counts must match bit for bit.
-void ExpectBitIdenticalWalks(const ShardedWalkService& service,
-                             const BingoStore& reference, uint64_t seed,
-                             int round) {
+template <typename View>
+void ExpectBitIdenticalStores(const View& live, const BingoStore& reference,
+                              uint64_t seed, int round) {
   SCOPED_TRACE("walk seed=" + std::to_string(seed) +
                " round=" + std::to_string(round));
   WalkConfig cfg;
@@ -116,24 +117,37 @@ void ExpectBitIdenticalWalks(const ShardedWalkService& service,
   cfg.seed = seed ^ (static_cast<uint64_t>(round) << 24);
   cfg.record_paths = true;
 
-  const auto snap = service.Acquire();
-  ASSERT_TRUE(snap.Consistent());
-
-  const WalkResult dw_s = RunDeepWalk(snap, cfg);
+  const WalkResult dw_s = RunDeepWalk(live, cfg);
   const WalkResult dw_r = RunDeepWalk(reference, cfg);
   ASSERT_EQ(dw_s.total_steps, dw_r.total_steps);
   ASSERT_EQ(dw_s.paths, dw_r.paths);
 
-  const WalkResult n2v_s = RunNode2vec(snap, cfg, {});
+  const WalkResult n2v_s = RunNode2vec(live, cfg, {});
   const WalkResult n2v_r = RunNode2vec(reference, cfg, {});
   ASSERT_EQ(n2v_s.paths, n2v_r.paths);
 
   WalkConfig ppr_cfg = cfg;
   ppr_cfg.record_paths = false;
-  const WalkResult ppr_s = RunPpr(snap, ppr_cfg, 1.0 / 20.0);
+  const WalkResult ppr_s = RunPpr(live, ppr_cfg, 1.0 / 20.0);
   const WalkResult ppr_r = RunPpr(reference, ppr_cfg, 1.0 / 20.0);
   ASSERT_EQ(ppr_s.visit_counts, ppr_r.visit_counts);
   ASSERT_EQ(ppr_s.finished_walkers, ppr_r.finished_walkers);
+}
+
+void ExpectBitIdenticalWalks(const ShardedWalkService& service,
+                             const BingoStore& reference, uint64_t seed,
+                             int round) {
+  const auto snap = service.Acquire();
+  ASSERT_TRUE(snap.Consistent());
+  ExpectBitIdenticalStores(snap, reference, seed, round);
+}
+
+void ExpectBitIdenticalWalks(const WalkService& service,
+                             const BingoStore& reference, uint64_t seed,
+                             int round) {
+  const auto snap = service.Acquire();
+  ASSERT_TRUE(snap.Consistent());
+  ExpectBitIdenticalStores(snap.store(), reference, seed, round);
 }
 
 // The acceptance scenario: checkpoint, crash, recover mid-update-stream;
@@ -609,6 +623,186 @@ TEST(PersistenceTest, BatcherSubmitsSurviveCrashAfterFlush) {
   }
   ExpectBitIdenticalWalks(*recovered, *reference, 99, 700);
   std::filesystem::remove_all(dir);
+}
+
+// --- base writes that skip (or must not skip) the canonical rebuild -------
+
+// The front store of every shard: a canonical rebuild replaces it.
+std::vector<const BingoStore*> FrontStores(const ShardedWalkService& service) {
+  std::vector<const BingoStore*> stores;
+  const auto snap = service.Acquire();
+  for (int s = 0; s < service.NumShards(); ++s) {
+    stores.push_back(&snap.shard_store(s));
+  }
+  return stores;
+}
+
+const BingoStore* FrontStore(const WalkService& service) {
+  return service.Query([](const BingoStore& s) { return &s; });
+}
+
+// Updates, a mid-stream checkpoint, a crash and recovery; the recovered
+// service must walk bit-identically to `reference` and stay so under more
+// updates.
+template <typename Service, typename Recover>
+void UpdateCrashRecover(std::unique_ptr<Service> service,
+                        std::unique_ptr<BingoStore>& reference,
+                        const Recover& recover, uint64_t seed) {
+  util::Rng rng(seed ^ 0x5c1bULL);
+  const VertexId n = reference->NumVertices();
+  for (int round = 0; round < 3; ++round) {
+    const auto batch = RandomBatch(rng, n, 90);
+    service->ApplyBatch(batch);
+    reference->ApplyBatch(batch);
+    if (round == 1) {
+      ASSERT_TRUE(service->Checkpoint().ok);
+    }
+  }
+  ExpectBitIdenticalWalks(*service, *reference, seed, 800);
+  service.reset();
+  auto recovered = recover();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_TRUE(recovered->CheckInvariants().empty())
+      << recovered->CheckInvariants();
+  ExpectBitIdenticalWalks(*recovered, *reference, seed, 801);
+  const auto batch = RandomBatch(rng, n, 70);
+  recovered->ApplyBatch(batch);
+  reference->ApplyBatch(batch);
+  ExpectBitIdenticalWalks(*recovered, *reference, seed, 802);
+}
+
+// A freshly bulk-loaded service already is the canonical store recovery
+// builds, so AttachWal writes the base without rebuilding a replica: the
+// front stores and the epoch are untouched, and the uncanonicalized
+// bulk-load reference stays bit-identical through updates and recovery.
+TEST(PersistenceTest, FreshAttachSkipsRebuildAndRecoversBitIdentical) {
+  const TestGraph g = MakeGraph(91);
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    const std::string dir = FreshDir("skip_" + std::to_string(num_shards));
+    auto service = MakeShardedWalkService(g.edges, g.num_vertices, num_shards);
+    auto reference = std::make_unique<BingoStore>(
+        graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
+    const std::vector<const BingoStore*> before = FrontStores(*service);
+    ASSERT_TRUE(service->AttachWal(dir).ok);
+    EXPECT_EQ(FrontStores(*service), before);
+    EXPECT_EQ(service->Epoch(), 0u);
+    ExpectBitIdenticalWalks(*service, *reference, 91, 0);
+    UpdateCrashRecover(std::move(service), reference,
+                       [&] { return RecoverShardedWalkService(dir); }, 91);
+    std::filesystem::remove_all(dir);
+  }
+
+  const std::string dir = FreshDir("skip_unsharded");
+  auto service = MakeWalkService(g.edges, g.num_vertices);
+  auto reference = std::make_unique<BingoStore>(
+      graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
+  const BingoStore* before = FrontStore(*service);
+  ASSERT_TRUE(service->AttachWal(dir).ok);
+  EXPECT_EQ(FrontStore(*service), before);
+  EXPECT_EQ(service->Epoch(), 0u);
+  UpdateCrashRecover(std::move(service), reference,
+                     [&] { return RecoverWalkService(dir); }, 92);
+  std::filesystem::remove_all(dir);
+}
+
+// Factory graphs that are not their own canonical bulk load are rebuilt:
+// descending per-vertex timestamps (the canonical order reverses them),
+// and deletions applied to the store before the service wraps it (with
+// all-zero timestamps the adjacency order still reads as canonical, but
+// the samplers carry the deletion history a bulk load would not).
+TEST(PersistenceTest, NonCanonicalFactoryGraphIsRebuilt) {
+  TestGraph descending = MakeGraph(93);
+  for (std::size_t i = 0; i < descending.edges.size(); ++i) {
+    descending.edges[i].timestamp =
+        static_cast<uint32_t>(descending.edges.size() - i);
+  }
+  const TestGraph g = MakeGraph(94);
+  util::Rng delete_rng(94);
+  graph::UpdateList deletes;
+  for (int i = 0; i < 40; ++i) {
+    const graph::WeightedEdge& e =
+        g.edges[delete_rng.NextBounded(g.edges.size())];
+    deletes.push_back({graph::Update::Kind::kDelete, e.src, e.dst, 0.0});
+  }
+  const auto make_deleted = [&] {
+    auto store = std::make_unique<BingoStore>(
+        graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
+    store->ApplyBatch(deletes);
+    return store;
+  };
+
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<BingoStore>()> factory;
+  };
+  const std::vector<Case> cases = {
+      {"descending",
+       [&] {
+         return std::make_unique<BingoStore>(graph::DynamicGraph::FromEdges(
+             descending.num_vertices, descending.edges));
+       }},
+      {"deleted", make_deleted},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = FreshDir("noncanonical_" + c.name);
+    auto service = std::make_unique<WalkService>(c.factory);
+    auto reference = c.factory();
+    ASSERT_FALSE(reference->Graph().IsCanonical());
+    const BingoStore* before = FrontStore(*service);
+    ASSERT_TRUE(service->AttachWal(dir).ok);
+    EXPECT_NE(FrontStore(*service), before);
+    EXPECT_EQ(service->Epoch(), 1u);
+    Canonicalize(reference);
+    ExpectBitIdenticalWalks(*service, *reference, 93, 0);
+    UpdateCrashRecover(std::move(service), reference,
+                       [&] { return RecoverWalkService(dir); }, 93);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A batch applied before AttachWal forces the rebuild, even one that only
+// deletes absent edges and so leaves every graph untouched.
+TEST(PersistenceTest, AttachAfterApplyBatchStillRebuilds) {
+  const TestGraph g = MakeGraph(95);
+  for (const bool touches_graph : {false, true}) {
+    SCOPED_TRACE(touches_graph ? "churn" : "absent deletes");
+    const std::string dir =
+        FreshDir(std::string("attach_after_batch_") + (touches_graph ? "1" : "0"));
+    auto service = MakeShardedWalkService(g.edges, g.num_vertices, 2);
+    auto reference = std::make_unique<BingoStore>(
+        graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
+    util::Rng rng(95);
+    graph::UpdateList batch;
+    if (touches_graph) {
+      batch = RandomBatch(rng, g.num_vertices, 120);
+    } else {
+      // One delete of an absent edge per shard (sources 0 and 1).
+      for (VertexId src = 0; src < 2; ++src) {
+        VertexId dst = 0;
+        while (reference->HasEdge(src, dst)) {
+          ++dst;
+        }
+        batch.push_back({graph::Update::Kind::kDelete, src, dst, 0.0});
+      }
+    }
+    service->ApplyBatch(batch);
+    reference->ApplyBatch(batch);
+    const std::vector<const BingoStore*> before = FrontStores(*service);
+    const uint64_t epoch = service->Epoch();
+    ASSERT_TRUE(service->AttachWal(dir).ok);
+    const std::vector<const BingoStore*> after = FrontStores(*service);
+    for (std::size_t s = 0; s < before.size(); ++s) {
+      EXPECT_NE(after[s], before[s]) << "shard " << s;
+    }
+    EXPECT_EQ(service->Epoch(), epoch + 2) << "one rebuild per shard";
+    Canonicalize(reference);
+    ExpectBitIdenticalWalks(*service, *reference, 95, 0);
+    UpdateCrashRecover(std::move(service), reference,
+                       [&] { return RecoverShardedWalkService(dir); }, 95);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // Queries must keep serving — and stay consistent — while AttachWal and a

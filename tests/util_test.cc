@@ -1,4 +1,5 @@
-// Unit tests for src/util: RNG, bit ops, stats, memory pool, thread pool.
+// Unit tests for src/util: RNG, bit ops, stats, memory pool, thread pool,
+// CRC-32C.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "src/util/bitops.h"
+#include "src/util/checksum.h"
+#include "src/util/cpu_features.h"
 #include "src/util/histogram.h"
 #include "src/util/memory_pool.h"
 #include "src/util/rng.h"
@@ -450,6 +453,52 @@ TEST(HistogramTest, MergePreservesBoundsAndRanks) {
   EXPECT_DOUBLE_EQ(a.MaxSeconds(), 1.0);
   EXPECT_LE(a.QuantileSeconds(0.5), a.MaxSeconds());
   EXPECT_GE(a.QuantileSeconds(0.5), a.MinSeconds());
+}
+
+// --------------------------------------------------------------- Crc32c --
+
+TEST(Crc32cTest, StandardCheckValueOnBothPaths) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  ScopedForceScalar table_path;
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+}
+
+// The SSE4.2 path (active on AVX2 hosts) must return the table path's value
+// for every length and alignment: lengths 0-257 cover the 8-byte main loop
+// and every sub-word tail, start offsets 0-7 every load alignment, and each
+// split point a chained seed carried across two buffers. On a host without
+// AVX2 both sides take the table path.
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  std::vector<unsigned char> buffer(8 + 257);
+  Rng rng(0xc3c32c);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.Next());
+  }
+  const auto checksums = [&](const unsigned char* data, std::size_t len) {
+    std::vector<uint32_t> out{Crc32c(data, len)};
+    for (std::size_t split = 0; split <= len; ++split) {
+      out.push_back(
+          Crc32c(data + split, len - split, Crc32c(data, split)));
+    }
+    return out;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::vector<uint32_t> active = checksums(data, len);
+      std::vector<uint32_t> table;
+      {
+        ScopedForceScalar table_path;
+        table = checksums(data, len);
+      }
+      ASSERT_EQ(active, table) << "offset " << offset << " len " << len;
+      for (const uint32_t chained : active) {
+        ASSERT_EQ(chained, active.front())
+            << "offset " << offset << " len " << len;
+      }
+    }
+  }
 }
 
 }  // namespace
