@@ -343,6 +343,8 @@ BatchResult BingoStore::ApplyBatch(const graph::UpdateList& updates,
 StoreMemoryStats BingoStore::MemoryStats() const {
   StoreMemoryStats stats;
   stats.graph_bytes = graph_.MemoryBytes();
+  // Fixed: the handle array. Dynamic: each vertex's block and payloads,
+  // group and decimal headers included.
   stats.sampler_fixed_bytes = samplers_.capacity() * sizeof(VertexSampler);
   for (const VertexSampler& sampler : samplers_) {
     stats.sampler_dynamic_bytes += sampler.MemoryBreakdown().Total();

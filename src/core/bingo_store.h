@@ -1,6 +1,7 @@
 // BingoStore: the whole-graph Bingo engine (§3 workflow).
 //
-// Owns the dynamic graph and one VertexSampler per vertex, and exposes the
+// Owns the dynamic graph and one VertexSampler handle per vertex (16 bytes;
+// a vertex without out-edges owns nothing more), and exposes the
 // two functionalities of Fig 3: sampling (inter-group -> intra-group) and
 // graph updates (streaming, one edge at a time, or batched with a single
 // rebuild per touched vertex, §5.2).
@@ -91,13 +92,13 @@ class BingoStore {
     }
   }
 
-  // Advisory prefetch of v's sampler state and adjacency head, so a fused
+  // Advisory prefetch of v's sampler block and adjacency head, so a fused
   // walk pass can hide the pointer chase of the next step's draw.
   void PrefetchVertex(graph::VertexId v) const {
     if (v >= samplers_.size()) {
       return;
     }
-    util::PrefetchRead(&samplers_[v]);
+    samplers_[v].Prefetch();
     graph_.PrefetchVertex(v);
   }
 

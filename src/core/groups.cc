@@ -43,15 +43,93 @@ GroupKind ClassifyGroup(uint64_t count, uint64_t degree, const AdaptiveConfig& c
   return GroupKind::kRegular;
 }
 
-// ---------------------------------------------------------------- IndexMap --
+// ------------------------------------------------------------ hash probing --
+//
+// Linear probing over a power-of-two array of `key<<32 | value` slots, shared
+// by IndexMap and the sparse RadixGroup payload.
 
-void IndexMap::Grow(std::size_t min_live) {
+namespace {
+
+constexpr uint64_t kEmptySlot = ~uint64_t{0};
+constexpr uint64_t kTombstoneSlot = ~uint64_t{0} - 1;
+
+uint64_t PackSlot(uint32_t key, uint32_t value) {
+  return (static_cast<uint64_t>(key) << 32) | value;
+}
+
+bool SlotHolds(uint64_t slot, uint32_t key) {
+  return slot != kEmptySlot && slot != kTombstoneSlot &&
+         static_cast<uint32_t>(slot >> 32) == key;
+}
+
+std::size_t HomeSlot(uint32_t key, std::size_t mask) {
+  return (key * 0x9e3779b9u) & mask;
+}
+
+// Stores (key, value) in the first free slot; true if that slot was never
+// used before (a tombstone reuse leaves the occupancy unchanged). The table
+// must have a free slot.
+bool ProbeInsert(uint64_t* slots, std::size_t capacity, uint32_t key,
+                 uint32_t value) {
+  const std::size_t mask = capacity - 1;
+  std::size_t pos = HomeSlot(key, mask);
+  while (slots[pos] != kEmptySlot && slots[pos] != kTombstoneSlot) {
+    pos = (pos + 1) & mask;
+  }
+  const bool fresh = slots[pos] == kEmptySlot;
+  slots[pos] = PackSlot(key, value);
+  return fresh;
+}
+
+// Slot index holding `key`, or `capacity` when absent.
+std::size_t ProbeFind(const uint64_t* slots, std::size_t capacity,
+                      uint32_t key) {
+  if (capacity == 0) {
+    return 0;
+  }
+  const std::size_t mask = capacity - 1;
+  std::size_t pos = HomeSlot(key, mask);
+  while (slots[pos] != kEmptySlot) {
+    if (SlotHolds(slots[pos], key)) {
+      return pos;
+    }
+    pos = (pos + 1) & mask;
+  }
+  return capacity;
+}
+
+// Slot capacity for `live` keys after a rehash: a power of two >= 8 that
+// keeps the load at or below one half.
+std::size_t HashCapacityFor(std::size_t live) {
   std::size_t cap = 8;
-  while (cap < min_live * 2) {
+  while (cap < live * 2) {
     cap <<= 1;
   }
+  return cap;
+}
+
+// True when one more fresh-slot insertion would push the occupancy of a
+// table of `capacity` slots (`used` occupied) to three quarters.
+bool HashNeedsGrowth(std::size_t used, std::size_t capacity) {
+  return capacity == 0 || (used + 1) * 4 >= capacity * 3;
+}
+
+// Capacity to rehash into once HashNeedsGrowth holds, for a table with
+// `live` keys about to take one more. It can equal the current capacity:
+// the rehash must happen anyway, because it is what drops the tombstones.
+// Without it, churn at a steady size fills every slot and the probe for an
+// absent key never ends.
+std::size_t GrownHashCapacity(std::size_t live) {
+  return HashCapacityFor(std::max<std::size_t>(live + 1, 4));
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------- IndexMap --
+
+void IndexMap::Grow() {
   std::vector<uint64_t> old = std::move(slots_);
-  slots_.assign(cap, kEmptySlot);
+  slots_.assign(GrownHashCapacity(live_), kEmptySlot);
   used_ = 0;
   live_ = 0;
   for (uint64_t slot : old) {
@@ -62,66 +140,40 @@ void IndexMap::Grow(std::size_t min_live) {
 }
 
 void IndexMap::Insert(uint32_t key, uint32_t value) {
-  if (slots_.empty() || (used_ + 1) * 4 >= slots_.size() * 3) {
-    Grow(std::max<std::size_t>(live_ + 1, 4));
+  if (HashNeedsGrowth(used_, slots_.size())) {
+    Grow();
   }
-  std::size_t pos = (key * 0x9e3779b9u) & Mask();
-  while (slots_[pos] != kEmptySlot && slots_[pos] != kTombstoneSlot) {
-    pos = (pos + 1) & Mask();
-  }
-  if (slots_[pos] == kEmptySlot) {
+  if (ProbeInsert(slots_.data(), slots_.size(), key, value)) {
     ++used_;
   }
-  slots_[pos] = (static_cast<uint64_t>(key) << 32) | value;
   ++live_;
 }
 
 std::optional<uint32_t> IndexMap::Find(uint32_t key) const {
-  if (slots_.empty()) {
+  const std::size_t pos = ProbeFind(slots_.data(), slots_.size(), key);
+  if (pos == slots_.size()) {
     return std::nullopt;
   }
-  std::size_t pos = (key * 0x9e3779b9u) & Mask();
-  while (slots_[pos] != kEmptySlot) {
-    if (slots_[pos] != kTombstoneSlot &&
-        static_cast<uint32_t>(slots_[pos] >> 32) == key) {
-      return static_cast<uint32_t>(slots_[pos]);
-    }
-    pos = (pos + 1) & Mask();
-  }
-  return std::nullopt;
+  return static_cast<uint32_t>(slots_[pos]);
 }
 
 bool IndexMap::Erase(uint32_t key) {
-  if (slots_.empty()) {
+  const std::size_t pos = ProbeFind(slots_.data(), slots_.size(), key);
+  if (pos == slots_.size()) {
     return false;
   }
-  std::size_t pos = (key * 0x9e3779b9u) & Mask();
-  while (slots_[pos] != kEmptySlot) {
-    if (slots_[pos] != kTombstoneSlot &&
-        static_cast<uint32_t>(slots_[pos] >> 32) == key) {
-      slots_[pos] = kTombstoneSlot;
-      --live_;
-      return true;
-    }
-    pos = (pos + 1) & Mask();
-  }
-  return false;
+  slots_[pos] = kTombstoneSlot;
+  --live_;
+  return true;
 }
 
 bool IndexMap::Update(uint32_t key, uint32_t value) {
-  if (slots_.empty()) {
+  const std::size_t pos = ProbeFind(slots_.data(), slots_.size(), key);
+  if (pos == slots_.size()) {
     return false;
   }
-  std::size_t pos = (key * 0x9e3779b9u) & Mask();
-  while (slots_[pos] != kEmptySlot) {
-    if (slots_[pos] != kTombstoneSlot &&
-        static_cast<uint32_t>(slots_[pos] >> 32) == key) {
-      slots_[pos] = (static_cast<uint64_t>(key) << 32) | value;
-      return true;
-    }
-    pos = (pos + 1) & Mask();
-  }
-  return false;
+  slots_[pos] = PackSlot(key, value);
+  return true;
 }
 
 void IndexMap::Clear() {
@@ -132,10 +184,123 @@ void IndexMap::Clear() {
 
 // -------------------------------------------------------------- RadixGroup --
 
-void RadixGroup::EnsureInvSize(uint32_t min_size) {
-  if (inv_.size() < min_size) {
-    inv_.resize(std::max<std::size_t>(min_size, inv_.size() * 2), kNoPosition);
+void RadixGroup::TakeFrom(RadixGroup& other) {
+  kind_ = other.kind_;
+  count_ = other.count_;
+  if (kind_ == GroupKind::kOneElement) {
+    single_ = other.single_;
+  } else {
+    payload_ = other.HasPayload() ? other.payload_ : nullptr;
   }
+  other.kind_ = GroupKind::kEmpty;
+  other.count_ = 0;
+  other.payload_ = nullptr;
+}
+
+void RadixGroup::Reserve(uint32_t member_capacity, uint32_t index_capacity) {
+  assert(HasPayload());
+  assert(member_capacity >= count_);
+  member_capacity += member_capacity & 1;  // keeps the hash slots aligned
+  const std::size_t index_entry =
+      kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
+  auto* fresh = static_cast<Payload*>(::operator new(
+      sizeof(Payload) + std::size_t{member_capacity} * sizeof(uint32_t) +
+      std::size_t{index_capacity} * index_entry));
+  fresh->member_capacity = member_capacity;
+  fresh->index_capacity = index_capacity;
+  fresh->index_used = 0;
+  fresh->reserved = 0;
+  if (payload_ != nullptr) {
+    std::copy_n(payload_->Members(), count_, fresh->Members());
+    ::operator delete(payload_);
+  }
+  payload_ = fresh;
+  RebuildIndex();
+}
+
+void RadixGroup::RebuildIndex() {
+  const uint32_t* members = payload_->Members();
+  if (kind_ == GroupKind::kSparse) {
+    std::fill_n(payload_->Slots(), payload_->index_capacity, kEmptySlot);
+    for (uint32_t pos = 0; pos < count_; ++pos) {
+      ProbeInsert(payload_->Slots(), payload_->index_capacity, members[pos],
+                  pos);
+    }
+    payload_->index_used = count_;
+  } else {
+    std::fill_n(payload_->Positions(), payload_->index_capacity, kNoPosition);
+    for (uint32_t pos = 0; pos < count_; ++pos) {
+      assert(members[pos] < payload_->index_capacity);
+      payload_->Positions()[members[pos]] = pos;
+    }
+  }
+}
+
+void RadixGroup::ReserveHashSlot() {
+  if (HashNeedsGrowth(payload_->index_used, payload_->index_capacity)) {
+    Reserve(payload_->member_capacity,
+            static_cast<uint32_t>(GrownHashCapacity(count_)));
+  }
+}
+
+void RadixGroup::ReserveForInsert(uint32_t idx) {
+  uint32_t members = payload_->member_capacity;
+  bool reallocate = false;
+  if (count_ == members) {
+    members = std::max(2u, members * 2);
+    reallocate = true;
+  }
+  uint32_t index = payload_->index_capacity;
+  if (kind_ == GroupKind::kRegular) {
+    if (idx >= index) {
+      index = std::max(idx + 1, index * 2);
+      reallocate = true;
+    }
+  } else if (HashNeedsGrowth(payload_->index_used, index)) {
+    index = static_cast<uint32_t>(GrownHashCapacity(count_));
+    reallocate = true;  // even at an unchanged capacity (see GrownHashCapacity)
+  }
+  if (reallocate) {
+    Reserve(members, index);
+  }
+}
+
+void RadixGroup::IndexSet(uint32_t idx, uint32_t pos) {
+  if (kind_ == GroupKind::kRegular) {
+    payload_->Positions()[idx] = pos;
+    return;
+  }
+  const std::size_t slot =
+      ProbeFind(payload_->Slots(), payload_->index_capacity, idx);
+  if (slot != payload_->index_capacity) {
+    payload_->Slots()[slot] = PackSlot(idx, pos);
+  } else if (ProbeInsert(payload_->Slots(), payload_->index_capacity, idx,
+                         pos)) {
+    ++payload_->index_used;
+  }
+}
+
+void RadixGroup::IndexErase(uint32_t idx) {
+  if (kind_ == GroupKind::kRegular) {
+    payload_->Positions()[idx] = kNoPosition;
+    return;
+  }
+  const std::size_t slot =
+      ProbeFind(payload_->Slots(), payload_->index_capacity, idx);
+  assert(slot != payload_->index_capacity);
+  payload_->Slots()[slot] = kTombstoneSlot;
+}
+
+uint32_t RadixGroup::IndexFind(uint32_t idx) const {
+  if (kind_ == GroupKind::kRegular) {
+    return idx < payload_->index_capacity ? payload_->Positions()[idx]
+                                          : kNoPosition;
+  }
+  const std::size_t slot =
+      ProbeFind(payload_->Slots(), payload_->index_capacity, idx);
+  return slot == payload_->index_capacity
+             ? kNoPosition
+             : static_cast<uint32_t>(payload_->Slots()[slot]);
 }
 
 void RadixGroup::Insert(uint32_t idx, uint32_t degree_hint) {
@@ -154,36 +319,25 @@ void RadixGroup::Insert(uint32_t idx, uint32_t degree_hint) {
     case GroupKind::kDense:
       break;  // count only
     case GroupKind::kSparse:
-      map_.Insert(idx, static_cast<uint32_t>(members_.size()));
-      members_.push_back(idx);
-      break;
     case GroupKind::kRegular:
-      EnsureInvSize(idx + 1);
-      inv_[idx] = static_cast<uint32_t>(members_.size());
-      members_.push_back(idx);
+      ReserveForInsert(idx);
+      IndexSet(idx, count_);
+      payload_->Members()[count_] = idx;
       break;
   }
   ++count_;
 }
 
 void RadixGroup::RemoveAtPosition(uint32_t pos) {
-  const uint32_t last = static_cast<uint32_t>(members_.size()) - 1;
-  const uint32_t removed = members_[pos];
+  uint32_t* members = payload_->Members();
+  const uint32_t last = count_ - 1;
+  const uint32_t removed = members[pos];
   if (pos != last) {
-    const uint32_t moved = members_[last];
-    members_[pos] = moved;
-    if (kind_ == GroupKind::kRegular) {
-      inv_[moved] = pos;
-    } else {
-      map_.Update(moved, pos);
-    }
+    const uint32_t moved = members[last];
+    members[pos] = moved;
+    IndexSet(moved, pos);
   }
-  members_.pop_back();
-  if (kind_ == GroupKind::kRegular) {
-    inv_[removed] = kNoPosition;
-  } else {
-    map_.Erase(removed);
-  }
+  IndexErase(removed);
 }
 
 void RadixGroup::Remove(uint32_t idx) {
@@ -196,17 +350,12 @@ void RadixGroup::Remove(uint32_t idx) {
       break;  // count only
     case GroupKind::kOneElement:
       assert(single_ == idx);
-      single_ = kNoPosition;
       break;
-    case GroupKind::kSparse: {
-      const auto pos = map_.Find(idx);
-      assert(pos.has_value());
-      RemoveAtPosition(*pos);
-      break;
-    }
+    case GroupKind::kSparse:
     case GroupKind::kRegular: {
-      assert(idx < inv_.size() && inv_[idx] != kNoPosition);
-      RemoveAtPosition(inv_[idx]);
+      const uint32_t pos = IndexFind(idx);
+      assert(pos != kNoPosition);
+      RemoveAtPosition(pos);
       break;
     }
   }
@@ -226,21 +375,19 @@ void RadixGroup::Rename(uint32_t from, uint32_t to) {
         single_ = to;
       }
       return;
-    case GroupKind::kSparse: {
-      const auto pos = map_.Find(from);
-      assert(pos.has_value());
-      members_[*pos] = to;
-      map_.Erase(from);
-      map_.Insert(to, *pos);
-      return;
-    }
+    case GroupKind::kSparse:
     case GroupKind::kRegular: {
-      assert(from < inv_.size() && inv_[from] != kNoPosition);
-      const uint32_t pos = inv_[from];
-      members_[pos] = to;
-      EnsureInvSize(to + 1);
-      inv_[to] = pos;
-      inv_[from] = kNoPosition;
+      if (kind_ == GroupKind::kSparse) {
+        ReserveHashSlot();
+      } else if (to >= payload_->index_capacity) {
+        Reserve(payload_->member_capacity,
+                std::max(to + 1, payload_->index_capacity * 2));
+      }
+      const uint32_t pos = IndexFind(from);
+      assert(pos != kNoPosition);
+      payload_->Members()[pos] = to;
+      IndexErase(from);
+      IndexSet(to, pos);
       return;
     }
   }
@@ -268,16 +415,12 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
   std::vector<uint32_t> positions;
   positions.reserve(idxs.size());
   for (uint32_t idx : idxs) {
-    if (kind_ == GroupKind::kRegular) {
-      assert(idx < inv_.size() && inv_[idx] != kNoPosition);
-      positions.push_back(inv_[idx]);
-    } else {
-      const auto pos = map_.Find(idx);
-      assert(pos.has_value());
-      positions.push_back(*pos);
-    }
+    const uint32_t pos = IndexFind(idx);
+    assert(pos != kNoPosition);
+    positions.push_back(pos);
   }
-  const uint32_t m = static_cast<uint32_t>(members_.size());
+  uint32_t* members = payload_->Members();
+  const uint32_t m = count_;
   const uint32_t n = static_cast<uint32_t>(positions.size());
   const uint32_t window_begin = m - n;
   std::sort(positions.begin(), positions.end());
@@ -293,7 +436,7 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
       if (cursor < positions.size() && positions[cursor] == pos) {
         ++cursor;  // scheduled for deletion: skip
       } else {
-        fillers.push_back(members_[pos]);
+        fillers.push_back(members[pos]);
       }
     }
   }
@@ -301,12 +444,7 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
   // Erase inverted-index entries for every deleted member before moves
   // overwrite their slots.
   for (uint32_t pos : positions) {
-    const uint32_t removed = members_[pos];
-    if (kind_ == GroupKind::kRegular) {
-      inv_[removed] = kNoPosition;
-    } else {
-      map_.Erase(removed);
-    }
+    IndexErase(members[pos]);
   }
 
   // Phase 2: the n - gamma holes in the front are filled by the n - gamma
@@ -317,42 +455,25 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
       break;  // positions are sorted; the rest are in the window
     }
     const uint32_t moved = fillers[filler_cursor++];
-    members_[pos] = moved;
-    if (kind_ == GroupKind::kRegular) {
-      inv_[moved] = pos;
-    } else {
-      map_.Update(moved, pos);
-    }
+    members[pos] = moved;
+    IndexSet(moved, pos);
   }
   assert(filler_cursor == fillers.size());
 
-  members_.resize(m - n);
   count_ -= n;
   if (count_ == 0) {
     Clear();
   }
 }
 
-uint32_t RadixGroup::PickUniform(util::Rng& rng) const {
-  assert(count_ > 0);
-  if (kind_ == GroupKind::kOneElement) {
-    return single_;
-  }
-  assert(kind_ == GroupKind::kSparse || kind_ == GroupKind::kRegular);
-  return members_[rng.NextBounded(members_.size())];
-}
-
 void RadixGroup::RebuildAs(GroupKind target, std::span<const uint32_t> members,
                            uint32_t degree_hint) {
   Clear();
   kind_ = target;
-  count_ = static_cast<uint32_t>(members.size());
   switch (target) {
     case GroupKind::kEmpty:
       assert(members.empty());
-      kind_ = GroupKind::kEmpty;
-      count_ = 0;
-      break;
+      return;
     case GroupKind::kDense:
       break;
     case GroupKind::kOneElement:
@@ -360,25 +481,29 @@ void RadixGroup::RebuildAs(GroupKind target, std::span<const uint32_t> members,
       single_ = members[0];
       break;
     case GroupKind::kSparse:
-      // Power-of-two capacity headroom (Hornet-style) so the next few
-      // appends do not reallocate.
-      members_.reserve(util::CeilPow2(members.size()));
-      members_.assign(members.begin(), members.end());
-      for (uint32_t pos = 0; pos < members_.size(); ++pos) {
-        map_.Insert(members_[pos], pos);
+    case GroupKind::kRegular: {
+      // Power-of-two member headroom (Hornet-style) so the next few appends
+      // do not reallocate.
+      const uint32_t member_capacity = static_cast<uint32_t>(
+          util::CeilPow2(std::max<std::size_t>(members.size(), 1)));
+      uint32_t index_capacity;
+      if (target == GroupKind::kSparse) {
+        index_capacity = static_cast<uint32_t>(
+            HashCapacityFor(std::max<std::size_t>(members.size(), 4)));
+      } else {
+        index_capacity = std::max<uint32_t>(degree_hint, 1);
+        for (const uint32_t idx : members) {
+          index_capacity = std::max(index_capacity, idx + 1);
+        }
       }
-      break;
-    case GroupKind::kRegular:
-      members_.reserve(util::CeilPow2(members.size()));
-      members_.assign(members.begin(), members.end());
-      inv_.reserve(util::CeilPow2(std::max<uint32_t>(degree_hint, 1) + 1));
-      inv_.assign(std::max<uint32_t>(degree_hint, 1), kNoPosition);
-      for (uint32_t pos = 0; pos < members_.size(); ++pos) {
-        EnsureInvSize(members_[pos] + 1);
-        inv_[members_[pos]] = pos;
-      }
-      break;
+      Reserve(member_capacity, index_capacity);  // empty: count_ is 0
+      std::copy(members.begin(), members.end(), payload_->Members());
+      count_ = static_cast<uint32_t>(members.size());
+      RebuildIndex();
+      return;
+    }
   }
+  count_ = static_cast<uint32_t>(members.size());
 }
 
 void RadixGroup::CollectMembers(std::vector<uint32_t>& out) const {
@@ -393,7 +518,7 @@ void RadixGroup::CollectMembers(std::vector<uint32_t>& out) const {
       return;
     case GroupKind::kSparse:
     case GroupKind::kRegular:
-      out.insert(out.end(), members_.begin(), members_.end());
+      out.insert(out.end(), payload_->Members(), payload_->Members() + count_);
       return;
   }
 }
@@ -408,37 +533,43 @@ bool RadixGroup::Contains(uint32_t idx) const {
     case GroupKind::kOneElement:
       return single_ == idx;
     case GroupKind::kSparse:
-      return map_.Find(idx).has_value();
     case GroupKind::kRegular:
-      return idx < inv_.size() && inv_[idx] != kNoPosition;
+      return IndexFind(idx) != kNoPosition;
   }
   return false;
 }
 
 void RadixGroup::Clear() {
+  if (HasPayload()) {
+    ::operator delete(payload_);
+  }
   kind_ = GroupKind::kEmpty;
   count_ = 0;
-  single_ = kNoPosition;
-  members_.clear();
-  members_.shrink_to_fit();
-  inv_.clear();
-  inv_.shrink_to_fit();
-  map_.Clear();
+  payload_ = nullptr;
 }
 
 std::size_t RadixGroup::MemoryBytes() const {
-  return members_.capacity() * sizeof(uint32_t) + inv_.capacity() * sizeof(uint32_t) +
-         map_.MemoryBytes();
+  if (!HasPayload()) {
+    return 0;
+  }
+  const std::size_t index_entry =
+      kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
+  return sizeof(Payload) +
+         std::size_t{payload_->member_capacity} * sizeof(uint32_t) +
+         std::size_t{payload_->index_capacity} * index_entry;
 }
 
 std::string RadixGroup::CheckInvariants() const {
   switch (kind_) {
     case GroupKind::kEmpty:
-      if (count_ != 0 || !members_.empty()) {
+      if (count_ != 0 || payload_ != nullptr) {
         return "empty group with residual state";
       }
       return {};
     case GroupKind::kDense:
+      if (payload_ != nullptr) {
+        return "dense group with a payload";
+      }
       return {};  // count is validated by the vertex-level audit
     case GroupKind::kOneElement:
       if (count_ != 1 || single_ == kNoPosition) {
@@ -446,37 +577,47 @@ std::string RadixGroup::CheckInvariants() const {
       }
       return {};
     case GroupKind::kSparse: {
-      if (count_ != members_.size() || map_.Size() != members_.size()) {
+      if (count_ > payload_->member_capacity) {
+        return "sparse group count exceeds its member capacity";
+      }
+      uint32_t live = 0;
+      uint32_t used = 0;
+      for (uint32_t slot = 0; slot < payload_->index_capacity; ++slot) {
+        const uint64_t value = payload_->Slots()[slot];
+        used += value != kEmptySlot;
+        live += value != kEmptySlot && value != kTombstoneSlot;
+      }
+      if (live != count_ || used != payload_->index_used) {
         return "sparse group count/map size mismatch";
       }
-      for (uint32_t pos = 0; pos < members_.size(); ++pos) {
-        const auto found = map_.Find(members_[pos]);
-        if (!found || *found != pos) {
+      for (uint32_t pos = 0; pos < count_; ++pos) {
+        if (IndexFind(payload_->Members()[pos]) != pos) {
           return "sparse inverted index mismatch";
         }
       }
       return {};
     }
     case GroupKind::kRegular: {
-      if (count_ != members_.size()) {
-        return "regular group count mismatch";
+      if (count_ > payload_->member_capacity) {
+        return "regular group count exceeds its member capacity";
       }
-      for (uint32_t pos = 0; pos < members_.size(); ++pos) {
-        const uint32_t idx = members_[pos];
-        if (idx >= inv_.size() || inv_[idx] != pos) {
+      const uint32_t* members = payload_->Members();
+      const uint32_t* inv = payload_->Positions();
+      for (uint32_t pos = 0; pos < count_; ++pos) {
+        if (IndexFind(members[pos]) != pos) {
           return "regular inverted index mismatch";
         }
       }
       uint32_t live = 0;
-      for (uint32_t idx = 0; idx < inv_.size(); ++idx) {
-        if (inv_[idx] != kNoPosition) {
+      for (uint32_t idx = 0; idx < payload_->index_capacity; ++idx) {
+        if (inv[idx] != kNoPosition) {
           ++live;
-          if (inv_[idx] >= members_.size() || members_[inv_[idx]] != idx) {
+          if (inv[idx] >= count_ || members[inv[idx]] != idx) {
             return "regular inverted index points to wrong member";
           }
         }
       }
-      if (live != members_.size()) {
+      if (live != count_) {
         return "regular inverted index live-count mismatch";
       }
       return {};

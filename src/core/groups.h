@@ -45,7 +45,8 @@ struct AdaptiveConfig {
 GroupKind ClassifyGroup(uint64_t count, uint64_t degree, const AdaptiveConfig& cfg);
 
 // Open-addressing map from neighbor index to member-list position; the
-// sparse-group inverted index. Linear probing with tombstones.
+// sparse-group inverted index. Linear probing with tombstones. A sparse
+// RadixGroup runs the same probing over the hash slots inside its payload.
 class IndexMap {
  public:
   void Insert(uint32_t key, uint32_t value);
@@ -57,11 +58,8 @@ class IndexMap {
   std::size_t MemoryBytes() const { return slots_.capacity() * sizeof(uint64_t); }
 
  private:
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-  static constexpr uint64_t kTombstoneSlot = ~uint64_t{0} - 1;
-
-  void Grow(std::size_t min_live);
-  std::size_t Mask() const { return slots_.size() - 1; }
+  // Rehashes into GrownHashCapacity(live_) slots, dropping tombstones.
+  void Grow();
 
   std::vector<uint64_t> slots_;  // key<<32 | value
   uint32_t live_ = 0;
@@ -70,9 +68,28 @@ class IndexMap {
 
 // One radix group of one vertex, in whichever representation its
 // classification currently demands.
+//
+// The group itself is a 16-byte header: kind, count, and either the
+// one-element member or a pointer to one heap payload holding the member
+// list followed by its inverted index (regular: a neighbor-index-sized
+// position array; sparse: open-addressing hash slots). Empty, dense and
+// one-element groups allocate nothing.
 class RadixGroup {
  public:
   static constexpr uint32_t kNoPosition = 0xFFFFFFFFu;
+
+  RadixGroup() = default;
+  RadixGroup(RadixGroup&& other) noexcept { TakeFrom(other); }
+  RadixGroup& operator=(RadixGroup&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      TakeFrom(other);
+    }
+    return *this;
+  }
+  RadixGroup(const RadixGroup&) = delete;
+  RadixGroup& operator=(const RadixGroup&) = delete;
+  ~RadixGroup() { Clear(); }
 
   GroupKind Kind() const { return kind_; }
   uint32_t Count() const { return count_; }
@@ -99,7 +116,12 @@ class RadixGroup {
   // Uniform member pick for one-element/sparse/regular groups. Dense groups
   // have no member list; the vertex sampler handles them by rejection on
   // the adjacency array.
-  uint32_t PickUniform(util::Rng& rng) const;
+  uint32_t PickUniform(util::Rng& rng) const {
+    if (kind_ == GroupKind::kOneElement) {
+      return single_;
+    }
+    return payload_->Members()[rng.NextBounded(count_)];
+  }
 
   // Rebuilds as `target` from the full member list. `degree_hint` sizes the
   // regular inverted index.
@@ -115,6 +137,8 @@ class RadixGroup {
 
   void Clear();
 
+  // Bytes of the heap payload (0 for empty, dense and one-element groups);
+  // the 16-byte header is accounted by whoever holds it.
   std::size_t MemoryBytes() const;
 
   // Structural audit: inverted index consistent with members, no
@@ -122,16 +146,58 @@ class RadixGroup {
   std::string CheckInvariants() const;
 
  private:
-  void EnsureInvSize(uint32_t min_size);
+  // Heap payload of a sparse or regular group: this header, then
+  // `member_capacity` member slots (the first count_ are live), then
+  // `index_capacity` inverted-index entries — uint32_t positions for a
+  // regular group, uint64_t hash slots for a sparse one (member_capacity is
+  // even, so the hash slots are 8-byte aligned).
+  struct Payload {
+    uint32_t member_capacity;
+    uint32_t index_capacity;
+    uint32_t index_used;  // sparse: occupied hash slots, tombstones included
+    uint32_t reserved;
+
+    uint32_t* Members() { return reinterpret_cast<uint32_t*>(this + 1); }
+    const uint32_t* Members() const {
+      return reinterpret_cast<const uint32_t*>(this + 1);
+    }
+    uint32_t* Positions() { return Members() + member_capacity; }
+    const uint32_t* Positions() const { return Members() + member_capacity; }
+    uint64_t* Slots() { return reinterpret_cast<uint64_t*>(Positions()); }
+    const uint64_t* Slots() const {
+      return reinterpret_cast<const uint64_t*>(Positions());
+    }
+  };
+
+  bool HasPayload() const {
+    return kind_ == GroupKind::kSparse || kind_ == GroupKind::kRegular;
+  }
+  void TakeFrom(RadixGroup& other);
+  // Reallocates the payload with the given capacities, keeping the members
+  // and rebuilding the inverted index from them (which also drops sparse
+  // tombstones). Requires a sparse or regular kind_.
+  void Reserve(uint32_t member_capacity, uint32_t index_capacity);
+  // Refills the inverted index from the first count_ members.
+  void RebuildIndex();
+  // Makes room for one more member (and, for regular groups, for neighbor
+  // index `idx` in the inverted index).
+  void ReserveForInsert(uint32_t idx);
+  // Sparse groups: makes room for one hash-slot insertion.
+  void ReserveHashSlot();
+  void IndexSet(uint32_t idx, uint32_t pos);
+  void IndexErase(uint32_t idx);
+  uint32_t IndexFind(uint32_t idx) const;
   void RemoveAtPosition(uint32_t pos);
 
-  GroupKind kind_ = GroupKind::kEmpty;
+  union {
+    uint32_t single_;             // one-element storage
+    Payload* payload_ = nullptr;  // sparse + regular
+  };
   uint32_t count_ = 0;
-  uint32_t single_ = kNoPosition;       // one-element storage
-  std::vector<uint32_t> members_;       // sparse + regular
-  std::vector<uint32_t> inv_;           // regular: neighbor index -> position
-  IndexMap map_;                        // sparse: neighbor index -> position
+  GroupKind kind_ = GroupKind::kEmpty;
 };
+
+static_assert(sizeof(RadixGroup) == 16, "group headers are 16 bytes");
 
 }  // namespace bingo::core
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <new>
 #include <sstream>
 
 #include "src/sampling/batch_kernels.h"
@@ -15,80 +16,249 @@ VertexMemoryBreakdown& VertexMemoryBreakdown::operator+=(
   for (std::size_t i = 0; i < group_bytes.size(); ++i) {
     group_bytes[i] += other.group_bytes[i];
   }
+  header_bytes += other.header_bytes;
   decimal_bytes += other.decimal_bytes;
   alias_bytes += other.alias_bytes;
   return *this;
 }
 
-void VertexSampler::EnsureGroup(int k) {
-  if (static_cast<int>(groups_.size()) <= k) {
-    groups_.resize(k + 1);
+// ------------------------------------------------------------------ Block --
+
+// The per-vertex block: this 16-byte header, then prob[num_slots],
+// alias[num_slots], slot_radix[num_slots], padding to 8 bytes,
+// groups[num_groups], and the DecimalGroup when has_decimal. Sizes are
+// exact; every change to the set of headers reallocates (Reshape).
+struct VertexSampler::Block {
+  uint64_t present;    // bit k set: groups() holds the header of 2^k
+  uint8_t num_groups;  // popcount(present)
+  uint8_t num_slots;   // num_groups + has_decimal: one alias slot each
+  bool has_decimal;
+  uint8_t reserved[5];
+
+  // Bytes an alias slot occupies: prob, alias and slot-map entries.
+  static constexpr std::size_t kSlotBytes =
+      sizeof(double) + sizeof(uint32_t) + sizeof(int8_t);
+
+  static std::size_t GroupsOffset(std::size_t slots) {
+    constexpr std::size_t kAlign = alignof(RadixGroup);
+    return (sizeof(Block) + slots * kSlotBytes + kAlign - 1) / kAlign * kAlign;
   }
+  static std::size_t Bytes(std::size_t groups, bool decimal) {
+    return GroupsOffset(groups + (decimal ? 1 : 0)) +
+           groups * sizeof(RadixGroup) + (decimal ? sizeof(DecimalGroup) : 0);
+  }
+
+  double* Prob() { return reinterpret_cast<double*>(this + 1); }
+  const double* Prob() const { return reinterpret_cast<const double*>(this + 1); }
+  uint32_t* Alias() { return reinterpret_cast<uint32_t*>(Prob() + num_slots); }
+  const uint32_t* Alias() const {
+    return reinterpret_cast<const uint32_t*>(Prob() + num_slots);
+  }
+  // Slot -> radix position k of the group behind it; kDecimalGroupId for
+  // the decimal slot. Slot s < num_groups is always groups()[s].
+  int8_t* SlotRadix() { return reinterpret_cast<int8_t*>(Alias() + num_slots); }
+  const int8_t* SlotRadix() const {
+    return reinterpret_cast<const int8_t*>(Alias() + num_slots);
+  }
+  RadixGroup* Groups() {
+    return reinterpret_cast<RadixGroup*>(reinterpret_cast<char*>(this) +
+                                         GroupsOffset(num_slots));
+  }
+  const RadixGroup* Groups() const {
+    return reinterpret_cast<const RadixGroup*>(
+        reinterpret_cast<const char*>(this) + GroupsOffset(num_slots));
+  }
+  DecimalGroup* Decimal() {
+    return reinterpret_cast<DecimalGroup*>(Groups() + num_groups);
+  }
+  const DecimalGroup* Decimal() const {
+    return reinterpret_cast<const DecimalGroup*>(Groups() + num_groups);
+  }
+
+  std::span<const double> ProbSpan() const { return {Prob(), num_slots}; }
+  std::span<const uint32_t> AliasSpan() const { return {Alias(), num_slots}; }
+
+  // Index into Groups() of radix position k (present or not).
+  int IndexOf(int k) const {
+    return util::Popcount(present & ((uint64_t{1} << k) - 1));
+  }
+};
+
+static_assert(alignof(DecimalGroup) <= alignof(RadixGroup));
+
+VertexSampler& VertexSampler::operator=(VertexSampler&& other) noexcept {
+  if (this != &other) {
+    Release();
+    config_ = other.config_;
+    block_ = other.block_;
+    other.block_ = nullptr;
+  }
+  return *this;
 }
+
+void VertexSampler::Release() {
+  if (block_ == nullptr) {
+    return;
+  }
+  RadixGroup* groups = block_->Groups();
+  for (int g = 0; g < block_->num_groups; ++g) {
+    groups[g].~RadixGroup();
+  }
+  if (block_->has_decimal) {
+    block_->Decimal()->~DecimalGroup();
+  }
+  ::operator delete(block_);
+  block_ = nullptr;
+}
+
+void VertexSampler::Reshape(uint64_t present, bool decimal) {
+  static_assert(sizeof(Block) == 16);
+  if (present == 0 && !decimal) {
+    Release();
+    return;
+  }
+  const int num_groups = util::Popcount(present);
+  Block* fresh = new (::operator new(Block::Bytes(num_groups, decimal)))
+      Block{present, static_cast<uint8_t>(num_groups),
+            static_cast<uint8_t>(num_groups + (decimal ? 1 : 0)), decimal, {}};
+
+  Block* old = block_;
+  const uint64_t old_present = old != nullptr ? old->present : 0;
+  RadixGroup* from = old != nullptr ? old->Groups() : nullptr;
+  RadixGroup* to = fresh->Groups();
+  util::ForEachSetBit(present | old_present, [&](int k) {
+    const bool in_old = (old_present >> k) & 1;
+    if ((present >> k) & 1) {
+      if (in_old) {
+        new (to++) RadixGroup(std::move(*from));
+      } else {
+        new (to++) RadixGroup();
+      }
+    }
+    if (in_old) {
+      assert(((present >> k) & 1) || from->Empty());
+      (from++)->~RadixGroup();
+    }
+  });
+  const bool old_decimal = old != nullptr && old->has_decimal;
+  if (decimal) {
+    if (old_decimal) {
+      new (fresh->Decimal()) DecimalGroup(std::move(*old->Decimal()));
+    } else {
+      new (fresh->Decimal()) DecimalGroup(config_->decimal_policy);
+    }
+  }
+  if (old_decimal) {
+    assert(decimal || old->Decimal()->Empty());
+    old->Decimal()->~DecimalGroup();
+  }
+  ::operator delete(old);
+  block_ = fresh;
+}
+
+RadixGroup& VertexSampler::GroupFor(int k) {
+  assert(block_ != nullptr && ((block_->present >> k) & 1));
+  return block_->Groups()[block_->IndexOf(k)];
+}
+
+const RadixGroup* VertexSampler::GroupAt(int k) const {
+  if (block_ == nullptr || k < 0 || k >= 64 || !((block_->present >> k) & 1)) {
+    return nullptr;
+  }
+  return &block_->Groups()[block_->IndexOf(k)];
+}
+
+const DecimalGroup& VertexSampler::Decimal() const {
+  static const DecimalGroup kNoDecimal;
+  return block_ != nullptr && block_->has_decimal ? *block_->Decimal()
+                                                  : kNoDecimal;
+}
+
+// ---------------------------------------------------------------- updates --
 
 void VertexSampler::Build(std::span<const graph::Edge> adj) {
   assert(config_ != nullptr);
-  groups_.clear();
-  decimal_.Clear();
-  decimal_.SetPolicy(config_->decimal_policy);
+  Release();
   const uint32_t degree = static_cast<uint32_t>(adj.size());
 
-  // Gather members per radix position, then build each group directly in
-  // its classified representation (avoids insert-then-convert churn).
-  std::vector<std::vector<uint32_t>> members;
+  // Pass 1: split every bias once, counting members per radix position.
+  static thread_local std::vector<BiasParts> parts;
+  parts.resize(degree);
+  std::array<uint32_t, 64> counts{};
+  uint64_t present = 0;
+  bool decimal = false;
   for (uint32_t idx = 0; idx < degree; ++idx) {
-    const BiasParts parts = Split(adj[idx].bias);
-    util::ForEachSetBit(parts.int_bits, [&](int k) {
-      if (static_cast<int>(members.size()) <= k) {
-        members.resize(k + 1);
-      }
-      members[static_cast<std::size_t>(k)].push_back(idx);
-    });
-    if (parts.dec_fixed != 0) {
-      decimal_.Insert(idx, parts.dec_fixed);
+    parts[idx] = Split(adj[idx].bias);
+    present |= parts[idx].int_bits;
+    util::ForEachSetBit(parts[idx].int_bits, [&](int k) { ++counts[k]; });
+    decimal |= parts[idx].dec_fixed != 0;
+  }
+  Reshape(present, decimal);
+  if (block_ == nullptr) {
+    return;  // no out-weight: no block
+  }
+
+  // Pass 2: counting-sort the members by radix position (adjacency order
+  // within each), then build each group directly in its classified
+  // representation (avoids insert-then-convert churn).
+  std::array<uint32_t, 64> cursor{};
+  uint32_t total = 0;
+  util::ForEachSetBit(present, [&](int k) {
+    cursor[k] = total;
+    total += counts[k];
+  });
+  static thread_local std::vector<uint32_t> members;
+  members.resize(total);
+  DecimalGroup* decimal_group = decimal ? block_->Decimal() : nullptr;
+  for (uint32_t idx = 0; idx < degree; ++idx) {
+    util::ForEachSetBit(parts[idx].int_bits,
+                        [&](int k) { members[cursor[k]++] = idx; });
+    if (parts[idx].dec_fixed != 0) {
+      decimal_group->Insert(idx, parts[idx].dec_fixed);
     }
   }
-  groups_.resize(members.size());
-  for (int k = 0; k < static_cast<int>(members.size()); ++k) {
-    const auto& m = members[static_cast<std::size_t>(k)];
-    if (m.empty()) {
-      continue;
-    }
-    const GroupKind kind = ClassifyGroup(m.size(), degree, config_->adaptive);
-    groups_[static_cast<std::size_t>(k)].RebuildAs(kind, m, degree);
-  }
+  RadixGroup* group = block_->Groups();
+  uint32_t begin = 0;
+  util::ForEachSetBit(present, [&](int k) {
+    const GroupKind kind = ClassifyGroup(counts[k], degree, config_->adaptive);
+    (group++)->RebuildAs(
+        kind, std::span<const uint32_t>(members).subspan(begin, counts[k]),
+        degree);
+    begin += counts[k];
+  });
   RebuildInterGroupAlias();
 }
 
 void VertexSampler::InsertEdge(std::span<const graph::Edge> adj, uint32_t idx) {
   const BiasParts parts = Split(adj[idx].bias);
   const uint32_t degree = static_cast<uint32_t>(adj.size());
-  util::ForEachSetBit(parts.int_bits, [&](int k) {
-    EnsureGroup(k);
-    groups_[static_cast<std::size_t>(k)].Insert(idx, degree);
-  });
-  if (parts.dec_fixed != 0) {
-    decimal_.Insert(idx, parts.dec_fixed);
+  const uint64_t present = block_ != nullptr ? block_->present : 0;
+  const bool decimal = block_ != nullptr && block_->has_decimal;
+  const bool to_decimal = parts.dec_fixed != 0;
+  if ((parts.int_bits & ~present) != 0 || (to_decimal && !decimal)) {
+    Reshape(present | parts.int_bits, decimal || to_decimal);
+  }
+  util::ForEachSetBit(parts.int_bits,
+                      [&](int k) { GroupFor(k).Insert(idx, degree); });
+  if (to_decimal) {
+    block_->Decimal()->Insert(idx, parts.dec_fixed);
   }
 }
 
 void VertexSampler::RemoveEdge(std::span<const graph::Edge> adj, uint32_t idx) {
   const BiasParts parts = Split(adj[idx].bias);
-  util::ForEachSetBit(parts.int_bits, [&](int k) {
-    groups_[static_cast<std::size_t>(k)].Remove(idx);
-  });
+  util::ForEachSetBit(parts.int_bits, [&](int k) { GroupFor(k).Remove(idx); });
   if (parts.dec_fixed != 0) {
-    decimal_.Remove(idx);
+    block_->Decimal()->Remove(idx);
   }
 }
 
 void VertexSampler::RenameIndex(double moved_bias, uint32_t from, uint32_t to) {
   const BiasParts parts = Split(moved_bias);
-  util::ForEachSetBit(parts.int_bits, [&](int k) {
-    groups_[static_cast<std::size_t>(k)].Rename(from, to);
-  });
+  util::ForEachSetBit(parts.int_bits,
+                      [&](int k) { GroupFor(k).Rename(from, to); });
   if (parts.dec_fixed != 0) {
-    decimal_.Rename(from, to);
+    block_->Decimal()->Rename(from, to);
   }
 }
 
@@ -106,23 +276,40 @@ void VertexSampler::RemoveEdgesBatch(std::span<const graph::Edge> adj,
       per_group[static_cast<std::size_t>(k)].push_back(idx);
     });
     if (parts.dec_fixed != 0) {
-      decimal_.Remove(idx);
+      block_->Decimal()->Remove(idx);
     }
   }
   for (int k = 0; k < static_cast<int>(per_group.size()); ++k) {
     const auto& victims = per_group[static_cast<std::size_t>(k)];
     if (!victims.empty()) {
-      groups_[static_cast<std::size_t>(k)].BatchRemove(victims);
+      GroupFor(k).BatchRemove(victims);
     }
   }
 }
 
 void VertexSampler::FinishUpdate(std::span<const graph::Edge> adj) {
+  if (block_ == nullptr) {
+    return;  // no weight before or after: nothing to rebuild
+  }
   // BS mode also reclassifies: Insert() may have escalated an empty group
   // through the one-element representation, and BS requires every
   // non-empty group to be regular.
   ReclassifyGroups(adj);
-  RebuildInterGroupAlias();
+  // Pack out the groups (and the decimal group) that emptied.
+  uint64_t live = 0;
+  const RadixGroup* group = block_->Groups();
+  util::ForEachSetBit(block_->present, [&](int k) {
+    if (!(group++)->Empty()) {
+      live |= uint64_t{1} << k;
+    }
+  });
+  const bool decimal = block_->has_decimal && !block_->Decimal()->Empty();
+  if (live != block_->present || decimal != block_->has_decimal) {
+    Reshape(live, decimal);
+  }
+  if (block_ != nullptr) {
+    RebuildInterGroupAlias();
+  }
 }
 
 std::vector<uint32_t> VertexSampler::ScanMembers(std::span<const graph::Edge> adj,
@@ -139,13 +326,14 @@ std::vector<uint32_t> VertexSampler::ScanMembers(std::span<const graph::Edge> ad
 
 void VertexSampler::ReclassifyGroups(std::span<const graph::Edge> adj) {
   const uint32_t degree = static_cast<uint32_t>(adj.size());
-  for (int k = 0; k < static_cast<int>(groups_.size()); ++k) {
-    RadixGroup& group = groups_[static_cast<std::size_t>(k)];
+  RadixGroup* groups = block_->Groups();
+  util::ForEachSetBit(block_->present, [&](int k) {
+    RadixGroup& group = *groups++;
     const GroupKind current = group.Kind();
     const GroupKind target =
         ClassifyGroup(group.Count(), degree, config_->adaptive);
     if (current == target) {
-      continue;
+      return;
     }
     // Conversion accounting (Table 4) only makes sense for the adaptive
     // representation; BS conversions are representation plumbing.
@@ -154,7 +342,7 @@ void VertexSampler::ReclassifyGroups(std::span<const graph::Edge> adj) {
     }
     if (target == GroupKind::kEmpty) {
       group.Clear();
-      continue;
+      return;
     }
     std::vector<uint32_t> members;
     if (current == GroupKind::kDense) {
@@ -163,35 +351,40 @@ void VertexSampler::ReclassifyGroups(std::span<const graph::Edge> adj) {
       group.CollectMembers(members);
     }
     group.RebuildAs(target, members, degree);
-  }
+  });
 }
 
 void VertexSampler::RebuildInterGroupAlias() {
   // Runs on every update; scratch is thread-local to avoid per-call heap
-  // traffic (the table itself reuses its own capacity across Build calls).
+  // traffic. Requires every present group to be non-empty (Build and
+  // FinishUpdate pack the empty ones out first).
   static thread_local std::vector<double> weights;
   weights.clear();
-  weights.reserve(groups_.size() + 1);
-  alias_groups_.clear();
-  alias_groups_.reserve(groups_.size() + 1);
-  for (int k = 0; k < static_cast<int>(groups_.size()); ++k) {
-    const RadixGroup& group = groups_[static_cast<std::size_t>(k)];
-    if (group.Count() > 0) {
-      weights.push_back(GroupWeight(k, group.Count()));
-      alias_groups_.push_back(static_cast<int8_t>(k));
-    }
+  Block& block = *block_;
+  const RadixGroup* groups = block.Groups();
+  int8_t* slot_radix = block.SlotRadix();
+  std::size_t slot = 0;
+  util::ForEachSetBit(block.present, [&](int k) {
+    assert(!groups[slot].Empty());
+    weights.push_back(GroupWeight(k, groups[slot].Count()));
+    slot_radix[slot++] = static_cast<int8_t>(k);
+  });
+  if (block.has_decimal) {
+    weights.push_back(std::ldexp(
+        static_cast<double>(block.Decimal()->TotalFixed()), -kDecimalBits));
+    slot_radix[slot++] = kDecimalGroupId;
   }
-  if (decimal_.TotalFixed() > 0) {
-    weights.push_back(std::ldexp(static_cast<double>(decimal_.TotalFixed()),
-                                 -kDecimalBits));
-    alias_groups_.push_back(kDecimalGroupId);
-  }
-  alias_.Build(weights);
+  sampling::AliasTable::BuildInto(
+      weights, std::span<double>(block.Prob(), block.num_slots),
+      std::span<uint32_t>(block.Alias(), block.num_slots));
 }
+
+// --------------------------------------------------------------- sampling --
 
 uint32_t VertexSampler::SampleIndex(std::span<const graph::Edge> adj,
                                     util::Rng& rng) const {
-  if (alias_groups_.empty()) {
+  const Block* block = block_;
+  if (block == nullptr) {
     return kNoNeighbor;
   }
   // Degree-1 vertices (the bulk of a power-law graph) have exactly one
@@ -202,16 +395,19 @@ uint32_t VertexSampler::SampleIndex(std::span<const graph::Edge> adj,
   // Stage (i): inter-group alias sampling. A single-group space needs no
   // alias draw.
   const uint32_t slot =
-      alias_groups_.size() == 1 ? 0 : alias_.Sample(rng);
-  const int k = alias_groups_[slot];
-  if (k == kDecimalGroupId) {
-    return decimal_.Sample(rng);
+      block->num_slots == 1
+          ? 0
+          : sampling::AliasTable::SampleFrom(block->ProbSpan(),
+                                             block->AliasSpan(), rng);
+  if (slot == block->num_groups) {
+    return block->Decimal()->Sample(rng);
   }
-  const RadixGroup& group = groups_[static_cast<std::size_t>(k)];
+  const RadixGroup& group = block->Groups()[slot];
   // Stage (ii): uniform intra-group pick.
   if (group.Kind() == GroupKind::kDense) {
     // Rejection on the adjacency array (§5.1): accept a uniformly-drawn
     // neighbor iff its bias has bit k set; acceptance ratio > alpha%.
+    const int k = block->SlotRadix()[slot];
     for (;;) {
       const uint32_t idx = static_cast<uint32_t>(rng.NextBounded(adj.size()));
       const BiasParts parts = Split(adj[idx].bias);
@@ -227,7 +423,8 @@ void VertexSampler::SampleIndexBatch(std::span<const graph::Edge> adj,
                                      util::Rng* const* rngs, std::size_t n,
                                      uint32_t* out) const {
   // The early-outs mirror SampleIndex exactly: neither consumes a variate.
-  if (alias_groups_.empty()) {
+  const Block* block = block_;
+  if (block == nullptr) {
     std::fill_n(out, n, kNoNeighbor);
     return;
   }
@@ -235,6 +432,10 @@ void VertexSampler::SampleIndexBatch(std::span<const graph::Edge> adj,
     std::fill_n(out, n, 0u);
     return;
   }
+  const uint32_t decimal_slot = block->num_groups;
+  const DecimalGroup* decimal = block->has_decimal ? block->Decimal() : nullptr;
+  const RadixGroup* groups = block->Groups();
+  const int8_t* slot_radix = block->SlotRadix();
   constexpr std::size_t kTile = 64;
   uint32_t slots[kTile];
   uint32_t pending[kTile];  // tile-local walker indices still in rejection
@@ -245,22 +446,23 @@ void VertexSampler::SampleIndexBatch(std::span<const graph::Edge> adj,
     const std::size_t count = std::min(kTile, n - begin);
     // Stage (i): inter-group alias draw, lane-batched. A single-group
     // space draws nothing — same skip as SampleIndex.
-    if (alias_groups_.size() == 1) {
+    if (block->num_slots == 1) {
       std::fill_n(slots, count, 0u);
     } else {
-      alias_.SampleBatch(rngs + begin, count, slots);
+      sampling::AliasTable::SampleBatchFrom(block->ProbSpan(),
+                                            block->AliasSpan(), rngs + begin,
+                                            count, slots);
     }
     // Stage (ii): decimal and list-backed groups finish per walker (their
     // follow-up draws come from that walker's own stream, in SampleIndex's
     // order); dense groups queue for the batched rejection rounds.
     std::size_t num_pending = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      const int k = alias_groups_[slots[i]];
-      if (k == kDecimalGroupId) {
-        out[begin + i] = decimal_.Sample(*rngs[begin + i]);
+      if (slots[i] == decimal_slot) {
+        out[begin + i] = decimal->Sample(*rngs[begin + i]);
         continue;
       }
-      const RadixGroup& group = groups_[static_cast<std::size_t>(k)];
+      const RadixGroup& group = groups[slots[i]];
       if (group.Kind() == GroupKind::kDense) {
         pending[num_pending++] = static_cast<uint32_t>(i);
         continue;
@@ -284,7 +486,7 @@ void VertexSampler::SampleIndexBatch(std::span<const graph::Edge> adj,
       std::size_t still = 0;
       for (std::size_t p = 0; p < num_pending; ++p) {
         const std::size_t i = pending[p];
-        const int k = alias_groups_[slots[i]];
+        const int k = slot_radix[slots[i]];
         if ((cand_bits[p] >> k) & 1ULL) {
           out[begin + i] = cand[p];
         } else {
@@ -296,26 +498,34 @@ void VertexSampler::SampleIndexBatch(std::span<const graph::Edge> adj,
   }
 }
 
+// ---------------------------------------------------------- introspection --
+
 std::vector<double> VertexSampler::ImpliedDistribution(
     std::span<const graph::Edge> adj) const {
   std::vector<double> probs(adj.size(), 0.0);
-  const std::vector<double> group_probs = alias_.ImpliedProbabilities();
-  for (std::size_t slot = 0; slot < alias_groups_.size(); ++slot) {
-    const double p_group = group_probs[slot];
-    const int k = alias_groups_[slot];
-    if (k == kDecimalGroupId) {
+  if (block_ == nullptr) {
+    return probs;
+  }
+  const Block& block = *block_;
+  const std::vector<double> slot_probs =
+      sampling::AliasTable::ImpliedProbabilitiesOf(block.ProbSpan(),
+                                                   block.AliasSpan());
+  for (std::size_t slot = 0; slot < block.num_slots; ++slot) {
+    const double p_group = slot_probs[slot];
+    if (slot == block.num_groups) {
+      const DecimalGroup& decimal = *block.Decimal();
       std::vector<std::pair<uint32_t, uint32_t>> members;
-      decimal_.CollectMembers(members);
-      const double total = static_cast<double>(decimal_.TotalFixed());
+      decimal.CollectMembers(members);
+      const double total = static_cast<double>(decimal.TotalFixed());
       for (const auto& [idx, dec] : members) {
         probs[idx] += p_group * static_cast<double>(dec) / total;
       }
       continue;
     }
-    const RadixGroup& group = groups_[static_cast<std::size_t>(k)];
+    const RadixGroup& group = block.Groups()[slot];
     std::vector<uint32_t> members;
     if (group.Kind() == GroupKind::kDense) {
-      members = ScanMembers(adj, k);
+      members = ScanMembers(adj, block.SlotRadix()[slot]);
     } else {
       group.CollectMembers(members);
     }
@@ -329,6 +539,7 @@ std::vector<double> VertexSampler::ImpliedDistribution(
 
 std::string VertexSampler::CheckInvariants(std::span<const graph::Edge> adj) const {
   const uint32_t degree = static_cast<uint32_t>(adj.size());
+  const DecimalGroup& decimal = Decimal();
   // Ground truth: per-k membership recomputed from the adjacency.
   std::vector<std::vector<uint32_t>> expected;
   uint64_t expected_decimal_total = 0;
@@ -344,26 +555,44 @@ std::string VertexSampler::CheckInvariants(std::span<const graph::Edge> adj) con
     if (parts.dec_fixed != 0) {
       expected_decimal_total += parts.dec_fixed;
       ++expected_decimal_count;
-      if (!decimal_.Contains(idx) || decimal_.DecOf(idx) != parts.dec_fixed) {
+      if (!decimal.Contains(idx) || decimal.DecOf(idx) != parts.dec_fixed) {
         return "decimal group missing or wrong weight for index " +
                std::to_string(idx);
       }
     }
   }
-  if (decimal_.TotalFixed() != expected_decimal_total ||
-      decimal_.Count() != expected_decimal_count) {
+  if (decimal.TotalFixed() != expected_decimal_total ||
+      decimal.Count() != expected_decimal_count) {
     return "decimal group aggregate mismatch";
   }
-  if (const std::string err = decimal_.CheckInvariants(); !err.empty()) {
+  if (const std::string err = decimal.CheckInvariants(); !err.empty()) {
     return err;
   }
+  if (block_ == nullptr) {
+    return expected.empty() ? std::string{}
+                            : "vertex with radix weight has no block";
+  }
+  const Block& block = *block_;
+  if (block.present == 0 && !block.has_decimal) {
+    return "block held by a vertex without weight";
+  }
+  if (block.has_decimal) {
+    if (decimal.Empty()) {
+      return "empty decimal group kept in the block";
+    }
+    if (decimal.GetPolicy() != config_->decimal_policy) {
+      return "decimal group policy differs from the configured one";
+    }
+  }
 
-  for (int k = 0; k < static_cast<int>(std::max(expected.size(), groups_.size()));
-       ++k) {
+  for (int k = 0; k < 64; ++k) {
     const std::size_t uk = static_cast<std::size_t>(k);
-    const uint64_t want =
-        uk < expected.size() ? expected[uk].size() : 0;
-    const uint64_t have = uk < groups_.size() ? groups_[uk].Count() : 0;
+    const RadixGroup* group = GroupAt(k);
+    if (group != nullptr && group->Empty()) {
+      return "group 2^" + std::to_string(k) + " is empty but not packed out";
+    }
+    const uint64_t want = uk < expected.size() ? expected[uk].size() : 0;
+    const uint64_t have = group != nullptr ? group->Count() : 0;
     if (want != have) {
       return "group 2^" + std::to_string(k) + " count mismatch: want " +
              std::to_string(want) + " have " + std::to_string(have);
@@ -371,20 +600,19 @@ std::string VertexSampler::CheckInvariants(std::span<const graph::Edge> adj) con
     if (have == 0) {
       continue;
     }
-    const RadixGroup& group = groups_[uk];
     const GroupKind want_kind =
         ClassifyGroup(have, degree, config_->adaptive);
-    if (group.Kind() != want_kind) {
+    if (group->Kind() != want_kind) {
       return "group 2^" + std::to_string(k) + " kind mismatch: want " +
              std::string(ToString(want_kind)) + " have " +
-             std::string(ToString(group.Kind()));
+             std::string(ToString(group->Kind()));
     }
-    if (const std::string err = group.CheckInvariants(); !err.empty()) {
+    if (const std::string err = group->CheckInvariants(); !err.empty()) {
       return "group 2^" + std::to_string(k) + ": " + err;
     }
-    if (group.Kind() != GroupKind::kDense) {
+    if (group->Kind() != GroupKind::kDense) {
       for (uint32_t idx : expected[uk]) {
-        if (!group.Contains(idx)) {
+        if (!group->Contains(idx)) {
           return "group 2^" + std::to_string(k) + " missing member " +
                  std::to_string(idx);
         }
@@ -392,52 +620,57 @@ std::string VertexSampler::CheckInvariants(std::span<const graph::Edge> adj) con
     }
   }
 
-  // The alias table must cover exactly the non-empty groups with the
-  // implicit weights W(p_k) = 2^k * count.
-  std::size_t active = 0;
-  for (int k = 0; k < static_cast<int>(groups_.size()); ++k) {
-    if (groups_[static_cast<std::size_t>(k)].Count() > 0) {
-      ++active;
-    }
-  }
-  if (decimal_.TotalFixed() > 0) {
-    ++active;
-  }
-  if (alias_groups_.size() != active || alias_.Size() != active) {
+  // The alias table must cover exactly the non-empty groups, in ascending
+  // radix order, then the decimal group.
+  const int num_groups = util::Popcount(block.present);
+  if (block.num_groups != num_groups ||
+      block.num_slots != num_groups + (block.has_decimal ? 1 : 0)) {
     return "inter-group alias table stale";
+  }
+  std::size_t slot = 0;
+  bool slot_map_ok = true;
+  util::ForEachSetBit(block.present, [&](int k) {
+    slot_map_ok = slot_map_ok && block.SlotRadix()[slot++] == k;
+  });
+  if (block.has_decimal) {
+    slot_map_ok = slot_map_ok && block.SlotRadix()[slot] == kDecimalGroupId;
+  }
+  if (!slot_map_ok) {
+    return "alias slot map out of order";
   }
   return {};
 }
 
 VertexMemoryBreakdown VertexSampler::MemoryBreakdown() const {
   VertexMemoryBreakdown breakdown;
-  for (const RadixGroup& group : groups_) {
+  if (block_ == nullptr) {
+    return breakdown;
+  }
+  const Block& block = *block_;
+  breakdown.alias_bytes = block.num_slots * Block::kSlotBytes;
+  breakdown.header_bytes =
+      Block::Bytes(block.num_groups, block.has_decimal) - breakdown.alias_bytes;
+  for (int g = 0; g < block.num_groups; ++g) {
+    const RadixGroup& group = block.Groups()[g];
     breakdown.group_bytes[static_cast<int>(group.Kind())] += group.MemoryBytes();
   }
-  breakdown.group_bytes[static_cast<int>(GroupKind::kEmpty)] +=
-      groups_.capacity() * sizeof(RadixGroup);
-  breakdown.decimal_bytes = decimal_.MemoryBytes();
-  breakdown.alias_bytes =
-      alias_.MemoryBytes() + alias_groups_.capacity() * sizeof(int8_t);
+  if (block.has_decimal) {
+    breakdown.decimal_bytes = block.Decimal()->MemoryBytes();
+  }
   return breakdown;
 }
 
 void VertexSampler::CountGroupKinds(std::array<uint64_t, 5>& counts) const {
-  for (const RadixGroup& group : groups_) {
-    if (group.Kind() != GroupKind::kEmpty) {
-      ++counts[static_cast<int>(group.Kind())];
-    }
+  if (block_ == nullptr) {
+    return;
+  }
+  for (int g = 0; g < block_->num_groups; ++g) {
+    ++counts[static_cast<int>(block_->Groups()[g].Kind())];
   }
 }
 
 int VertexSampler::NumActiveGroups() const {
-  int active = 0;
-  for (const RadixGroup& group : groups_) {
-    if (group.Count() > 0) {
-      ++active;
-    }
-  }
-  return active;
+  return block_ == nullptr ? 0 : block_->num_groups;
 }
 
 }  // namespace bingo::core

@@ -11,6 +11,19 @@
 // The sampler never owns adjacency data; every operation receives the
 // source vertex's adjacency span (the graph is the single source of truth,
 // and dense-group rejection reads biases straight from it).
+//
+// Memory layout: a VertexSampler is a 16-byte handle (config pointer plus
+// block pointer). A vertex without out-weight has no block. Otherwise its
+// block is one heap allocation holding, contiguously:
+//   * a 16-byte header (the presence mask of radix positions, counts);
+//   * the inter-group alias table, prob[] (double) and alias[] (uint32);
+//   * the slot map, slot -> radix position (int8, -1 = decimal group);
+//   * one 16-byte RadixGroup header per non-empty radix group, ascending k;
+//   * the DecimalGroup, only when the vertex has fractional weight.
+// Empty radix positions are packed out: a 64-bit presence mask says which
+// positions have a header, and popcount below k finds it. Alias slot s is
+// header s (the non-empty groups in ascending k, as the inter-group table
+// has always been ordered), and the decimal group takes the last slot.
 
 #ifndef BINGO_SRC_CORE_VERTEX_SAMPLER_H_
 #define BINGO_SRC_CORE_VERTEX_SAMPLER_H_
@@ -28,6 +41,7 @@
 #include "src/core/radix.h"
 #include "src/graph/types.h"
 #include "src/sampling/alias_table.h"
+#include "src/util/prefetch.h"
 #include "src/util/rng.h"
 
 namespace bingo::core {
@@ -63,14 +77,20 @@ struct BingoConfig {
   uint32_t logical_epoch = 0;
 };
 
-// Memory attribution for Fig 11.
+// Memory attribution for Fig 11. Total() is every byte the vertex owns
+// behind its handle: its block plus the group and decimal payloads.
 struct VertexMemoryBreakdown {
-  std::array<std::size_t, 5> group_bytes{};  // indexed by GroupKind
-  std::size_t decimal_bytes = 0;
-  std::size_t alias_bytes = 0;
+  // Sparse/regular member lists and inverted indexes, indexed by GroupKind
+  // (dense, one-element and empty groups own no payload).
+  std::array<std::size_t, 5> group_bytes{};
+  // Fixed parts of the block: its own header (with alignment padding), the
+  // 16-byte group headers and the decimal group's header.
+  std::size_t header_bytes = 0;
+  std::size_t decimal_bytes = 0;  // the decimal group's member arrays
+  std::size_t alias_bytes = 0;    // inter-group prob[], alias[], slot map
 
   std::size_t Total() const {
-    std::size_t t = decimal_bytes + alias_bytes;
+    std::size_t t = header_bytes + decimal_bytes + alias_bytes;
     for (std::size_t b : group_bytes) {
       t += b;
     }
@@ -85,6 +105,14 @@ class VertexSampler {
 
   VertexSampler() = default;
   explicit VertexSampler(const BingoConfig* config) : config_(config) {}
+  VertexSampler(VertexSampler&& other) noexcept
+      : config_(other.config_), block_(other.block_) {
+    other.block_ = nullptr;
+  }
+  VertexSampler& operator=(VertexSampler&& other) noexcept;
+  VertexSampler(const VertexSampler&) = delete;
+  VertexSampler& operator=(const VertexSampler&) = delete;
+  ~VertexSampler() { Release(); }
 
   void SetConfig(const BingoConfig* config) { config_ = config; }
 
@@ -105,8 +133,9 @@ class VertexSampler {
   // neighbor index `from` to `to`; re-points its group entries.
   void RenameIndex(double moved_bias, uint32_t from, uint32_t to);
 
-  // Reclassifies groups (GA mode, Eq 9) and rebuilds the inter-group alias
-  // table. O(K) plus rare conversion rebuilds.
+  // Reclassifies groups (GA mode, Eq 9), packs out groups that emptied and
+  // rebuilds the inter-group alias table. O(K) plus rare conversion
+  // rebuilds; frees the block when the vertex has no weight left.
   void FinishUpdate(std::span<const graph::Edge> adj);
 
   // --- batched path (§5.2): many edges, one rebuild ----------------------
@@ -133,6 +162,14 @@ class VertexSampler {
                         util::Rng* const* rngs, std::size_t n,
                         uint32_t* out) const;
 
+  // Advisory prefetch of the block's first line (header and the head of the
+  // alias table), the first load of the next draw at this vertex.
+  void Prefetch() const {
+    if (block_ != nullptr) {
+      util::PrefetchRead(block_);
+    }
+  }
+
   // --- introspection ------------------------------------------------------
 
   // Exact distribution the structure implies for each neighbor index
@@ -149,16 +186,28 @@ class VertexSampler {
   void CountGroupKinds(std::array<uint64_t, 5>& counts) const;
 
   int NumActiveGroups() const;
-  const RadixGroup* GroupAt(int k) const {
-    return k < static_cast<int>(groups_.size()) ? &groups_[k] : nullptr;
-  }
-  const DecimalGroup& Decimal() const { return decimal_; }
+  // The group of radix position k, or nullptr when it has no members.
+  const RadixGroup* GroupAt(int k) const;
+  // The decimal group; an empty one when the vertex has no fractional
+  // weight.
+  const DecimalGroup& Decimal() const;
 
  private:
   static constexpr int kDecimalGroupId = -1;
 
+  struct Block;
+
   BiasParts Split(double bias) const { return SplitBias(bias, config_->lambda); }
-  void EnsureGroup(int k);
+  // Reallocates the block to hold headers for exactly the radix positions
+  // in `present`, plus a decimal group iff `decimal`. Surviving headers and
+  // the decimal group move over; new ones start empty (a new decimal group
+  // takes the configured policy); dropped ones must be empty. The alias
+  // table is left for RebuildInterGroupAlias. Frees the block when both
+  // are empty.
+  void Reshape(uint64_t present, bool decimal);
+  // Header of radix position k, which must be present.
+  RadixGroup& GroupFor(int k);
+  void Release();
   void RebuildInterGroupAlias();
   void ReclassifyGroups(std::span<const graph::Edge> adj);
   // Members of group k recovered by scanning the adjacency (used when
@@ -166,11 +215,10 @@ class VertexSampler {
   std::vector<uint32_t> ScanMembers(std::span<const graph::Edge> adj, int k) const;
 
   const BingoConfig* config_ = nullptr;
-  std::vector<RadixGroup> groups_;  // index = radix position k
-  DecimalGroup decimal_;
-  sampling::AliasTable alias_;
-  std::vector<int8_t> alias_groups_;  // alias slot -> radix k, or -1 = decimal
+  Block* block_ = nullptr;  // null: the vertex has no out-weight
 };
+
+static_assert(sizeof(VertexSampler) == 16, "the per-vertex handle is 16 bytes");
 
 }  // namespace bingo::core
 

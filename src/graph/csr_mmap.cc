@@ -404,21 +404,25 @@ bool CsrMmap::Open(const std::string& path, CsrMmap* out, std::string* error) {
     return false;
   }
 
+  // Copies the next index table into `table`. An empty table is skipped:
+  // its data() may be null, which memcpy must not receive even for 0 bytes.
   const char* p = index.data();
+  const auto read_table = [&p](auto& table) {
+    const std::size_t bytes = table.size() * sizeof(table[0]);
+    if (bytes != 0) {
+      std::memcpy(table.data(), p, bytes);
+      p += bytes;
+    }
+  };
   csr.offsets_.resize(static_cast<std::size_t>(num_vertices) + 1);
-  std::memcpy(csr.offsets_.data(), p, csr.offsets_.size() * sizeof(uint64_t));
-  p += csr.offsets_.size() * sizeof(uint64_t);
+  read_table(csr.offsets_);
   csr.totals_.resize(static_cast<std::size_t>(num_vertices));
-  std::memcpy(csr.totals_.data(), p, csr.totals_.size() * sizeof(double));
-  p += csr.totals_.size() * sizeof(double);
+  read_table(csr.totals_);
   csr.block_first_.resize(static_cast<std::size_t>(csr.num_blocks_) +
                           (csr.num_blocks_ > 0 ? 1 : 0));
-  std::memcpy(csr.block_first_.data(), p,
-              csr.block_first_.size() * sizeof(VertexId));
-  p += csr.block_first_.size() * sizeof(VertexId);
+  read_table(csr.block_first_);
   csr.block_crc_.resize(static_cast<std::size_t>(csr.num_blocks_));
-  std::memcpy(csr.block_crc_.data(), p,
-              csr.block_crc_.size() * sizeof(uint32_t));
+  read_table(csr.block_crc_);
 
   if (csr.offsets_.front() != 0 || csr.offsets_.back() != csr.num_edges_ ||
       !std::is_sorted(csr.offsets_.begin(), csr.offsets_.end())) {

@@ -9,13 +9,22 @@
 namespace bingo::sampling {
 
 void AliasTable::Build(std::span<const double> weights) {
+  prob_.resize(weights.size());
+  alias_.resize(weights.size());
+  total_weight_ = BuildInto(weights, prob_, alias_);
+}
+
+double AliasTable::BuildInto(std::span<const double> weights,
+                             std::span<double> prob,
+                             std::span<uint32_t> alias) {
   const std::size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  total_weight_ = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (n == 0 || total_weight_ <= 0.0) {
-    total_weight_ = 0.0;
-    return;
+  assert(prob.size() == n && alias.size() == n);
+  std::fill(prob.begin(), prob.end(), 0.0);
+  std::fill(alias.begin(), alias.end(), 0u);
+  const double total_weight =
+      std::accumulate(weights.begin(), weights.end(), 0.0);
+  if (n == 0 || total_weight <= 0.0) {
+    return 0.0;
   }
 
   // Vose's algorithm: scale weights so the average bucket volume is 1, then
@@ -27,7 +36,7 @@ void AliasTable::Build(std::span<const double> weights) {
   static thread_local std::vector<uint32_t> large;
   scaled.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total_weight_;
+    scaled[i] = weights[i] * static_cast<double>(n) / total_weight;
   }
   small.clear();
   large.clear();
@@ -40,8 +49,8 @@ void AliasTable::Build(std::span<const double> weights) {
     const uint32_t s = small.back();
     small.pop_back();
     const uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    prob[s] = scaled[s];
+    alias[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
@@ -50,24 +59,31 @@ void AliasTable::Build(std::span<const double> weights) {
   }
   // Leftovers are numerically-full buckets.
   for (uint32_t l : large) {
-    prob_[l] = 1.0;
-    alias_[l] = l;
+    prob[l] = 1.0;
+    alias[l] = l;
   }
   for (uint32_t s : small) {
-    prob_[s] = 1.0;
-    alias_[s] = s;
+    prob[s] = 1.0;
+    alias[s] = s;
   }
+  return total_weight;
 }
 
 uint32_t AliasTable::Sample(util::Rng& rng) const {
   assert(!prob_.empty() && total_weight_ > 0.0);
-  const uint32_t bucket = static_cast<uint32_t>(rng.NextBounded(prob_.size()));
-  return rng.NextUnit() < prob_[bucket] ? bucket : alias_[bucket];
+  return SampleFrom(prob_, alias_, rng);
 }
 
 void AliasTable::SampleBatch(util::Rng* const* rngs, std::size_t n,
                              uint32_t* out) const {
   assert(!prob_.empty() && total_weight_ > 0.0);
+  SampleBatchFrom(prob_, alias_, rngs, n, out);
+}
+
+void AliasTable::SampleBatchFrom(std::span<const double> prob,
+                                 std::span<const uint32_t> alias,
+                                 util::Rng* const* rngs, std::size_t n,
+                                 uint32_t* out) {
   constexpr std::size_t kTile = 64;
   uint32_t slots[kTile];
   double units[kTile];
@@ -78,22 +94,30 @@ void AliasTable::SampleBatch(util::Rng* const* rngs, std::size_t n,
     // all lanes without touching any RNG.
     for (std::size_t i = 0; i < count; ++i) {
       util::Rng& rng = *rngs[begin + i];
-      slots[i] = static_cast<uint32_t>(rng.NextBounded(prob_.size()));
+      slots[i] = static_cast<uint32_t>(rng.NextBounded(prob.size()));
       units[i] = rng.NextUnit();
     }
-    AliasResolveBatch(prob_, alias_, slots, units, out + begin, count);
+    AliasResolveBatch(prob, alias, slots, units, out + begin, count);
   }
 }
 
 std::vector<double> AliasTable::ImpliedProbabilities() const {
-  std::vector<double> probs(prob_.size(), 0.0);
-  if (prob_.empty() || total_weight_ <= 0.0) {
+  if (total_weight_ <= 0.0) {
+    return std::vector<double>(prob_.size(), 0.0);
+  }
+  return ImpliedProbabilitiesOf(prob_, alias_);
+}
+
+std::vector<double> AliasTable::ImpliedProbabilitiesOf(
+    std::span<const double> prob, std::span<const uint32_t> alias) {
+  std::vector<double> probs(prob.size(), 0.0);
+  if (prob.empty()) {
     return probs;
   }
-  const double bucket_mass = 1.0 / static_cast<double>(prob_.size());
-  for (std::size_t i = 0; i < prob_.size(); ++i) {
-    probs[i] += bucket_mass * prob_[i];
-    probs[alias_[i]] += bucket_mass * (1.0 - prob_[i]);
+  const double bucket_mass = 1.0 / static_cast<double>(prob.size());
+  for (std::size_t i = 0; i < prob.size(); ++i) {
+    probs[i] += bucket_mass * prob[i];
+    probs[alias[i]] += bucket_mass * (1.0 - prob[i]);
   }
   return probs;
 }

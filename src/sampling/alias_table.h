@@ -50,6 +50,29 @@ class AliasTable {
     return prob_.capacity() * sizeof(double) + alias_.capacity() * sizeof(uint32_t);
   }
 
+  // The same operations over caller-owned arrays of equal size (the vertex
+  // sampler keeps its inter-group table inside its per-vertex block). The
+  // member functions above run through these, so both forms build
+  // identical tables and consume identical variates.
+
+  // Fills prob/alias for `weights` (same size); returns the total weight.
+  static double BuildInto(std::span<const double> weights,
+                          std::span<double> prob, std::span<uint32_t> alias);
+
+  static uint32_t SampleFrom(std::span<const double> prob,
+                             std::span<const uint32_t> alias, util::Rng& rng) {
+    const uint32_t bucket = static_cast<uint32_t>(rng.NextBounded(prob.size()));
+    return rng.NextUnit() < prob[bucket] ? bucket : alias[bucket];
+  }
+
+  static void SampleBatchFrom(std::span<const double> prob,
+                              std::span<const uint32_t> alias,
+                              util::Rng* const* rngs, std::size_t n,
+                              uint32_t* out);
+
+  static std::vector<double> ImpliedProbabilitiesOf(
+      std::span<const double> prob, std::span<const uint32_t> alias);
+
  private:
   std::vector<double> prob_;     // acceptance threshold per bucket, in [0,1]
   std::vector<uint32_t> alias_;  // alias target per bucket

@@ -42,6 +42,14 @@ void SplitBiasIntBatchScalar(const double* biases, std::size_t n,
 
 #if defined(__x86_64__)
 
+// The gathers below use the masked forms with a zeroed source and an
+// all-ones mask: every lane loads, exactly as the unmasked forms, but the
+// source operand is defined (the unmasked intrinsics pass an uninitialized
+// one, which GCC reports as -Wmaybe-uninitialized).
+__attribute__((target("avx2"))) inline __m256d AllLanesPd() {
+  return _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+}
+
 __attribute__((target("avx2"))) void AliasResolveBatchAvx2(
     std::span<const double> prob, std::span<const uint32_t> alias,
     const uint32_t* slots, const double* units, uint32_t* out, std::size_t n) {
@@ -53,12 +61,14 @@ __attribute__((target("avx2"))) void AliasResolveBatchAvx2(
   for (; i + 4 <= n; i += 4) {
     const __m128i slots4 =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots + i));
-    const __m256d prob4 = _mm256_i32gather_pd(prob_base, slots4, 8);
+    const __m256d prob4 = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), prob_base, slots4, AllLanesPd(), 8);
     const __m256d units4 = _mm256_loadu_pd(units + i);
     // units < prob: identical semantics to the scalar `<` (no NaNs here:
     // prob entries are in [0, 1] and units in [0, 1)).
     const __m256d accept = _mm256_cmp_pd(units4, prob4, _CMP_LT_OQ);
-    const __m128i alias4 = _mm_i32gather_epi32(alias_base, slots4, 4);
+    const __m128i alias4 = _mm_mask_i32gather_epi32(
+        _mm_setzero_si128(), alias_base, slots4, _mm_set1_epi32(-1), 4);
     const __m128i accept32 = _mm256_castsi256_si128(
         _mm256_permutevar8x32_epi32(_mm256_castpd_si256(accept), take_even));
     const __m128i result = _mm_blendv_epi8(alias4, slots4, accept32);
@@ -90,7 +100,8 @@ __attribute__((target("avx2"))) void ItsSearchBatchAvx2(
       const std::size_t half = len >> 1;
       const __m256i probe = _mm256_add_epi64(
           base, _mm256_set1_epi64x(static_cast<long long>(half - 1)));
-      const __m256d values = _mm256_i64gather_pd(cdf_base, probe, 8);
+      const __m256d values = _mm256_mask_i64gather_pd(
+          _mm256_setzero_pd(), cdf_base, probe, AllLanesPd(), 8);
       // cdf[probe] <= x  =>  the first index with cdf > x is right of the
       // probe: advance base by half. Matches std::upper_bound's ordering
       // (result = count of elements <= x) exactly.
@@ -100,7 +111,8 @@ __attribute__((target("avx2"))) void ItsSearchBatchAvx2(
                                  _mm256_set1_epi64x(static_cast<long long>(half))));
       len -= half;
     }
-    const __m256d last = _mm256_i64gather_pd(cdf_base, base, 8);
+    const __m256d last = _mm256_mask_i64gather_pd(_mm256_setzero_pd(),
+                                                  cdf_base, base, AllLanesPd(), 8);
     const __m256d le = _mm256_cmp_pd(last, x4, _CMP_LE_OQ);
     base = _mm256_sub_epi64(base, _mm256_castpd_si256(le));  // mask is -1
     // Clamp base == size to size-1 (x at/above the CDF total).

@@ -301,6 +301,39 @@ TEST(BingoStoreTest, MemoryStatsArePopulated) {
   EXPECT_EQ(stats.TotalBytes(), stats.graph_bytes + stats.SamplerBytes());
 }
 
+// Memory layout: a vertex without out-edges costs only its 16-byte handle.
+TEST(BingoStoreTest, EdgelessStoreHoldsOnlyHandles) {
+  constexpr VertexId kVertices = 4096;
+  BingoStore store(graph::DynamicGraph(kVertices), Ga());
+  const auto stats = store.MemoryStats();
+  EXPECT_EQ(stats.sampler_dynamic_bytes, 0u);
+  EXPECT_EQ(stats.SamplerBytes(), kVertices * sizeof(VertexSampler));
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+// The dynamic sampler bytes are exactly the per-vertex breakdown totals, so
+// bytes-per-edge figures count every block, header and payload.
+TEST(BingoStoreTest, MemoryStatsSumTheVertexBreakdowns) {
+  const auto edges = TestEdges(9, 4000, 53, /*float_bias=*/true);
+  BingoStore store(graph::DynamicGraph::FromEdges(1 << 9, edges), Ga());
+  VertexMemoryBreakdown sum;
+  std::size_t with_block = 0;
+  for (VertexId v = 0; v < store.NumVertices(); ++v) {
+    const VertexMemoryBreakdown b = store.SamplerAt(v).MemoryBreakdown();
+    with_block += b.Total() > 0;
+    EXPECT_EQ(b.Total() > 0, store.Graph().Degree(v) > 0) << v;
+    sum += b;
+  }
+  const auto stats = store.MemoryStats();
+  EXPECT_EQ(stats.sampler_dynamic_bytes, sum.Total());
+  EXPECT_EQ(stats.sampler_fixed_bytes,
+            store.NumVertices() * sizeof(VertexSampler));
+  // Every block carries at least its header and one alias slot.
+  EXPECT_GE(sum.header_bytes, with_block * 16);
+  EXPECT_GT(sum.alias_bytes, 0u);
+  EXPECT_GT(sum.decimal_bytes, 0u);
+}
+
 TEST(BingoStoreTest, TenRoundWorkloadEndToEnd) {
   // The paper's evaluation loop: 10 rounds of BATCHSIZE updates, audited
   // after every round.

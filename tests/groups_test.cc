@@ -298,5 +298,31 @@ TEST(RadixGroupTest, StreamingChurnMatchesReferenceSet) {
   }
 }
 
+// Churn at a steady size: a sparse group holding ~5 members (16 hash slots)
+// sees thousands of remove-one, insert-a-new-index rounds, so every erase
+// leaves a tombstone while the live count never calls for a larger table.
+// Growth must still rehash at the same capacity, or the slots fill with
+// tombstones and the probe for an absent key never ends.
+TEST(RadixGroupTest, SparseSteadySizeChurnRehashesTombstones) {
+  RadixGroup g;
+  std::vector<uint32_t> live = {0, 1, 2, 3, 4};
+  g.RebuildAs(GroupKind::kSparse, live, 1000);
+  uint32_t next = static_cast<uint32_t>(live.size());
+  for (int round = 0; round < 5000; ++round) {
+    const uint32_t victim = live[static_cast<std::size_t>(round) % live.size()];
+    g.Remove(victim);
+    EXPECT_FALSE(g.Contains(victim));
+    g.Insert(next, 1000);
+    live[static_cast<std::size_t>(round) % live.size()] = next;
+    ++next;
+    ASSERT_EQ(g.Kind(), GroupKind::kSparse);
+    ASSERT_EQ(g.Count(), live.size());
+  }
+  std::vector<uint32_t> expected = live;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(MembersOf(g), expected);
+  EXPECT_TRUE(g.CheckInvariants().empty()) << g.CheckInvariants();
+}
+
 }  // namespace
 }  // namespace bingo::core

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -362,6 +363,64 @@ TEST(VertexSamplerTest, GaUsesLessMemoryThanBs) {
   Harness bs(BsConfig(), biases);
   EXPECT_LT(ga.Sampler().MemoryBreakdown().Total(),
             bs.Sampler().MemoryBreakdown().Total());
+}
+
+// ----------------------------------------------------------- memory layout --
+
+static_assert(sizeof(VertexSampler) <= 16, "per-vertex handle");
+static_assert(sizeof(RadixGroup) <= 16, "per-group header");
+
+TEST(VertexSamplerTest, EmptyRadixPositionsArePackedOut) {
+  // Bits 0, 1 and 9: positions 2..8 hold no header and read as absent.
+  Harness h(GaConfig(), {513.0, 512.0, 1.0, 2.0});
+  ASSERT_NE(h.Sampler().GroupAt(0), nullptr);
+  ASSERT_NE(h.Sampler().GroupAt(9), nullptr);
+  EXPECT_EQ(h.Sampler().GroupAt(1)->Count(), 1u);
+  EXPECT_EQ(h.Sampler().GroupAt(5), nullptr);
+  EXPECT_EQ(h.Sampler().NumActiveGroups(), 3);
+  h.DeleteIndex(1);  // 512 leaves; the 2.0 edge swaps into index 1
+  h.DeleteIndex(1);  // 2.0 leaves: group 2^1 empties and is packed out
+  h.ExpectConsistent("after deletes");
+  EXPECT_EQ(h.Sampler().GroupAt(1), nullptr);
+  EXPECT_EQ(h.Sampler().NumActiveGroups(), 2);
+}
+
+// Isolated -> fractional edges -> everything deleted -> re-inserted, under
+// the ITS decimal policy: a block created lazily by an insert must carry
+// the configured policy, and an emptied vertex must give its block back.
+TEST(VertexSamplerTest, LazyBlockCarriesConfiguredDecimalPolicy) {
+  for (const bool adaptive : {true, false}) {
+    const std::string mode = adaptive ? "GA " : "BS ";
+    BingoConfig config = adaptive ? GaConfig() : BsConfig();
+    config.decimal_policy = DecimalGroup::Policy::kIts;
+    Harness h(config, {});
+    h.ExpectConsistent(mode + "isolated");
+    const std::vector<double> biases = {3.25, 0.5, 7.75, 12.125, 1.0, 0.0625};
+    for (int round = 0; round < 2; ++round) {
+      for (const double b : biases) {
+        h.Insert(b);
+        h.ExpectConsistent(mode + "insert " + std::to_string(b));
+        EXPECT_EQ(h.Sampler().Decimal().GetPolicy(),
+                  DecimalGroup::Policy::kIts);
+      }
+      if (round == 0) {
+        while (h.Degree() > 0) {
+          h.DeleteIndex(0);
+          h.ExpectConsistent(mode + "delete, degree " +
+                             std::to_string(h.Degree()));
+        }
+      } else {
+        std::vector<uint32_t> all(h.Degree());
+        std::iota(all.begin(), all.end(), 0u);
+        h.BatchDelete(all);
+        h.ExpectConsistent(mode + "batch delete");
+      }
+      EXPECT_EQ(h.Sampler().MemoryBreakdown().Total(), 0u) << mode;
+      util::Rng rng(round);
+      EXPECT_EQ(h.Sampler().SampleIndex(h.Adj(), rng),
+                VertexSampler::kNoNeighbor);
+    }
+  }
 }
 
 // ------------------------------------------------------- batched removal --
