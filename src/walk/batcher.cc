@@ -1,7 +1,8 @@
 #include "src/walk/batcher.h"
 
 #include <algorithm>
-#include <chrono>
+
+#include "src/util/timer.h"
 
 namespace bingo::walk {
 
@@ -24,20 +25,9 @@ UpdateBatcher::UpdateBatcher(ShardedWalkService& service, BatcherOptions options
   for (int s = 0; s < service_.NumShards(); ++s) {
     queues_.push_back(std::make_unique<ShardQueue>());
   }
-  if (options_.auto_flush) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
 }
 
 UpdateBatcher::~UpdateBatcher() {
-  if (flusher_.joinable()) {
-    {
-      util::MutexLock lock(flusher_mutex_);
-      stopping_ = true;
-    }
-    flusher_cv_.NotifyAll();
-    flusher_.join();
-  }
   // Drain the leftovers. After Flush returns no writer task of ours is
   // queued or running (every posted task holds an active_drainers_ ref from
   // post to retire), so members — and an owned pool — can die safely.
@@ -67,17 +57,16 @@ void UpdateBatcher::Submit(const graph::Update& update) {
   bool start_drain = false;
   {
     util::MutexLock lock(q.mutex);
-    if (q.pending.empty()) {
-      q.oldest.Reset();  // staleness clock starts at the first queued update
-    }
     q.pending.push_back(update);
-    if (!q.drain_active && q.pending.size() >= options_.max_batch_updates) {
+    // An idle writer starts at once; a busy one picks the update up with
+    // the rest of its next batch.
+    if (options_.auto_flush && !q.drain_active) {
       q.drain_active = true;
       start_drain = true;
     }
   }
   if (start_drain) {
-    ScheduleDrain(s, &BatcherStats::size_flushes);
+    ScheduleDrain(s, &BatcherStats::submit_drains);
   }
 }
 
@@ -192,37 +181,6 @@ BatcherStats UpdateBatcher::Stats() const {
       std::max<int64_t>(0, queue_depth_.load(std::memory_order_relaxed)));
   stats.pool_post_errors = pool_->PostErrors();
   return stats;
-}
-
-void UpdateBatcher::FlusherLoop() {
-  // Sweep at half the staleness bound so a queued update waits at most
-  // ~1.5x max_delay_seconds before its drain starts.
-  const auto interval = std::chrono::duration<double>(
-      std::max(options_.max_delay_seconds / 2.0, 1e-4));
-  util::MutexLock lock(flusher_mutex_);
-  while (!stopping_) {
-    flusher_cv_.WaitFor(flusher_mutex_, interval);
-    if (stopping_) {
-      return;
-    }
-    lock.Unlock();
-    for (int s = 0; s < service_.NumShards(); ++s) {
-      ShardQueue& q = *queues_[s];
-      bool start_drain = false;
-      {
-        util::MutexLock qlock(q.mutex);
-        if (!q.drain_active && !q.pending.empty() &&
-            q.oldest.Seconds() >= options_.max_delay_seconds) {
-          q.drain_active = true;
-          start_drain = true;
-        }
-      }
-      if (start_drain) {
-        ScheduleDrain(s, &BatcherStats::time_flushes);
-      }
-    }
-    lock.Lock();
-  }
 }
 
 }  // namespace bingo::walk

@@ -4,19 +4,27 @@
 // batched-update path amortizes one sampler rebuild per touched vertex per
 // batch (§5.2) — applying single-edge updates individually forfeits that.
 // The batcher sits in front of ShardedWalkService and coalesces Submit()ed
-// updates into size/time-bounded per-shard batches:
+// updates into per-shard batches by group commit:
 //
 //   * Submit routes the update to its shard's queue (ShardOf(src), the same
 //     routing the service itself uses) under that shard's queue mutex.
-//   * A shard whose queue reaches `max_batch_updates` gets a writer task
-//     posted to the thread pool. One writer task is in flight per shard at
-//     a time; it repeatedly swaps the queue out and applies it through
-//     ApplyShardBatch until the queue is empty, so per-shard update order
-//     is preserved and bursts coalesce into large batches automatically.
-//   * A background flusher thread sweeps queues whose oldest update has
-//     waited `max_delay_seconds`, bounding staleness under trickle load.
+//   * A shard whose writer is idle gets a writer task posted to the thread
+//     pool at once. One writer task is in flight per shard at a time; it
+//     repeatedly swaps the whole queue out and applies it through
+//     ApplyShardBatch until the queue is empty. An update that arrives
+//     while its shard is applying joins the next batch, so per-shard
+//     update order is preserved, a trickle is applied without waiting,
+//     and bursts coalesce into large batches automatically.
 //   * Flush() drains everything synchronously: every update Submit()ed
 //     before the call is applied when it returns.
+//   * With auto_flush off, Submit only queues: batches form exactly
+//     between Flush() calls, which makes the batch boundaries (and so the
+//     walk output) a pure function of the submit/flush sequence.
+//
+// Latency: no timer or size threshold holds an update back. It is visible
+// to walks once its shard's ApplyBatch publishes it: after the batch
+// already applying on that shard, if any, then one catch-up and one apply
+// of its own batch (walk/service.h).
 //
 // Durability: when the sharded service has a WAL attached (walk/service.h),
 // every drained batch is journaled BEFORE it is applied — the journal
@@ -28,7 +36,7 @@
 // Ordering: per-shard FIFO (one drainer per shard). Updates to different
 // shards may apply in any order — the same independence the sharded
 // service itself exposes. Do not share the writer pool with threads that
-// run walk queries while a flush is pending: writer tasks spin waiting for
+// run walk queries while a drain is pending: writer tasks spin waiting for
 // that shard's readers to drain, and on a fixed-size pool they can starve
 // the walk chunks those readers are waiting on. By default the batcher
 // owns a small private pool, which is always safe.
@@ -40,22 +48,20 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/core/store_types.h"
 #include "src/graph/types.h"
 #include "src/util/sync.h"
 #include "src/util/thread_pool.h"
-#include "src/util/timer.h"
 #include "src/walk/sharded_service.h"
 
 namespace bingo::walk {
 
 struct BatcherOptions {
-  std::size_t max_batch_updates = 1024;  // size trigger, per shard
-  double max_delay_seconds = 0.002;      // staleness bound under trickle load
-  bool auto_flush = true;                // run the background flusher thread
+  // Drain a shard as soon as an update reaches its idle writer. Off, the
+  // batcher drains only in Flush().
+  bool auto_flush = true;
   // fsync every shard WAL at the end of Flush(): with a WAL attached to the
   // service, a true Flush() return then means every update Submit()ed
   // before the call is applied AND durable. Without it (or with the
@@ -80,8 +86,7 @@ struct BatcherStats {
   uint64_t submitted = 0;        // updates accepted by Submit
   uint64_t flushed_updates = 0;  // updates applied to the service
   uint64_t batches = 0;          // ApplyShardBatch calls issued
-  uint64_t size_flushes = 0;     // drains triggered by max_batch_updates
-  uint64_t time_flushes = 0;     // drains triggered by max_delay_seconds
+  uint64_t submit_drains = 0;    // drains started by Submit (auto_flush)
   uint64_t manual_flushes = 0;   // drains triggered by Flush()
   // Batches whose ApplyShardBatch threw. The writer task survives (the
   // drainer catches, retires cleanly, and later drains proceed), but the
@@ -115,7 +120,7 @@ class UpdateBatcher {
   explicit UpdateBatcher(ShardedWalkService& service, BatcherOptions options = {},
                          util::ThreadPool* pool = nullptr);
 
-  // Drains everything still queued, then stops the writer machinery.
+  // Drains everything still queued; no writer task outlives the batcher.
   ~UpdateBatcher();
 
   UpdateBatcher(const UpdateBatcher&) = delete;
@@ -137,8 +142,6 @@ class UpdateBatcher {
   struct ShardQueue {
     util::Mutex mutex;
     graph::UpdateList pending BINGO_GUARDED_BY(mutex);
-    // Age of the oldest pending update.
-    util::Timer oldest BINGO_GUARDED_BY(mutex);
     // One writer task in flight per shard.
     bool drain_active BINGO_GUARDED_BY(mutex) = false;
   };
@@ -150,8 +153,6 @@ class UpdateBatcher {
 
   // The writer task: drains shard `s` until its queue stays empty.
   void DrainLoop(int s);
-
-  void FlusherLoop();
 
   ShardedWalkService& service_;
   const BatcherOptions options_;
@@ -174,12 +175,6 @@ class UpdateBatcher {
   util::Mutex idle_mutex_;
   util::CondVar idle_cv_;
   int active_drainers_ BINGO_GUARDED_BY(idle_mutex_) = 0;
-
-  // Background flusher (time trigger).
-  util::Mutex flusher_mutex_;
-  util::CondVar flusher_cv_;
-  bool stopping_ BINGO_GUARDED_BY(flusher_mutex_) = false;
-  std::thread flusher_;
 };
 
 }  // namespace bingo::walk

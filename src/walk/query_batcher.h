@@ -28,8 +28,7 @@
 //
 // Ordering: queries are read-only, so cross-query order within a batch is
 // immaterial; the epoch a query observes is the one current at dispatch
-// (bounded by max_delay_seconds, same staleness bound UpdateBatcher gives
-// writes).
+// (bounded by max_delay_seconds).
 //
 // Walk execution scratch comes from the walk pool's MemoryPool lease
 // machinery, so a warmed-up batcher performs no system allocations inside

@@ -9,9 +9,11 @@
 //
 //   * The service owns TWO replicas of the store, built identically.
 //     Queries Acquire() the front replica; ApplyBatch mutates the back
-//     replica, publishes it (epoch++), then replays the same batch on the
-//     old front so the pair converges. A replica is only mutated after its
-//     readers have drained, so snapshots are immutable for their lifetime.
+//     replica, publishes it (epoch++) and returns. The old front, now the
+//     back, still lacks that batch: the next write replays it there first
+//     (the catch-up), after the readers that pinned it have drained, so
+//     the pair converges. A replica is only mutated after its readers have
+//     drained, so snapshots are immutable for their lifetime.
 //   * Readers never wait for an in-flight store mutation: Acquire is one
 //     brief critical section on the front mutex (shared with the writer's
 //     O(1) pointer flip, never held across a store mutation) plus a
@@ -22,12 +24,16 @@
 //     the writer respected the drain protocol. Tests assert it after every
 //     concurrent query.
 //
-// Update latency is 2x a store ApplyBatch (each batch is applied to both
-// replicas) — the cost of never blocking readers. Memory is 2x one store.
-// This mirrors snapshot semantics of core/snapshot.h (sampling structures
-// are a pure function of the edge multiset, Theorem 4.1): both replicas are
-// rebuilt from the same edges and replay the same update stream, so they
-// stay bit-identical without copying derived state between them.
+// Update latency is one store ApplyBatch plus the catch-up of the previous
+// batch, which rarely waits: by the next write the readers of the old
+// front have usually finished. Every batch is still applied to both
+// replicas (2x the apply work) and memory is 2x one store — the cost of
+// never blocking readers. Only CheckInvariants and base writes need the
+// replicas equal; they catch up first. This mirrors snapshot semantics of
+// core/snapshot.h (sampling structures are a pure function of the edge
+// multiset, Theorem 4.1): both replicas are rebuilt from the same edges and
+// replay the same update stream, so they stay bit-identical without copying
+// derived state between them.
 //
 // Caveat: a thread must not call ApplyBatch — nor CheckInvariants or
 // MemoryStats, which take the writer lock — while holding one of its own
@@ -224,12 +230,14 @@ class WalkServiceT {
         [&](const Store& s) { return RunNode2vec(s, cfg, params, pool); });
   }
 
-  // Applies one update batch: back replica first, publish (epoch++), then
-  // replay on the old front. Writers are serialized; readers never wait.
-  // With a WAL attached the batch is journaled BEFORE either replica is
-  // touched (write-ahead), so recovery never misses an applied batch; a
-  // journaling failure poisons the WAL (surfaced by CheckInvariants) and
-  // the next Checkpoint() repairs durability by compacting.
+  // Applies one update batch: catches the back replica up with the
+  // previous batch, applies this one there, publishes it (epoch++) and
+  // returns; the old front gets this batch at the next catch-up. Writers
+  // are serialized; readers never wait. With a WAL attached the batch is
+  // journaled BEFORE either replica is touched (write-ahead), so recovery
+  // never misses an applied batch; a journaling failure poisons the WAL
+  // (surfaced by CheckInvariants) and the next Checkpoint() repairs
+  // durability by compacting.
   core::BatchResult ApplyBatch(const graph::UpdateList& updates)
       BINGO_EXCLUDES(update_mutex_, front_mutex_) {
     util::MutexLock wlock(update_mutex_);
@@ -244,23 +252,11 @@ class WalkServiceT {
         wal_failed_.store(true, std::memory_order_relaxed);
       }
     }
-    int back;
-    {
-      util::MutexLock lock(front_mutex_);
-      back = 1 - front_;
-    }
+    CatchUpLocked();
+    const int back = BackLocked();
     const core::BatchResult result = MutateReplica(replicas_[back], updates);
-    {
-      util::MutexLock lock(front_mutex_);
-      front_ = back;
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const core::BatchResult replay = MutateReplica(replicas_[1 - back], updates);
-    if (!(replay == result)) {
-      // Replaying the identical batch on an identical replica must produce
-      // the identical outcome; anything else means the pair diverged.
-      replicas_diverged_.store(true, std::memory_order_relaxed);
-    }
+    PublishLocked(back);
+    replay_.emplace(Replay{updates, result});
     batches_.fetch_add(1, std::memory_order_relaxed);
     updates_count_.fetch_add(updates.size(), std::memory_order_relaxed);
     return result;
@@ -351,7 +347,7 @@ class WalkServiceT {
     }
     const uint64_t delta =
         wal_updates_since_base_.load(std::memory_order_relaxed);
-    const uint64_t live_edges = replicas_[0].store->NumEdges();
+    const uint64_t live_edges = replicas_[1 - BackLocked()].store->NumEdges();
     const bool compact = force_compact.value_or(
         wal_failed_.load(std::memory_order_relaxed) ||
         static_cast<double>(delta) >
@@ -436,6 +432,8 @@ class WalkServiceT {
     return stats;
   }
 
+  // Both replicas as they stand: the back one may still lack the last
+  // batch.
   core::StoreMemoryStats MemoryStats() const BINGO_EXCLUDES(update_mutex_) {
     util::MutexLock lock(update_mutex_);
     core::StoreMemoryStats total = replicas_[0].store->MemoryStats();
@@ -443,10 +441,12 @@ class WalkServiceT {
     return total;
   }
 
-  // Audits both replicas and their agreement. Takes the writer lock, so it
-  // must not race updates; queries may continue.
-  std::string CheckInvariants() const BINGO_EXCLUDES(update_mutex_) {
+  // Catches the back replica up, then audits both replicas and their
+  // agreement. Takes the writer lock, so it must not race updates; queries
+  // may continue.
+  std::string CheckInvariants() BINGO_EXCLUDES(update_mutex_) {
     util::MutexLock lock(update_mutex_);
+    CatchUpLocked();
     for (int i = 0; i < 2; ++i) {
       const std::string err = replicas_[i].store->CheckInvariants();
       if (!err.empty()) {
@@ -496,6 +496,36 @@ class WalkServiceT {
     return result;
   }
 
+  // Index of the back replica: the one queries do not Acquire.
+  int BackLocked() const BINGO_REQUIRES(update_mutex_) {
+    util::MutexLock lock(front_mutex_);
+    return 1 - front_;
+  }
+
+  // Makes the back replica the front: new snapshots see its epoch.
+  void PublishLocked(int back) BINGO_REQUIRES(update_mutex_) {
+    util::MutexLock lock(front_mutex_);
+    front_ = back;
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Replays the last published batch on the back replica (waiting for the
+  // readers that still pin it), so both replicas hold the same state, and
+  // frees the batch.
+  void CatchUpLocked() BINGO_REQUIRES(update_mutex_) {
+    if (!replay_) {
+      return;
+    }
+    const core::BatchResult replayed =
+        MutateReplica(replicas_[BackLocked()], replay_->updates);
+    if (!(replayed == replay_->result)) {
+      // Replaying the identical batch on an identical replica must produce
+      // the identical outcome; anything else means the pair diverged.
+      replicas_diverged_.store(true, std::memory_order_relaxed);
+    }
+    replay_.reset();
+  }
+
   // Replaces one replica's store with a canonical rebuild, under the same
   // drain/seqlock protocol as MutateReplica.
   void RebuildReplica(Replica& r, const graph::WeightedEdgeList& edges)
@@ -515,8 +545,9 @@ class WalkServiceT {
   }
 
   // Writes dir/base.snapshot covering wal_seq and starts a fresh WAL
-  // segment; canonicalizes the replicas first (unless they already are
-  // canonical, see AttachWal) so live state == what recovery rebuilds.
+  // segment; catches the replicas up and canonicalizes them first (unless
+  // they already are canonical, see AttachWal) so live state == what
+  // recovery rebuilds.
   // Caller holds update_mutex_ and owns the checkpoint/compaction counters.
   CheckpointResult WriteBaseLocked(uint64_t wal_seq)
     requires CheckpointableStore<Store>
@@ -526,24 +557,17 @@ class WalkServiceT {
     result.compacted = true;
     result.wal_seq = wal_seq;
 
+    CatchUpLocked();
+    const int back = BackLocked();
     // One canonical pass: the list both rebuilds load and the base persists.
     const graph::WeightedEdgeList edges =
-        core::CanonicalEdgeList(replicas_[0].store->Graph());
+        core::CanonicalEdgeList(replicas_[1 - back].store->Graph());
     if (!replicas_as_built_ || !replicas_[0].store->Graph().IsCanonical() ||
         !replicas_[1].store->Graph().IsCanonical()) {
       // Canonicalize: both replicas become the bulk-load of the canonical
       // edge list (publish protocol, back first).
-      int back;
-      {
-        util::MutexLock lock(front_mutex_);
-        back = 1 - front_;
-      }
       RebuildReplica(replicas_[back], edges);
-      {
-        util::MutexLock lock(front_mutex_);
-        front_ = back;
-        epoch_.fetch_add(1, std::memory_order_relaxed);
-      }
+      PublishLocked(back);
       RebuildReplica(replicas_[1 - back], edges);
       replicas_as_built_ = true;
     }
@@ -593,6 +617,13 @@ class WalkServiceT {
   std::atomic<uint64_t> updates_count_{0};
   std::atomic<uint64_t> drain_spins_{0};
   std::atomic<bool> replicas_diverged_{false};
+  // The last published batch and its outcome: applied to the front
+  // replica, not yet to the back one (see CatchUpLocked).
+  struct Replay {
+    graph::UpdateList updates;
+    core::BatchResult result;
+  };
+  std::optional<Replay> replay_ BINGO_GUARDED_BY(update_mutex_);
 
   // Persistence state (update_mutex_ guards it; counters are atomic so
   // Stats() stays lock-free).

@@ -189,9 +189,7 @@ ShardedStressReport RunShardedServiceStress(
   if (options.use_batcher) {
     // Single-edge submissions coalesced by the batcher; each window's
     // latency is submit-to-flushed (what a producer actually waits for).
-    BatcherOptions batcher_options;
-    batcher_options.max_batch_updates = static_cast<std::size_t>(batch_size);
-    UpdateBatcher batcher(service, batcher_options);
+    UpdateBatcher batcher(service);
     for (std::size_t begin = 0; begin < updates.size(); begin += batch_size) {
       const std::size_t end = std::min(updates.size(), begin + batch_size);
       util::Timer batch_timer;

@@ -20,11 +20,13 @@
 // point (no in-flight writer) the composite equals one whole-graph store —
 // tests/sharded_fuzz_test.cc pins walks to the unsharded store bit for bit.
 //
-// Update latency model: unsharded, every batch costs 2 x ApplyBatch(whole
-// store). Sharded, a batch B costs max over touched shards s of
-// 2 x ApplyBatch(shard s slice of B) when routed in parallel — for a
-// single-shard-resident workload that is 2 x (1/N)-store work, and
-// bench/bench_sharded_service.cc measures exactly this curve.
+// Update latency model: unsharded, a batch is visible after one
+// ApplyBatch(whole store) plus the catch-up of the previous batch on the
+// back replica. Sharded, a batch B is visible after, per touched shard s
+// and in parallel across shards, the catch-up of s's previous slice plus
+// ApplyBatch(shard s slice of B) — for a single-shard-resident workload
+// that is 2 x (1/N)-store work, and bench/bench_sharded_service.cc
+// measures exactly this curve.
 //
 // The caveat of walk/service.h carries over per shard: a thread must not
 // apply updates to a shard — nor call CheckInvariants/MemoryStats — while

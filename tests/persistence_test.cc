@@ -420,6 +420,83 @@ TEST(PersistenceTest, CompactionRewritesBaseAndStaysBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+// ApplyBatch returns once the batch is published on the front replica; the
+// back replica gets it at the next write or base write (walk/service.h).
+// A checkpoint straight after ApplyBatch must still count that batch.
+TEST(PersistenceTest, CheckpointRightAfterApplyCountsTheLastBatch) {
+  const TestGraph g = MakeGraph(57);
+  const std::string dir = FreshDir("deferred_count");
+  auto service = MakeWalkService(g.edges, g.num_vertices);
+  WalPersistenceOptions options;
+  options.compact_fraction = 1.0;
+  ASSERT_TRUE(service->AttachWal(dir, options).ok);
+
+  // More inserts than the graph has edges: against the edge count before
+  // the batch the delta crosses the compaction bound, against the live
+  // count it does not.
+  const std::size_t inserts = g.edges.size() + 50;
+  util::Rng rng(5757);
+  graph::UpdateList batch;
+  for (std::size_t i = 0; i < inserts; ++i) {
+    batch.push_back({graph::Update::Kind::kInsert,
+                     static_cast<VertexId>(rng.NextBounded(g.num_vertices)),
+                     static_cast<VertexId>(rng.NextBounded(g.num_vertices)),
+                     1.0 + rng.NextUnit()});
+  }
+  service->ApplyBatch(batch);
+  EXPECT_EQ(service->Query([](const BingoStore& s) { return s.NumEdges(); }),
+            g.edges.size() + inserts);
+  const CheckpointResult result = service->Checkpoint();
+  ASSERT_TRUE(result.ok);
+  EXPECT_FALSE(result.compacted);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+  std::filesystem::remove_all(dir);
+}
+
+// A forced compaction straight after ApplyBatch catches the back replica up
+// before it writes the base; walks stay bit-identical through further
+// writes, a crash and recovery.
+TEST(PersistenceTest, CompactionRightAfterApplyRecoversBitIdentical) {
+  const TestGraph g = MakeGraph(58);
+  const std::string dir = FreshDir("deferred_compact");
+  auto service = MakeWalkService(g.edges, g.num_vertices);
+  auto reference = std::make_unique<BingoStore>(
+      graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
+  ASSERT_TRUE(service->AttachWal(dir).ok);
+  Canonicalize(reference);
+
+  util::Rng rng(5858);
+  for (int round = 0; round < 3; ++round) {
+    const auto batch = RandomBatch(rng, g.num_vertices, 90);
+    service->ApplyBatch(batch);
+    reference->ApplyBatch(batch);
+  }
+  const CheckpointResult compact = service->Checkpoint(true);
+  ASSERT_TRUE(compact.ok);
+  EXPECT_TRUE(compact.compacted);
+  Canonicalize(reference);
+  ExpectBitIdenticalWalks(*service, *reference, 58, 0);
+
+  // Two more writes publish each replica in turn.
+  for (int round = 1; round <= 2; ++round) {
+    const auto batch = RandomBatch(rng, g.num_vertices, 60);
+    service->ApplyBatch(batch);
+    reference->ApplyBatch(batch);
+    ExpectBitIdenticalWalks(*service, *reference, 58, round);
+  }
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+
+  service.reset();  // crash
+  RecoveryReport report;
+  auto recovered = RecoverWalkService(dir, {}, 0, nullptr, nullptr, {}, &report);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(report.wal_updates_replayed, 120u);
+  ExpectBitIdenticalWalks(*recovered, *reference, 58, 3);
+  EXPECT_TRUE(recovered->CheckInvariants().empty())
+      << recovered->CheckInvariants();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceTest, TruncatedWalReplaysExactPrefixOfRecords) {
   const TestGraph g = MakeGraph(66);
   const std::string dir = FreshDir("torn");
@@ -577,7 +654,6 @@ TEST(PersistenceTest, BatcherSubmitsSurviveCrashAfterFlush) {
 
   // Single-edge submits, coalesced per shard, journaled before apply.
   BatcherOptions options;
-  options.max_batch_updates = 1 << 20;
   options.auto_flush = false;
   options.sync_wal_on_flush = true;
   util::Rng rng(9999);

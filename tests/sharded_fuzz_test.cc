@@ -252,10 +252,9 @@ void RunBatcherInterleaving(int num_shards, uint64_t seed) {
       MakeShardedWalkService(g.edges, g.num_vertices, num_shards);
   BingoStore reference(graph::DynamicGraph::FromEdges(g.num_vertices, g.edges));
 
-  // No timer and a high size bound: flush points are exactly our Flush()
-  // calls, so the coalesced per-shard batches are deterministic.
+  // Manual mode: flush points are exactly our Flush() calls, so the
+  // coalesced per-shard batches are deterministic.
   BatcherOptions options;
-  options.max_batch_updates = 1 << 20;
   options.auto_flush = false;
   UpdateBatcher batcher(*service, options);
 

@@ -56,12 +56,7 @@ TEST(ShardedStressTest, SubmittersRaceQueriesAcrossShards) {
   const auto edges = TestGraph(71);
   const auto service = MakeShardedWalkService(edges, kNumVertices, kShards);
 
-  BatcherOptions options;
-  options.max_batch_updates = 64;   // frequent size-triggered drains
-  options.max_delay_seconds = 10.0; // time trigger can't fire: the first
-                                    // drain of a shard must be size-driven
-                                    // even under sanitizer slowdown
-  UpdateBatcher batcher(*service, options);
+  UpdateBatcher batcher(*service);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> inconsistent{0};
@@ -133,16 +128,12 @@ TEST(ShardedStressTest, SubmittersRaceQueriesAcrossShards) {
                 stats.applied.skipped_deletes,
             stats.submitted);
   EXPECT_GT(stats.batches, 0u);
-  EXPECT_GT(stats.size_flushes, 0u);  // 64-update trigger must have fired
 
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
   const auto service_stats = service->Stats();
   EXPECT_EQ(service_stats.updates_applied, stats.submitted + direct.size());
 }
 
-// The time trigger, in isolation: a trickle far below the size threshold
-// must still be applied within the staleness bound by the background
-// flusher — no Flush() call, no size trigger.
 TEST(ShardedStressTest, PoolPostErrorsSurfaceThroughBatcherStats) {
   // The executor's Post exception contract (thread_pool.h): a throwing
   // fire-and-forget task is swallowed and counted, never fatal. The
@@ -173,22 +164,20 @@ TEST(ShardedStressTest, PoolPostErrorsSurfaceThroughBatcherStats) {
   EXPECT_TRUE(service->CheckInvariants().empty());
 }
 
-TEST(ShardedStressTest, TimeTriggerDrainsTrickle) {
+// A trickle is applied by the drains its own submits start: no Flush(), no
+// timer, and no size threshold to reach.
+TEST(ShardedStressTest, SubmitDrainsTrickle) {
   const auto edges = TestGraph(73);
   const auto service = MakeShardedWalkService(edges, kNumVertices, 4);
-
-  BatcherOptions options;
-  options.max_batch_updates = 1000;  // never reached
-  options.max_delay_seconds = 0.005;
-  UpdateBatcher batcher(*service, options);
+  UpdateBatcher batcher(*service);
 
   util::Rng rng(5150);
   constexpr uint64_t kTrickle = 10;
   for (uint64_t i = 0; i < kTrickle; ++i) {
     batcher.Submit(RandomUpdate(rng));
   }
-  // The flusher is the only possible trigger; give it ample time even on a
-  // loaded sanitizer runner.
+  // Generous for a loaded sanitizer runner; a healthy drain takes
+  // microseconds.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (batcher.Stats().flushed_updates < kTrickle &&
@@ -197,10 +186,43 @@ TEST(ShardedStressTest, TimeTriggerDrainsTrickle) {
   }
   const BatcherStats stats = batcher.Stats();
   EXPECT_EQ(stats.flushed_updates, kTrickle);
-  EXPECT_GE(stats.time_flushes, 1u);
-  EXPECT_EQ(stats.size_flushes, 0u);
+  EXPECT_GE(stats.submit_drains, 1u);
   EXPECT_EQ(stats.manual_flushes, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(service->Stats().updates_applied, kTrickle);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+}
+
+// auto_flush off: Submit only queues, so nothing reaches the service
+// before Flush(), and Flush() applies all of it.
+TEST(ShardedStressTest, ManualModeAppliesNothingBeforeFlush) {
+  const auto edges = TestGraph(74);
+  const auto service = MakeShardedWalkService(edges, kNumVertices, 4);
+  BatcherOptions options;
+  options.auto_flush = false;
+  UpdateBatcher batcher(*service, options);
+
+  util::Rng rng(6);
+  constexpr uint64_t kUpdates = 200;
+  for (uint64_t i = 0; i < kUpdates; ++i) {
+    batcher.Submit(RandomUpdate(rng));
+  }
+  // A drain started by Submit would have had ample time to publish.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  BatcherStats stats = batcher.Stats();
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.flushed_updates, 0u);
+  EXPECT_EQ(stats.submit_drains, 0u);
+  EXPECT_EQ(stats.queue_depth, kUpdates);
+  EXPECT_EQ(service->Epoch(), 0u);
+
+  batcher.Flush();
+  stats = batcher.Stats();
+  EXPECT_EQ(stats.flushed_updates, kUpdates);
+  EXPECT_EQ(stats.submit_drains, 0u);
+  EXPECT_GE(stats.manual_flushes, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(service->Stats().updates_applied, kUpdates);
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 }
 

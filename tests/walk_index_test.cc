@@ -218,7 +218,6 @@ TEST(WalkIndexServiceTest, ShardedBatcherKeepsIndexConsistent) {
   WalkIndexServiceT<ShardedWalkService> index(*service, options, &pool);
 
   BatcherOptions batcher_options;
-  batcher_options.max_batch_updates = 64;
   batcher_options.on_batch_applied = [&](int, const graph::UpdateList& batch) {
     index.NotifyApplied(batch);
   };

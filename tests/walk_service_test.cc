@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -102,6 +103,21 @@ TEST(WalkServiceTest, ApplyBatchAdvancesEpochAndBothReplicas) {
 
 // ------------------------------------------------- snapshot isolation --
 
+// Polls `done` for up to 10 s (ample under a sanitizer).
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return done();
+}
+
+// A pinned snapshot does not hold back the write that supersedes it: that
+// write applies the back replica, publishes and returns. The pinned
+// replica is then the back one, so the NEXT write, which must first replay
+// the batch there, waits until the snapshot is released.
 TEST(WalkServiceTest, SnapshotSurvivesConcurrentUpdateUnchanged) {
   const auto edges = TestGraph(63);
   const auto service = MakeWalkService(edges, kNumVertices);
@@ -114,29 +130,87 @@ TEST(WalkServiceTest, SnapshotSurvivesConcurrentUpdateUnchanged) {
   EXPECT_EQ(snap.epoch(), 0u);
   const auto before = RunDeepWalk(snap.store(), cfg);
 
-  // Publish a new epoch while the snapshot is live. The writer thread
-  // finishes phase one (back replica) and publishes; it then blocks
-  // draining our pinned replica until the snapshot dies.
-  std::atomic<bool> writer_done{false};
-  std::thread writer([&] {
+  std::atomic<bool> first_done{false};
+  std::thread first([&] {
     service->ApplyBatch(MixedUpdates(21, 400));
-    writer_done.store(true, std::memory_order_release);
+    first_done.store(true, std::memory_order_release);
   });
-  while (service->Epoch() == 0) {
-    std::this_thread::yield();
+  if (!WaitUntil([&] { return first_done.load(std::memory_order_acquire); })) {
+    { auto release = std::move(snap); }
+    first.join();
+    FAIL() << "ApplyBatch waited for a snapshot of the epoch it replaced";
   }
+  first.join();
 
   // New queries see the new epoch; our snapshot still serves the old one,
   // bit-identically, and stays consistent.
+  EXPECT_EQ(service->Epoch(), 1u);
   EXPECT_EQ(service->Acquire().epoch(), 1u);
-  const auto after = RunDeepWalk(snap.store(), cfg);
-  EXPECT_EQ(before.paths, after.paths);
+  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
   EXPECT_TRUE(snap.Consistent());
-  EXPECT_FALSE(writer_done.load(std::memory_order_acquire));
 
-  { auto release = std::move(snap); }  // drop the pin; writer may finish
-  writer.join();
-  EXPECT_TRUE(writer_done.load(std::memory_order_acquire));
+  // The second write spins on our pinned replica's reader count.
+  std::atomic<bool> second_done{false};
+  std::thread second([&] {
+    service->ApplyBatch(MixedUpdates(22, 400));
+    second_done.store(true, std::memory_order_release);
+  });
+  WaitUntil([&] {
+    return service->Stats().drain_spins > 0 ||
+           second_done.load(std::memory_order_acquire);
+  });
+  EXPECT_GT(service->Stats().drain_spins, 0u);
+  EXPECT_FALSE(second_done.load(std::memory_order_acquire));
+  EXPECT_EQ(service->Epoch(), 1u);
+  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
+  EXPECT_TRUE(snap.Consistent());
+
+  { auto release = std::move(snap); }  // drop the pin; the writer may finish
+  second.join();
+  EXPECT_TRUE(second_done.load(std::memory_order_acquire));
+  EXPECT_EQ(service->Epoch(), 2u);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+}
+
+void ExpectSameMemory(const core::StoreMemoryStats& got,
+                      const core::StoreMemoryStats& want) {
+  EXPECT_EQ(got.graph_bytes, want.graph_bytes);
+  EXPECT_EQ(got.sampler_fixed_bytes, want.sampler_fixed_bytes);
+  EXPECT_EQ(got.sampler_dynamic_bytes, want.sampler_dynamic_bytes);
+}
+
+// ApplyBatch returns before the back replica has the batch. MemoryStats
+// reports both replicas as they stand; CheckInvariants replays the batch
+// first, after which both replicas equal a store that applied it.
+TEST(WalkServiceTest, DeferredReplayIsCaughtUpByCheckInvariants) {
+  const auto edges = TestGraph(65);
+  const auto service = MakeWalkService(edges, kNumVertices);
+  const BingoStore before(graph::DynamicGraph::FromEdges(kNumVertices, edges));
+  BingoStore after(graph::DynamicGraph::FromEdges(kNumVertices, edges));
+  const auto updates = MixedUpdates(41, 300);
+  after.ApplyBatch(updates);
+  ASSERT_NE(before.NumEdges(), after.NumEdges());
+
+  service->ApplyBatch(updates);
+  core::StoreMemoryStats expected = before.MemoryStats();
+  expected += after.MemoryStats();
+  ExpectSameMemory(service->MemoryStats(), expected);
+
+  // Without the replay the replicas' edge counts would disagree.
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+  expected = after.MemoryStats();
+  expected += after.MemoryStats();
+  ExpectSameMemory(service->MemoryStats(), expected);
+
+  // Walk each replica: an empty batch publishes the other one.
+  WalkConfig cfg;
+  cfg.walk_length = 15;
+  cfg.record_paths = true;
+  const auto want = RunDeepWalk(after, cfg).paths;
+  EXPECT_EQ(service->DeepWalk(cfg).paths, want);
+  service->ApplyBatch({});
+  EXPECT_EQ(service->Epoch(), 2u);
+  EXPECT_EQ(service->DeepWalk(cfg).paths, want);
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 }
 
