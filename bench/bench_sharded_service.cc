@@ -37,6 +37,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench/common.h"
@@ -158,7 +159,7 @@ std::vector<WalkRow> RunWalkThroughputSweep(
 }
 
 // Walker-transfer superstep sweep: run the chosen app through
-// RunPartitionedWalks at each shard count and report the communication the
+// RunPartitionedApp at each shard count and report the communication the
 // multi-device design would pay — cross-shard walker migrations per step.
 std::vector<SuperstepRow> RunSuperstepSweep(
     const bench::PreparedWorkload& workload, const std::string& app,
@@ -172,16 +173,18 @@ std::vector<SuperstepRow> RunSuperstepSweep(
                                       &pool);
     walk::WalkConfig cfg;
     cfg.walk_length = 40;
-    util::Timer timer;
-    walk::PartitionedWalkResult result;
+    walk::AnyWalkApp descriptor = walk::DeepWalkApp{};
     if (app == "node2vec") {
-      result = walk::RunPartitionedNode2vec(store, cfg, {}, &pool);
+      descriptor = walk::Node2vecApp{};
     } else if (app == "ppr") {
-      result = walk::RunPartitionedPpr(store, cfg, 1.0 / cfg.walk_length,
-                                       &pool);
-    } else {
-      result = walk::RunPartitionedDeepWalk(store, cfg, &pool);
+      descriptor = walk::PprApp{1.0 / cfg.walk_length};
     }
+    util::Timer timer;
+    const walk::PartitionedWalkResult result = std::visit(
+        [&](const auto& a) {
+          return walk::RunPartitionedApp(store, cfg, a, &pool);
+        },
+        descriptor);
     const double seconds = timer.Seconds();
     rows.push_back({app, shards, result.total_steps / seconds / 1e6,
                     result.total_steps == 0

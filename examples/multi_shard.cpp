@@ -45,8 +45,8 @@ int main() {
     const double update_s = update_timer.Seconds();
 
     util::Timer walk_timer;
-    const auto result =
-        walk::RunPartitionedDeepWalk(store, cfg, &util::ThreadPool::Global());
+    const auto result = walk::RunPartitionedApp(
+        store, cfg, walk::DeepWalkApp{}, &util::ThreadPool::Global());
     std::printf(
         "%d shard(s): %8.2f MiB total, updates %.3fs, walk %.3fs, "
         "%llu steps, %llu cross-shard walker transfers (%.1f%%)\n",

@@ -149,8 +149,7 @@ std::vector<graph::VertexId> RandomWalkDomination(const Store& store,
   cfg.walk_length = walk_length;
   cfg.seed = seed;
   cfg.record_paths = true;
-  const WalkResult corpus =
-      RunWalks(store, cfg, internal::FirstOrderStepper<Store>{store}, pool);
+  const WalkResult corpus = RunDeepWalk(store, cfg, pool);
 
   // Derived from the corpus itself, so it can't desync from however the
   // engine resolved the walker count.

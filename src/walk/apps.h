@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "src/walk/engine.h"
@@ -214,33 +215,9 @@ struct UniformStepper {
 
 }  // namespace internal
 
-template <SamplingStore Store>
-WalkResult RunDeepWalk(const Store& store, const WalkConfig& cfg,
-                       util::ThreadPool* pool = nullptr) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  return RunWalks(store, cfg, stepper, pool);
-}
-
-// The rejection bound f_max = max f(·,·); shared by both execution models'
-// node2vec entry points so their steppers can't drift apart.
-inline double Node2vecFMax(const Node2vecParams& params) {
-  return std::max({1.0 / params.p, 1.0, 1.0 / params.q});
-}
-
-template <AdjacencyStore Store>
-WalkResult RunNode2vec(const Store& store, const WalkConfig& cfg,
-                       const Node2vecParams& params = {},
-                       util::ThreadPool* pool = nullptr) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  return RunWalks(store, cfg, stepper, pool);
-}
-
 // The paper parameterizes PPR by stop probability (expected length 1/p);
 // the 16x cap only guards the geometric tail. Saturates rather than wraps:
-// a caller-supplied length near 2^32 must not collapse the cap to ~0. Both
-// execution models (RunPpr, RunPartitionedPpr) share this so they stay
-// bit-identical.
+// a caller-supplied length near 2^32 must not collapse the cap to ~0.
 inline uint32_t PprCappedWalkLength(uint32_t walk_length) {
   const uint32_t base = std::max<uint32_t>(walk_length, 1);
   return base > std::numeric_limits<uint32_t>::max() / 16
@@ -248,32 +225,104 @@ inline uint32_t PprCappedWalkLength(uint32_t walk_length) {
              : base * 16;
 }
 
+// --- app descriptors ---------------------------------------------------------
+//
+// One per application: its parameters, its config normalization
+// (Normalize), and the stepper it drives over a store (StepperFor). Every
+// driver takes a descriptor through one entry point — RunApp (engine.h),
+// RunPartitionedApp (partitioned.h), RunFusedApp (fused.h), RunOocApp
+// (ooc.h) — so each app's normalization is written once and every app runs
+// on every driver.
+
+struct DeepWalkApp {
+  WalkConfig Normalize(WalkConfig cfg) const { return cfg; }
+  template <SamplingStore Store>
+  internal::FirstOrderStepper<Store> StepperFor(const Store& store) const {
+    return {store};
+  }
+};
+
+struct Node2vecApp {
+  Node2vecParams params;
+  WalkConfig Normalize(WalkConfig cfg) const { return cfg; }
+  template <AdjacencyStore Store>
+  internal::Node2vecStepper<Store> StepperFor(const Store& store) const {
+    // The rejection bound f_max = max f(·,·).
+    return {store, params, std::max({1.0 / params.p, 1.0, 1.0 / params.q})};
+  }
+};
+
+// PPR outputs visit frequencies, over walks capped at PprCappedWalkLength.
+struct PprApp {
+  double stop_probability = 1.0 / 80.0;
+  WalkConfig Normalize(WalkConfig cfg) const {
+    cfg.count_visits = true;
+    cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
+    return cfg;
+  }
+  template <SamplingStore Store>
+  internal::PprStepper<Store> StepperFor(const Store& store) const {
+    return {store, stop_probability};
+  }
+};
+
+struct SimpleSamplingApp {
+  WalkConfig Normalize(WalkConfig cfg) const { return cfg; }
+  template <AdjacencyStore Store>
+  internal::UniformStepper<Store> StepperFor(const Store& store) const {
+    return {store};
+  }
+};
+
+// Metapath-constrained walks (two-mode bipartite with the default {0, 1}
+// pattern): exact per-step draws over the type-matching neighbors.
+struct MetapathApp {
+  MetapathParams params;
+  WalkConfig Normalize(WalkConfig cfg) const { return cfg; }
+  template <AdjacencyStore Store>
+  internal::MetapathStepper<Store> StepperFor(const Store& store) const {
+    return {store, params};
+  }
+};
+
+// Any one app, chosen at run time (the CLI): std::visit hands the held
+// descriptor to a driver's entry point.
+using AnyWalkApp = std::variant<DeepWalkApp, Node2vecApp, PprApp,
+                                SimpleSamplingApp, MetapathApp>;
+
+// --- engine entry points (the public API) ------------------------------------
+
 template <SamplingStore Store>
-WalkResult RunPpr(const Store& store, WalkConfig cfg,
+WalkResult RunDeepWalk(const Store& store, const WalkConfig& cfg,
+                       util::ThreadPool* pool = nullptr) {
+  return RunApp(store, cfg, DeepWalkApp{}, pool);
+}
+
+template <AdjacencyStore Store>
+WalkResult RunNode2vec(const Store& store, const WalkConfig& cfg,
+                       const Node2vecParams& params = {},
+                       util::ThreadPool* pool = nullptr) {
+  return RunApp(store, cfg, Node2vecApp{params}, pool);
+}
+
+template <SamplingStore Store>
+WalkResult RunPpr(const Store& store, const WalkConfig& cfg,
                   double stop_probability = 1.0 / 80.0,
                   util::ThreadPool* pool = nullptr) {
-  cfg.count_visits = true;
-  cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunApp(store, cfg, PprApp{stop_probability}, pool);
 }
 
 template <AdjacencyStore Store>
 WalkResult RunSimpleSampling(const Store& store, const WalkConfig& cfg,
                              util::ThreadPool* pool = nullptr) {
-  internal::UniformStepper<Store> stepper{store};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunApp(store, cfg, SimpleSamplingApp{}, pool);
 }
 
-// Metapath-constrained walks (two-mode bipartite with the default {0, 1}
-// pattern). Exact per-step draws over the type-matching neighbors; runs on
-// every AdjacencyStore backend and both execution models bit-identically.
 template <AdjacencyStore Store>
 WalkResult RunMetapath(const Store& store, const WalkConfig& cfg,
                        const MetapathParams& params = {},
                        util::ThreadPool* pool = nullptr) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunApp(store, cfg, MetapathApp{params}, pool);
 }
 
 }  // namespace bingo::walk

@@ -16,15 +16,12 @@
 //     next group's sampler state and adjacency head are prefetched
 //     (store.PrefetchVertex), hiding the chase behind real work.
 //
-// BIT-IDENTITY. Each walker of query q owns the RNG stream
-// Rng::ForStream(cfg_q.seed, walker_id) and nothing else consumes from it.
-// Every reordering this driver performs is across walkers; within a walker
-// the variate order of the scalar engine (Next draws, then the Terminate
-// draw, per step) is preserved exactly — the batched draw path is itself
-// bit-identical per walker (see BatchSamplingStore). Hence every query's
-// WalkResult is bit-for-bit what RunWalks(store, cfg_q, stepper, pool)
-// returns, for any store, thread count, and SIMD level. Tests pin this
-// (tests/query_batcher_test.cc).
+// BIT-IDENTITY. Every reordering this driver performs is across walkers;
+// within a walker the engine's variate order is kept exactly, and the
+// batched draw path is itself bit-identical per walker (see
+// BatchSamplingStore). So every query's WalkResult is bit-for-bit what the
+// engine returns for it (the determinism statement in engine.h); tests pin
+// this (tests/query_batcher_test.cc).
 //
 // Steppers advertise `kFirstOrder` (walk/apps.h): only first-order steppers
 // (DeepWalk, PPR) use the batched-draw path; second-order node2vec keeps
@@ -39,7 +36,6 @@
 #define BINGO_SRC_WALK_FUSED_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -66,13 +62,6 @@ template <typename Store, typename Stepper>
 inline constexpr bool kBatchDraws =
     BatchSamplingStore<Store> && FirstOrderTagged<Stepper>;
 
-// Same slot-merge layout as the engine's per-chunk output: walker-major
-// contiguous paths plus per-walker lengths.
-struct ChunkPaths {
-  util::ScratchVector<graph::VertexId> paths;
-  util::ScratchVector<uint64_t> lengths;
-};
-
 // Walkers standing alone on a vertex go through the scalar stepper; only
 // runs at least this long pay the batch kernel's tile setup.
 inline constexpr std::size_t kMinBatchRun = 4;
@@ -96,10 +85,7 @@ template <typename Store, typename Stepper>
 void RunFusedChunk(const Store& store, const Stepper& stepper,
                    const WalkConfig& cfg, graph::VertexId num_vertices,
                    uint64_t lo, uint64_t hi, util::MemoryPool* scratch,
-                   std::atomic<uint64_t>& total_steps,
-                   std::atomic<uint64_t>& finished_walkers,
-                   std::span<std::atomic<uint32_t>> visit_acc,
-                   ChunkPaths* out_paths) {
+                   WalkTally& tally, ChunkPaths* out_paths) {
   const std::size_t n = static_cast<std::size_t>(hi - lo);
   const uint32_t walk_length = cfg.walk_length;
   // Walker-major SoA state. Paths land in a fixed-stride slab (row i =
@@ -133,19 +119,16 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
     local_visits.assign(num_vertices, 0);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    rngs.push_back(util::Rng::ForStream(cfg.seed, lo + i));
-    const graph::VertexId start =
-        cfg.start_vertex != graph::kInvalidVertex
-            ? cfg.start_vertex
-            : static_cast<graph::VertexId>((lo + i) % num_vertices);
-    curs.push_back(start);
+    const Walker start = StartWalker(cfg, lo + i, num_vertices);
+    rngs.push_back(start.rng);
+    curs.push_back(start.cur);
     alive.push_back(static_cast<uint32_t>(i));
     if (cfg.record_paths) {
-      slab[static_cast<std::size_t>(i * stride)] = start;
+      slab[static_cast<std::size_t>(i * stride)] = start.cur;
       lens[i] = 1;
     }
     if (cfg.count_visits) {
-      ++local_visits[start];
+      ++local_visits[start.cur];
     }
   }
 
@@ -244,15 +227,7 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
     num_alive = keep;
   }
 
-  total_steps.fetch_add(steps_local, std::memory_order_relaxed);
-  finished_walkers.fetch_add(finished_local, std::memory_order_relaxed);
-  if (cfg.count_visits) {
-    for (graph::VertexId v = 0; v < num_vertices; ++v) {
-      if (local_visits[v] != 0) {
-        visit_acc[v].fetch_add(local_visits[v], std::memory_order_relaxed);
-      }
-    }
-  }
+  tally.Add(steps_local, finished_local, local_visits);
   if (cfg.record_paths && out_paths != nullptr) {
     ChunkPaths out{util::ScratchVector<graph::VertexId>(scratch),
                    util::ScratchVector<uint64_t>(scratch)};
@@ -273,77 +248,62 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
 
 }  // namespace fused_internal
 
-// Runs `cfgs.size()` queries that share one stepper as a single fused pass
-// and writes results[q] — bit-identical to RunWalks(store, cfgs[q],
-// stepper, pool) — for each. Queries may differ in every WalkConfig field.
-template <typename Store, typename Stepper>
+// Runs `cfgs.size()` queries of one app as a single fused pass and writes
+// results[q] — bit-identical to RunApp(store, cfgs[q], app, pool) — for
+// each. Queries may differ in every WalkConfig field. The fused driver's
+// descriptor entry point (apps.h).
+template <typename Store, typename App>
   requires SamplingStore<Store>
-void RunFusedQueries(const Store& store, std::span<const WalkConfig> cfgs,
-                     const Stepper& stepper, std::span<WalkResult> results,
-                     util::ThreadPool* pool = nullptr) {
+void RunFusedApp(const Store& store, std::span<const WalkConfig> cfgs,
+                 const App& app, std::span<WalkResult> results,
+                 util::ThreadPool* pool = nullptr) {
   assert(results.size() == cfgs.size());
   const graph::VertexId num_vertices =
       static_cast<graph::VertexId>(store.NumVertices());
+  const auto stepper = app.StepperFor(store);
   constexpr std::size_t kChunk = 256;
   // Path slabs are stride-allocated; beyond this length (PPR-capped
   // lengths, notably) the scalar engine records more compactly.
   constexpr uint32_t kMaxRecordedLength = 1024;
 
   struct QueryState {
+    WalkConfig cfg;  // normalized
     bool fused = false;
-    uint64_t num_walkers = 0;
-    std::size_t num_chunks = 0;
-    std::atomic<uint64_t> steps{0};
-    std::atomic<uint64_t> finished{0};
-    std::vector<std::atomic<uint32_t>> visits;
-    std::vector<fused_internal::ChunkPaths> chunks;
+    WalkTally tally;
+    std::vector<ChunkPaths> chunks;
   };
   struct Task {
     uint32_t query;
-    uint32_t chunk;
-    uint64_t lo;
+    uint64_t lo;  // walkers [lo, hi): chunk lo / kChunk of the query
     uint64_t hi;
   };
 
   std::vector<QueryState> states(cfgs.size());
   std::vector<Task> tasks;
   for (std::size_t q = 0; q < cfgs.size(); ++q) {
-    const WalkConfig& cfg = cfgs[q];
-    WalkResult& result = results[q];
-    result = WalkResult{};
-    const uint64_t num_walkers =
-        cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
-    if (cfg.record_paths) {
-      result.path_offsets.assign(num_walkers + 1, 0);
-    }
-    if (num_vertices == 0 || num_walkers == 0 ||
-        (cfg.start_vertex != graph::kInvalidVertex &&
-         cfg.start_vertex >= num_vertices)) {
-      continue;  // engine semantics: nowhere (valid) to start
-    }
-    if (cfg.record_paths && cfg.walk_length >= kMaxRecordedLength) {
-      result = RunWalks(num_vertices, cfg, stepper, pool);
+    QueryState& state = states[q];
+    state.cfg = app.Normalize(cfgs[q]);
+    const WalkConfig& cfg = state.cfg;
+    results[q] = WalkResult{};
+    const uint64_t num_walkers = BeginWalks(cfg, num_vertices, results[q]);
+    if (num_walkers == 0) {
       continue;
     }
-    QueryState& state = states[q];
+    if (cfg.record_paths && cfg.walk_length >= kMaxRecordedLength) {
+      results[q] = RunWalks(store, cfg, stepper, pool);
+      continue;
+    }
     state.fused = true;
-    state.num_walkers = num_walkers;
-    state.num_chunks =
+    state.tally.Size(cfg, num_vertices);
+    const std::size_t num_chunks =
         static_cast<std::size_t>((num_walkers + kChunk - 1) / kChunk);
-    if (cfg.count_visits) {
-      state.visits = std::vector<std::atomic<uint32_t>>(num_vertices);
-    }
     if (cfg.record_paths) {
-      state.chunks.resize(state.num_chunks);
+      state.chunks.resize(num_chunks);
     }
-    for (std::size_t c = 0; c < state.num_chunks; ++c) {
-      tasks.push_back(Task{static_cast<uint32_t>(q),
-                           static_cast<uint32_t>(c), c * kChunk,
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      tasks.push_back(Task{static_cast<uint32_t>(q), c * kChunk,
                            std::min<uint64_t>(num_walkers, (c + 1) * kChunk)});
     }
-  }
-  if (tasks.empty()) {
-    return;
   }
 
   util::MemoryPool* scratch =
@@ -351,12 +311,10 @@ void RunFusedQueries(const Store& store, std::span<const WalkConfig> cfgs,
   const auto run_task = [&](std::size_t t) {
     const Task& task = tasks[t];
     QueryState& state = states[task.query];
-    const WalkConfig& cfg = cfgs[task.query];
     fused_internal::RunFusedChunk(
-        store, stepper, cfg, num_vertices, task.lo, task.hi, scratch,
-        state.steps, state.finished,
-        std::span<std::atomic<uint32_t>>(state.visits),
-        cfg.record_paths ? &state.chunks[task.chunk] : nullptr);
+        store, stepper, state.cfg, num_vertices, task.lo, task.hi, scratch,
+        state.tally,
+        state.cfg.record_paths ? &state.chunks[task.lo / kChunk] : nullptr);
   };
   if (pool != nullptr) {
     pool->ParallelFor(0, tasks.size(), run_task);
@@ -367,67 +325,23 @@ void RunFusedQueries(const Store& store, std::span<const WalkConfig> cfgs,
   }
 
   for (std::size_t q = 0; q < cfgs.size(); ++q) {
-    QueryState& state = states[q];
+    const QueryState& state = states[q];
     if (!state.fused) {
       continue;
     }
-    const WalkConfig& cfg = cfgs[q];
-    WalkResult& result = results[q];
-    result.total_steps = state.steps.load(std::memory_order_relaxed);
-    result.finished_walkers = state.finished.load(std::memory_order_relaxed);
-    if (cfg.count_visits) {
-      result.visit_counts.resize(num_vertices);
-      for (graph::VertexId v = 0; v < num_vertices; ++v) {
-        result.visit_counts[v] =
-            state.visits[v].load(std::memory_order_relaxed);
-      }
-    }
-    if (cfg.record_paths) {
-      // Engine-identical stitch: chunk c covers walkers [c*kChunk, ...).
-      for (std::size_t c = 0; c < state.chunks.size(); ++c) {
-        const std::size_t begin = c * kChunk;
-        for (std::size_t i = 0; i < state.chunks[c].lengths.size(); ++i) {
-          result.path_offsets[begin + i + 1] = state.chunks[c].lengths[i];
-        }
-      }
-      for (std::size_t i = 1; i < result.path_offsets.size(); ++i) {
-        result.path_offsets[i] += result.path_offsets[i - 1];
-      }
-      result.paths.resize(result.path_offsets.back());
-      for (std::size_t c = 0; c < state.chunks.size(); ++c) {
-        uint64_t cursor = result.path_offsets[c * kChunk];
-        for (graph::VertexId v : state.chunks[c].paths) {
-          result.paths[cursor++] = v;
-        }
-      }
+    state.tally.Finish(results[q]);
+    if (state.cfg.record_paths) {
+      StitchChunks(state.chunks, kChunk, results[q]);
     }
   }
 }
 
-// Single-query convenience: one fused pass over one query.
-template <typename Store, typename Stepper>
-  requires SamplingStore<Store>
-WalkResult RunFusedWalks(const Store& store, const WalkConfig& cfg,
-                         const Stepper& stepper,
-                         util::ThreadPool* pool = nullptr) {
-  WalkResult result;
-  RunFusedQueries(store, std::span<const WalkConfig>(&cfg, 1), stepper,
-                  std::span<WalkResult>(&result, 1), pool);
-  return result;
-}
-
-// --- fused application entry points ----------------------------------------
-//
-// Mirrors of RunDeepWalk / RunPpr / RunNode2vec (walk/apps.h) over a query
-// group. Config normalization (PPR's visit counting and capped length) is
-// identical to the per-query entry points so the two paths cannot drift.
-
+// The serving path's DeepWalk and PPR queries, as fused query groups.
 template <SamplingStore Store>
 void RunDeepWalkFused(const Store& store, std::span<const WalkConfig> cfgs,
                       std::span<WalkResult> results,
                       util::ThreadPool* pool = nullptr) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
+  RunFusedApp(store, cfgs, DeepWalkApp{}, results, pool);
 }
 
 template <SamplingStore Store>
@@ -435,33 +349,7 @@ void RunPprFused(const Store& store, std::span<const WalkConfig> cfgs,
                  std::span<WalkResult> results,
                  double stop_probability = 1.0 / 80.0,
                  util::ThreadPool* pool = nullptr) {
-  std::vector<WalkConfig> adjusted(cfgs.begin(), cfgs.end());
-  for (WalkConfig& cfg : adjusted) {
-    cfg.count_visits = true;
-    cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  }
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  RunFusedQueries(store, std::span<const WalkConfig>(adjusted), stepper,
-                  results, pool);
-}
-
-template <AdjacencyStore Store>
-void RunNode2vecFused(const Store& store, std::span<const WalkConfig> cfgs,
-                      std::span<WalkResult> results,
-                      const Node2vecParams& params = {},
-                      util::ThreadPool* pool = nullptr) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
-}
-
-template <AdjacencyStore Store>
-void RunMetapathFused(const Store& store, std::span<const WalkConfig> cfgs,
-                      std::span<WalkResult> results,
-                      const MetapathParams& params = {},
-                      util::ThreadPool* pool = nullptr) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
+  RunFusedApp(store, cfgs, PprApp{stop_probability}, results, pool);
 }
 
 }  // namespace bingo::walk

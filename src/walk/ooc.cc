@@ -8,9 +8,6 @@ WalkerSpill::WalkerSpill(std::string dir, uint32_t num_blocks)
     : dir_(std::move(dir)), counts_(num_blocks, 0) {}
 
 WalkerSpill::~WalkerSpill() {
-  if (dir_.empty()) {
-    return;
-  }
   for (uint32_t b = 0; b < counts_.size(); ++b) {
     if (counts_[b] > 0) {
       std::remove(PathFor(b).c_str());
@@ -22,7 +19,7 @@ std::string WalkerSpill::PathFor(uint32_t block) const {
   return dir_ + "/park-" + std::to_string(block) + ".bin";
 }
 
-bool WalkerSpill::Spill(uint32_t block, const OocWalker* walkers,
+bool WalkerSpill::Spill(uint32_t block, const Walker* walkers,
                         std::size_t count) {
   if (dir_.empty() || count == 0) {
     return false;
@@ -31,7 +28,7 @@ bool WalkerSpill::Spill(uint32_t block, const OocWalker* walkers,
   if (f == nullptr) {
     return false;
   }
-  const std::size_t written = std::fwrite(walkers, sizeof(OocWalker), count, f);
+  const std::size_t written = std::fwrite(walkers, sizeof(Walker), count, f);
   const bool ok = std::fclose(f) == 0 && written == count;
   if (ok) {
     counts_[block] += count;
@@ -39,7 +36,7 @@ bool WalkerSpill::Spill(uint32_t block, const OocWalker* walkers,
   return ok;
 }
 
-bool WalkerSpill::Drain(uint32_t block, std::vector<OocWalker>& out) {
+bool WalkerSpill::Drain(uint32_t block, std::vector<Walker>& out) {
   const uint64_t count = counts_[block];
   if (count == 0) {
     return true;
@@ -52,7 +49,7 @@ bool WalkerSpill::Drain(uint32_t block, std::vector<OocWalker>& out) {
   const std::size_t base = out.size();
   out.resize(base + static_cast<std::size_t>(count));
   const std::size_t read =
-      std::fread(out.data() + base, sizeof(OocWalker),
+      std::fread(out.data() + base, sizeof(Walker),
                  static_cast<std::size_t>(count), f);
   std::fclose(f);
   std::remove(path.c_str());

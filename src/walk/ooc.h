@@ -13,14 +13,12 @@
 // walker records (56 bytes each: id, position, length, RNG state) and
 // drain back when their block is scheduled.
 //
-// Determinism: a walker's variate sequence is exactly the engine's —
-// ForStream(seed, id), one StepperNext per hop, one Terminate draw after
-// every successful hop — and its full state travels with it through queues
-// and spill files. Walk output (steps, finished count, paths, visits) is
-// therefore bit-identical to RunWalks on the same store at ANY cache
-// budget, spill threshold, thread count, or block schedule.
+// Determinism: walkers are the core's Walker records, so a walker's full
+// state travels with it through queues and spill files, and walk output is
+// bit-identical to the engine at any cache budget, spill threshold, thread
+// count or block schedule (the determinism statement in engine.h).
 //
-// Concurrency: one RunOocWalks at a time per *budgeted* store (eviction
+// Concurrency: one RunOocApp at a time per *budgeted* store (eviction
 // between passes would yank mappings from under a concurrent pass); the
 // driver enforces this via the store's exclusive-walk gate and reports an
 // error instead of corrupting. Unconstrained stores only ever add
@@ -29,7 +27,6 @@
 #ifndef BINGO_SRC_WALK_OOC_H_
 #define BINGO_SRC_WALK_OOC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,23 +42,12 @@
 
 namespace bingo::walk {
 
-// One parked walker: everything needed to resume its walk bit-exactly.
-// Fixed-size and trivially copyable so spill files are raw record arrays.
-struct OocWalker {
-  uint64_t id = 0;
-  graph::VertexId cur = graph::kInvalidVertex;
-  graph::VertexId prev = graph::kInvalidVertex;
-  uint32_t len = 0;  // successful steps taken so far
-  util::Rng rng;
-};
-static_assert(std::is_trivially_copyable_v<OocWalker>,
-              "spill files store raw OocWalker records");
-
 struct OocWalkOptions {
   // Park queues at or past this walker count spill to disk after each
   // merge. 0 = never spill.
   std::size_t spill_threshold_walkers = 0;
-  // Directory for spill files (required when spilling is enabled).
+  // Directory for spill files; a walk with a threshold but no directory
+  // fails before any walker moves.
   std::string spill_dir;
 };
 
@@ -75,25 +61,24 @@ struct OocWalkResult : WalkResult {
   std::string error;  // non-empty: the walk aborted (results partial)
 };
 
-// Disk spill for park queues: one lazily-created file of raw OocWalker
+// Disk spill for park queues: one lazily-created file of raw Walker
 // records per block. Single-scheduler use only (no internal locking).
 class WalkerSpill {
  public:
-  // Disabled when dir is empty. Spill files are removed on Drain and in
-  // the destructor.
+  // Spill fails while dir is empty. Spill files are removed on Drain and
+  // in the destructor.
   WalkerSpill(std::string dir, uint32_t num_blocks);
   ~WalkerSpill();
 
   WalkerSpill(const WalkerSpill&) = delete;
   WalkerSpill& operator=(const WalkerSpill&) = delete;
 
-  bool Enabled() const { return !dir_.empty(); }
   uint64_t Spilled(uint32_t block) const { return counts_[block]; }
 
-  bool Spill(uint32_t block, const OocWalker* walkers, std::size_t count);
+  bool Spill(uint32_t block, const Walker* walkers, std::size_t count);
   // Appends block's spilled walkers (oldest first) to `out`, removes the
   // file. False on I/O failure (records may be lost; caller aborts).
-  bool Drain(uint32_t block, std::vector<OocWalker>& out);
+  bool Drain(uint32_t block, std::vector<Walker>& out);
 
  private:
   std::string PathFor(uint32_t block) const;
@@ -121,23 +106,24 @@ concept BlockScheduledStore =
       { cs.EndExclusiveWalk() };
     };
 
-template <typename Store, typename Stepper>
+// The out-of-core driver's descriptor entry point (apps.h).
+template <typename Store, typename App>
   requires BlockScheduledStore<Store>
-OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
-                          const Stepper& stepper,
-                          util::ThreadPool* pool = nullptr,
-                          const OocWalkOptions& options = {}) {
+OocWalkResult RunOocApp(const Store& store, const WalkConfig& requested,
+                        const App& app, util::ThreadPool* pool = nullptr,
+                        const OocWalkOptions& options = {}) {
+  const WalkConfig cfg = app.Normalize(requested);
+  const auto stepper = app.StepperFor(store);
   const graph::VertexId num_vertices =
       static_cast<graph::VertexId>(store.NumVertices());
-  const uint64_t num_walkers =
-      cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
   OocWalkResult result;
-  if (cfg.record_paths) {
-    result.path_offsets.assign(num_walkers + 1, 0);
+  const bool spilling = options.spill_threshold_walkers > 0;
+  if (spilling && options.spill_dir.empty()) {
+    result.error = "ooc walk: a spill threshold needs a spill directory";
+    return result;
   }
-  if (num_vertices == 0 || num_walkers == 0 ||
-      (cfg.start_vertex != graph::kInvalidVertex &&
-       cfg.start_vertex >= num_vertices)) {
+  const uint64_t num_walkers = BeginWalks(cfg, num_vertices, result);
+  if (num_walkers == 0) {
     return result;
   }
   const bool exclusive = store.Budgeted();
@@ -151,46 +137,20 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   const uint32_t num_blocks = store.NumBlocks();
   const uint32_t ram = store.RamBlock();
 
-  std::atomic<uint64_t> total_steps{0};
-  std::atomic<uint64_t> finished_walkers{0};
-  std::vector<std::atomic<uint32_t>> visit_acc(cfg.count_visits ? num_vertices
-                                                                : 0);
+  WalkTally tally(cfg, num_vertices);
   util::MemoryPool* scratch =
       pool != nullptr ? &pool->ScratchMemory() : nullptr;
+  std::vector<std::vector<Walker>> queues(num_blocks);
+  WalkerSpill spill(options.spill_dir, num_blocks);
+  uint64_t live = 0;
   // Paths are keyed by walker id — exactly one pass (and one chunk within
   // it) appends to a given walker's buffer at a time.
-  std::vector<util::ScratchVector<graph::VertexId>> walker_paths;
-  if (cfg.record_paths) {
-    walker_paths.reserve(num_walkers);
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      walker_paths.emplace_back(scratch);
-    }
-  }
-
-  std::vector<std::vector<OocWalker>> queues(num_blocks);
-  WalkerSpill spill(options.spill_threshold_walkers > 0 ? options.spill_dir
-                                                        : std::string(),
-                    num_blocks);
-  uint64_t live = 0;
-  for (uint64_t w = 0; w < num_walkers; ++w) {
-    OocWalker walker;
-    walker.id = w;
-    walker.rng = util::Rng::ForStream(cfg.seed, w);
-    walker.cur = cfg.start_vertex != graph::kInvalidVertex
-                     ? cfg.start_vertex
-                     : static_cast<graph::VertexId>(w % num_vertices);
-    if (cfg.record_paths) {
-      walker_paths[w].push_back(walker.cur);
-    }
-    if (cfg.count_visits) {
-      visit_acc[walker.cur].fetch_add(1, std::memory_order_relaxed);
-    }
-    if (cfg.walk_length == 0) {
-      continue;  // records its start, never runs — matches the engine
-    }
-    queues[store.BlockOf(walker.cur)].push_back(walker);
-    ++live;
-  }
+  auto walker_paths = StartQueuedWalkers(
+      cfg, num_walkers, num_vertices, scratch, tally,
+      [&](const Walker& w) {
+        queues[store.BlockOf(w.cur)].push_back(w);
+        ++live;
+      });
   for (uint32_t b = 0; b < num_blocks; ++b) {
     if (b != ram) {
       store.SetParked(b, queues[b].size());
@@ -198,7 +158,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   }
 
   constexpr std::size_t kGrain = 256;
-  std::vector<OocWalker> run;
+  std::vector<Walker> run;
   while (live > 0) {
     // RAM-block walkers drain first (no I/O to schedule); otherwise load
     // the block with the most parked walkers.
@@ -215,7 +175,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
       break;
     }
     run.clear();
-    if (spill.Enabled() && spill.Spilled(b) > 0 && !spill.Drain(b, run)) {
+    if (spill.Spilled(b) > 0 && !spill.Drain(b, run)) {
       result.error = "ooc scheduler: draining a spill file failed";
       break;
     }
@@ -230,42 +190,31 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
         pool != nullptr
             ? util::ComputeChunkPlan(run.size(), kGrain, pool->NumThreads())
             : util::ChunkPlan{1, run.size()};
-    std::vector<util::ScratchVector<OocWalker>> outboxes(plan.num_chunks);
+    std::vector<util::ScratchVector<Walker>> outboxes(plan.num_chunks);
     const auto run_chunk = [&](std::size_t chunk, std::size_t lo,
                                std::size_t hi) {
       uint64_t steps = 0;
       uint64_t finished = 0;
-      util::ScratchVector<OocWalker> moved(scratch);
+      util::ScratchVector<Walker> moved(scratch);
       util::ScratchVector<uint32_t> local_visits(scratch);
       if (cfg.count_visits) {
         local_visits.assign(num_vertices, 0);
       }
       for (std::size_t i = lo; i < hi; ++i) {
-        OocWalker w = run[i];
-        for (;;) {
-          // Exactly the engine's per-hop variate order: one StepperNext,
-          // then one Terminate draw after every successful hop.
-          const graph::VertexId next =
-              StepperNext(stepper, w.cur, w.prev, w.len, w.rng);
-          if (next == graph::kInvalidVertex) {
-            if (w.len > 0) {
-              ++finished;
-            }
-            break;
-          }
-          w.prev = w.cur;
-          w.cur = next;
-          ++w.len;
+        Walker w = run[i];
+        const auto record = [&](graph::VertexId v) {
           ++steps;
           if (cfg.record_paths) {
-            walker_paths[w.id].push_back(next);
+            walker_paths[w.id].push_back(v);
           }
           if (cfg.count_visits) {
-            ++local_visits[next];
+            ++local_visits[v];
           }
-          const bool term = stepper.Terminate(w.rng);
-          if (term || w.len >= cfg.walk_length) {
-            ++finished;
+        };
+        // Sticky: the walker runs on while it stays inside block b.
+        for (;;) {
+          if (!Hop(stepper, cfg.walk_length, w, w.rng, record)) {
+            finished += w.len > 0 ? 1 : 0;
             break;
           }
           if (store.BlockOf(w.cur) != b) {
@@ -274,16 +223,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
           }
         }
       }
-      total_steps.fetch_add(steps, std::memory_order_relaxed);
-      finished_walkers.fetch_add(finished, std::memory_order_relaxed);
-      if (cfg.count_visits) {
-        for (graph::VertexId v = 0; v < num_vertices; ++v) {
-          if (local_visits[v] != 0) {
-            visit_acc[v].fetch_add(local_visits[v],
-                                   std::memory_order_relaxed);
-          }
-        }
-      }
+      tally.Add(steps, finished, local_visits);
       outboxes[chunk] = std::move(moved);
     };
     if (pool != nullptr) {
@@ -295,7 +235,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
 
     uint64_t parked = 0;
     for (const auto& moved : outboxes) {
-      for (const OocWalker& w : moved) {
+      for (const Walker& w : moved) {
         queues[store.BlockOf(w.cur)].push_back(w);
         ++parked;
       }
@@ -303,23 +243,17 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
     result.walker_parks += parked;
     live -= run.size() - parked;
 
-    if (spill.Enabled()) {
-      for (uint32_t q = 0; q < num_blocks; ++q) {
-        if (q != ram &&
-            queues[q].size() >= options.spill_threshold_walkers &&
-            !queues[q].empty()) {
-          if (spill.Spill(q, queues[q].data(), queues[q].size())) {
-            result.spilled_walkers += queues[q].size();
-            queues[q].clear();
-            queues[q].shrink_to_fit();
-          }
-        }
-      }
-    }
     for (uint32_t q = 0; q < num_blocks; ++q) {
-      if (q != ram) {
-        store.SetParked(q, queues[q].size() + spill.Spilled(q));
+      if (q == ram) {
+        continue;
       }
+      if (spilling && queues[q].size() >= options.spill_threshold_walkers &&
+          spill.Spill(q, queues[q].data(), queues[q].size())) {
+        result.spilled_walkers += queues[q].size();
+        queues[q].clear();
+        queues[q].shrink_to_fit();
+      }
+      store.SetParked(q, queues[q].size() + spill.Spilled(q));
     }
   }
   if (exclusive) {
@@ -330,75 +264,19 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   result.block_loads = after.loads - before.loads;
   result.block_evictions = after.evictions - before.evictions;
   result.peak_resident_bytes = after.peak_resident_bytes;
-  result.total_steps = total_steps.load(std::memory_order_relaxed);
-  result.finished_walkers = finished_walkers.load(std::memory_order_relaxed);
-  if (cfg.count_visits) {
-    result.visit_counts.resize(num_vertices);
-    for (graph::VertexId v = 0; v < num_vertices; ++v) {
-      result.visit_counts[v] = visit_acc[v].load(std::memory_order_relaxed);
-    }
-  }
+  tally.Finish(result);
   if (cfg.record_paths) {
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      result.path_offsets[w + 1] = walker_paths[w].size();
-    }
-    for (std::size_t i = 1; i < result.path_offsets.size(); ++i) {
-      result.path_offsets[i] += result.path_offsets[i - 1];
-    }
-    result.paths.resize(result.path_offsets.back());
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      uint64_t cursor = result.path_offsets[w];
-      for (const graph::VertexId v : walker_paths[w]) {
-        result.paths[cursor++] = v;
-      }
-    }
+    StitchWalkerPaths(walker_paths, result);
   }
   return result;
 }
-
-// Application entry points, mirroring walk/apps.h config normalization
-// exactly so OOC output is comparable record for record.
 
 template <typename Store>
   requires BlockScheduledStore<Store>
 OocWalkResult RunOocDeepWalk(const Store& store, const WalkConfig& cfg,
                              util::ThreadPool* pool = nullptr,
                              const OocWalkOptions& options = {}) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  return RunOocWalks(store, cfg, stepper, pool, options);
-}
-
-template <typename Store>
-  requires BlockScheduledStore<Store> && AdjacencyStore<Store>
-OocWalkResult RunOocNode2vec(const Store& store, const WalkConfig& cfg,
-                             const Node2vecParams& params = {},
-                             util::ThreadPool* pool = nullptr,
-                             const OocWalkOptions& options = {}) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  return RunOocWalks(store, cfg, stepper, pool, options);
-}
-
-template <typename Store>
-  requires BlockScheduledStore<Store>
-OocWalkResult RunOocPpr(const Store& store, WalkConfig cfg,
-                        double stop_probability = 1.0 / 80.0,
-                        util::ThreadPool* pool = nullptr,
-                        const OocWalkOptions& options = {}) {
-  cfg.count_visits = true;
-  cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  return RunOocWalks(store, cfg, stepper, pool, options);
-}
-
-template <typename Store>
-  requires BlockScheduledStore<Store> && AdjacencyStore<Store>
-OocWalkResult RunOocMetapath(const Store& store, const WalkConfig& cfg,
-                             const MetapathParams& params = {},
-                             util::ThreadPool* pool = nullptr,
-                             const OocWalkOptions& options = {}) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  return RunOocWalks(store, cfg, stepper, pool, options);
+  return RunOocApp(store, cfg, DeepWalkApp{}, pool, options);
 }
 
 }  // namespace bingo::walk

@@ -281,18 +281,6 @@ void TieredStore::SetParked(uint32_t b, uint64_t walkers) const {
   }
 }
 
-void TieredStore::PrepareShard(int s) const {
-  // Superstep adapter: map the shard's block before its (sequential) pass.
-  // No pin — passes never overlap, and in-pass reads of other blocks go
-  // through Resident()/pread, never a map.
-  if (s >= 0 && static_cast<uint32_t>(s) < csr_.NumBlocks()) {
-    std::string err;
-    if (!cache_->Load(static_cast<uint32_t>(s), &err)) {
-      io_failed_.store(true, std::memory_order_relaxed);
-    }
-  }
-}
-
 core::StoreMemoryStats TieredStore::MemoryStats() const {
   core::StoreMemoryStats stats = overlay_->MemoryStats();
   stats.graph_bytes += csr_.IndexBytes() + cache_->Stats().resident_bytes;

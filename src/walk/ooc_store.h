@@ -123,19 +123,13 @@ class TieredStore {
 
   // At most one out-of-core driver may run on a budgeted store at a time
   // (eviction between its passes would yank blocks from under a concurrent
-  // pass). Engine/fused/superstep walks are always safe concurrently.
+  // pass). Engine and fused walks are always safe concurrently.
   bool TryBeginExclusiveWalk() const {
     return !exclusive_walk_.exchange(true, std::memory_order_acquire);
   }
   void EndExclusiveWalk() const {
     exclusive_walk_.store(false, std::memory_order_release);
   }
-
-  // ---- superstep adapter (walk/partitioned.h walk-aware scheduling) ----
-
-  int NumShards() const { return static_cast<int>(NumBlocks()); }
-  int ShardOf(graph::VertexId v) const { return static_cast<int>(BlockOf(v)); }
-  void PrepareShard(int s) const;
 
   // ---- introspection ----
 

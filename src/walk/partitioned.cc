@@ -1,5 +1,6 @@
 #include "src/walk/partitioned.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "src/walk/store.h"

@@ -10,10 +10,7 @@
 #ifndef BINGO_SRC_WALK_PARTITIONED_H_
 #define BINGO_SRC_WALK_PARTITIONED_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,17 +94,6 @@ concept ShardRoutedStore =
       { cs.ShardOf(v) } -> std::convertible_to<int>;
     };
 
-// Stores whose shards need residency work before a pass — the out-of-core
-// tiered store (walk/ooc_store.h) maps a shard's CSR block. The superstep
-// driver then goes walk-aware: shards run one at a time, most-loaded queue
-// first, each prepared just before its pass, so a budgeted block cache
-// serves the whole walk with a single resident block.
-template <typename S>
-concept ShardPreparableStore =
-    ShardRoutedStore<S> && requires(const S& cs, int s) {
-      { cs.PrepareShard(s) };
-    };
-
 // The engine's full WalkResult accounting (steps, finishers, paths, visit
 // counts — parity by construction), plus the walker-transfer communication
 // counters.
@@ -116,172 +102,79 @@ struct PartitionedWalkResult : WalkResult {
   uint64_t supersteps = 0;
 };
 
-// Store- and stepper-generic walker-transfer driver: every superstep
-// advances each live walker one hop on its owning shard, then routes it to
-// the shard of its new vertex. Walkers carry (cur, prev, len) — second-order
+// Walker-transfer driver: every superstep advances each live walker one hop
+// on its owning shard (shards in parallel), then routes it to the shard of
+// its new vertex. Walkers are the core's Walker records; second-order
 // steppers work across shard hops because adjacency probes route to the
-// source's owning shard — and one persistent RNG stream each
-// (ForStream(seed, id), state carried in the walker record), so distinct
-// walkers can never collide onto one variate sequence and results are
-// identical for any shard count, any thread count, and bit-identical to the
-// shared-memory engine driving the same stepper over a store with the same
-// sampler semantics.
-template <ShardRoutedStore Store, typename Stepper>
-PartitionedWalkResult RunPartitionedWalks(const Store& store,
-                                          const WalkConfig& cfg,
-                                          const Stepper& stepper,
-                                          util::ThreadPool* pool = nullptr) {
-  struct Walker {
-    uint64_t id;
-    graph::VertexId cur;
-    graph::VertexId prev;
-    uint32_t len;
-    util::Rng rng;
-  };
-  static_assert(std::is_trivially_copyable_v<Walker>);
+// source's owning shard. Output is bit-identical to the engine (see the
+// determinism statement in engine.h) for any shard and thread count. The
+// superstep driver's descriptor entry point (apps.h).
+template <ShardRoutedStore Store, typename App>
+PartitionedWalkResult RunPartitionedApp(const Store& store,
+                                        const WalkConfig& requested,
+                                        const App& app,
+                                        util::ThreadPool* pool = nullptr) {
+  const WalkConfig cfg = app.Normalize(requested);
+  const auto stepper = app.StepperFor(store);
   const graph::VertexId num_vertices =
       static_cast<graph::VertexId>(store.NumVertices());
-  const uint64_t num_walkers =
-      cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
-  const int num_shards = store.NumShards();
-
   PartitionedWalkResult result;
-  if (cfg.record_paths) {
-    result.path_offsets.assign(num_walkers + 1, 0);
+  const uint64_t num_walkers = BeginWalks(cfg, num_vertices, result);
+  if (num_walkers == 0) {
+    return result;
   }
-  if (num_vertices == 0 || num_walkers == 0 ||
-      (cfg.start_vertex != graph::kInvalidVertex &&
-       cfg.start_vertex >= num_vertices)) {
-    return result;  // same guard as the engine: no valid start, no walks
-  }
-  if (cfg.count_visits) {
-    result.visit_counts.assign(num_vertices, 0);
-  }
+  const int num_shards = store.NumShards();
+  WalkTally tally(cfg, num_vertices);
 
   // Every transient buffer of the superstep machinery — per-shard walker
-  // queues, the outbox matrix, per-walker path buffers, per-shard visit
+  // queues and outboxes, per-walker path buffers, per-shard visit
   // accumulators — leases recycled blocks from the executor's scratch pool,
   // so repeated runs (the serving path) allocate nothing in steady state.
   util::MemoryPool* scratch =
       pool != nullptr ? &pool->ScratchMemory() : nullptr;
-
-  // Per-walker path buffers, indexed by walker id. A walker lives on exactly
-  // one shard queue per superstep, so its buffer has a single writer.
-  std::vector<util::ScratchVector<graph::VertexId>> walker_paths;
-  if (cfg.record_paths) {
-    walker_paths.reserve(num_walkers);
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      walker_paths.emplace_back(scratch);
-    }
-  }
-  // Per-shard visit accumulators merged after the run (additions commute).
   std::vector<util::ScratchVector<uint32_t>> shard_visits;
-  if (cfg.count_visits) {
-    shard_visits.reserve(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      shard_visits.emplace_back(scratch);
+  std::vector<util::ScratchVector<Walker>> queues;
+  std::vector<util::ScratchVector<Walker>> outboxes;
+  for (int s = 0; s < num_shards; ++s) {
+    queues.emplace_back(scratch);
+    outboxes.emplace_back(scratch);
+    shard_visits.emplace_back(scratch);
+    if (cfg.count_visits) {
       shard_visits.back().assign(num_vertices, 0);
     }
   }
+  // A walker lives on exactly one shard queue per superstep, so its path
+  // buffer has a single writer.
+  auto walker_paths = StartQueuedWalkers(
+      cfg, num_walkers, num_vertices, scratch, tally,
+      [&](const Walker& w) { queues[store.ShardOf(w.cur)].push_back(w); });
 
-  std::vector<util::ScratchVector<Walker>> queues;
-  queues.reserve(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    queues.emplace_back(scratch);
-  }
-  for (uint64_t w = 0; w < num_walkers; ++w) {
-    const graph::VertexId start =
-        cfg.start_vertex != graph::kInvalidVertex
-            ? cfg.start_vertex
-            : static_cast<graph::VertexId>(w % num_vertices);
-    if (cfg.record_paths) {
-      walker_paths[w].push_back(start);
-    }
-    if (cfg.count_visits) {
-      ++shard_visits[store.ShardOf(start)][start];
-    }
-    if (cfg.walk_length > 0) {
-      queues[store.ShardOf(start)].push_back(
-          Walker{w, start, graph::kInvalidVertex, 0,
-                 util::Rng::ForStream(cfg.seed, w)});
-    }
-  }
-
-  std::vector<std::vector<util::ScratchVector<Walker>>> outboxes(num_shards);
-  for (auto& row : outboxes) {
-    row.reserve(num_shards);
-    for (int to = 0; to < num_shards; ++to) {
-      row.emplace_back(scratch);
-    }
-  }
-  std::atomic<uint64_t> total_steps{0};
-  std::atomic<uint64_t> finished_walkers{0};
-
-  bool any_live = false;
-  for (const auto& q : queues) {
-    any_live = any_live || !q.empty();
-  }
-  std::vector<int> shard_order;  // walk-aware dispatch order (see below)
+  bool any_live = cfg.walk_length > 0;
   while (any_live) {
     ++result.supersteps;
     const auto run_shard = [&](std::size_t s) {
-      uint64_t local_steps = 0;
-      uint64_t local_finished = 0;
+      uint64_t steps = 0;
+      uint64_t finished = 0;
       for (Walker walker : queues[s]) {
-        // walker.len counts hops already taken == the step index the engine
-        // would pass, so step-aware steppers stay bit-identical here.
-        const graph::VertexId next = StepperNext(
-            stepper, walker.cur, walker.prev, walker.len, walker.rng);
-        if (next == graph::kInvalidVertex) {
-          local_finished += walker.len > 0 ? 1 : 0;
-          continue;  // dead end (or rejection-exhausted): walker retires
+        const auto record = [&](graph::VertexId v) {
+          ++steps;
+          if (cfg.record_paths) {
+            walker_paths[walker.id].push_back(v);
+          }
+          if (cfg.count_visits) {
+            ++shard_visits[s][v];
+          }
+        };
+        if (Hop(stepper, cfg.walk_length, walker, walker.rng, record)) {
+          outboxes[s].push_back(walker);
+        } else {
+          finished += walker.len > 0 ? 1 : 0;
         }
-        ++local_steps;
-        walker.prev = walker.cur;
-        walker.cur = next;
-        ++walker.len;
-        if (cfg.record_paths) {
-          walker_paths[walker.id].push_back(next);
-        }
-        if (cfg.count_visits) {
-          ++shard_visits[s][next];
-        }
-        // Same variate order as the engine: one Terminate draw after every
-        // successful step, including the final one.
-        const bool terminate = stepper.Terminate(walker.rng);
-        if (terminate || walker.len >= cfg.walk_length) {
-          ++local_finished;
-          continue;
-        }
-        outboxes[s][store.ShardOf(next)].push_back(walker);
       }
       queues[s].clear();
-      total_steps.fetch_add(local_steps, std::memory_order_relaxed);
-      finished_walkers.fetch_add(local_finished, std::memory_order_relaxed);
+      tally.Add(steps, finished, {});
     };
-    if constexpr (ShardPreparableStore<Store>) {
-      // Walk-aware order: non-empty shards, most parked walkers first
-      // (ties: lowest id), residency prepared just before each pass.
-      // Sequential by design — a budgeted cache then never needs more than
-      // one resident block. Bit-identity is unaffected: walkers carry their
-      // own RNG streams and the merge phases commute.
-      shard_order.clear();
-      for (int s = 0; s < num_shards; ++s) {
-        if (!queues[s].empty()) {
-          shard_order.push_back(s);
-        }
-      }
-      std::sort(shard_order.begin(), shard_order.end(), [&](int a, int b) {
-        if (queues[a].size() != queues[b].size()) {
-          return queues[a].size() > queues[b].size();
-        }
-        return a < b;
-      });
-      for (const int s : shard_order) {
-        store.PrepareShard(s);
-        run_shard(static_cast<std::size_t>(s));
-      }
-    } else if (pool != nullptr) {
+    if (pool != nullptr) {
       pool->ParallelFor(0, static_cast<std::size_t>(num_shards), run_shard);
     } else {
       for (int s = 0; s < num_shards; ++s) {
@@ -289,96 +182,27 @@ PartitionedWalkResult RunPartitionedWalks(const Store& store,
       }
     }
 
-    // Exchange phase: deliver outboxes (the walker transfer).
+    // Exchange phase: route every survivor to the shard of its new vertex
+    // (the walker transfer).
     any_live = false;
     for (int from = 0; from < num_shards; ++from) {
-      for (int to = 0; to < num_shards; ++to) {
-        auto& box = outboxes[from][to];
-        if (box.empty()) {
-          continue;
-        }
-        if (from != to) {
-          result.walker_migrations += box.size();
-        }
-        queues[to].append(box.begin(), box.end());
-        box.clear();
+      for (const Walker& walker : outboxes[from]) {
+        const int to = store.ShardOf(walker.cur);
+        result.walker_migrations += to != from ? 1 : 0;
+        queues[to].push_back(walker);
         any_live = true;
       }
+      outboxes[from].clear();
     }
   }
-  result.total_steps = total_steps.load(std::memory_order_relaxed);
-  result.finished_walkers = finished_walkers.load(std::memory_order_relaxed);
-
-  if (cfg.count_visits) {
-    for (const auto& visits : shard_visits) {
-      for (graph::VertexId v = 0; v < num_vertices; ++v) {
-        result.visit_counts[v] += visits[v];
-      }
-    }
+  for (const auto& visits : shard_visits) {
+    tally.Add(0, 0, visits);
   }
+  tally.Finish(result);
   if (cfg.record_paths) {
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      result.path_offsets[w + 1] =
-          result.path_offsets[w] + walker_paths[w].size();
-    }
-    result.paths.reserve(result.path_offsets.back());
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      result.paths.insert(result.paths.end(), walker_paths[w].begin(),
-                          walker_paths[w].end());
-    }
+    StitchWalkerPaths(walker_paths, result);
   }
   return result;
-}
-
-// Application entry points on the walker-transfer path, mirroring
-// RunDeepWalk / RunNode2vec / RunPpr / RunSimpleSampling in apps.h: the
-// same steppers drive both execution models.
-template <ShardRoutedStore Store>
-PartitionedWalkResult RunPartitionedDeepWalk(const Store& store,
-                                             const WalkConfig& cfg,
-                                             util::ThreadPool* pool = nullptr) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  return RunPartitionedWalks(store, cfg, stepper, pool);
-}
-
-template <ShardRoutedStore Store>
-  requires AdjacencyStore<Store>
-PartitionedWalkResult RunPartitionedNode2vec(const Store& store,
-                                             const WalkConfig& cfg,
-                                             const Node2vecParams& params = {},
-                                             util::ThreadPool* pool = nullptr) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  return RunPartitionedWalks(store, cfg, stepper, pool);
-}
-
-template <ShardRoutedStore Store>
-PartitionedWalkResult RunPartitionedPpr(const Store& store, WalkConfig cfg,
-                                        double stop_probability = 1.0 / 80.0,
-                                        util::ThreadPool* pool = nullptr) {
-  cfg.count_visits = true;
-  cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  return RunPartitionedWalks(store, cfg, stepper, pool);
-}
-
-template <ShardRoutedStore Store>
-  requires AdjacencyStore<Store>
-PartitionedWalkResult RunPartitionedSimpleSampling(
-    const Store& store, const WalkConfig& cfg,
-    util::ThreadPool* pool = nullptr) {
-  internal::UniformStepper<Store> stepper{store};
-  return RunPartitionedWalks(store, cfg, stepper, pool);
-}
-
-template <ShardRoutedStore Store>
-  requires AdjacencyStore<Store>
-PartitionedWalkResult RunPartitionedMetapath(const Store& store,
-                                             const WalkConfig& cfg,
-                                             const MetapathParams& params = {},
-                                             util::ThreadPool* pool = nullptr) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  return RunPartitionedWalks(store, cfg, stepper, pool);
 }
 
 }  // namespace bingo::walk

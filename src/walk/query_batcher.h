@@ -294,19 +294,16 @@ class QueryBatcherT {
       const WalkQuery& head = group.front().query;
       switch (head.app) {
         case WalkApp::kDeepWalk:
-          RunDeepWalkFused(view, std::span<const WalkConfig>(cfgs),
-                           std::span<WalkResult>(results), walk_pool_);
+          RunFusedApp(view, cfgs, DeepWalkApp{}, results, walk_pool_);
           break;
         case WalkApp::kPpr:
-          RunPprFused(view, std::span<const WalkConfig>(cfgs),
-                      std::span<WalkResult>(results), head.stop_probability,
+          RunFusedApp(view, cfgs, PprApp{head.stop_probability}, results,
                       walk_pool_);
           break;
         case WalkApp::kNode2vec:
           if constexpr (AdjacencyStore<View>) {
-            RunNode2vecFused(view, std::span<const WalkConfig>(cfgs),
-                             std::span<WalkResult>(results), head.node2vec,
-                             walk_pool_);
+            RunFusedApp(view, cfgs, Node2vecApp{head.node2vec},
+                        results, walk_pool_);
           } else {
             throw std::logic_error(
                 "node2vec queries need an adjacency-capable store");

@@ -1,5 +1,5 @@
 // Determinism guarantees across all walk applications, thread counts,
-// pinning modes, and both execution models: per-walker RNG streams make
+// pinning modes, and every walk driver: per-walker RNG streams make
 // every result reproducible byte-for-byte, and the executor's chunk plan
 // keeps results independent of steal order and CPU placement.
 
@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/core/bingo_store.h"
@@ -96,11 +97,24 @@ TEST(DeterminismTest, SeedChangesResults) {
   EXPECT_NE(ra.paths, rb.paths);
 }
 
-// The PR acceptance matrix: threads {1, 4, 16} x pinning {off, on} x apps
-// {DeepWalk, node2vec, PPR} x drivers {shared-memory engine, superstep
-// walker-transfer} — every cell bit-identical to the serial reference.
-// Walk output depends only on the seed: never on thread count, steal
-// order, CPU placement, or execution model.
+// Every app as a descriptor, with the name the matrix cells report.
+struct NamedApp {
+  const char* name;
+  AnyWalkApp app;
+};
+std::vector<NamedApp> AllApps() {
+  return {{"deepwalk", DeepWalkApp{}},
+          {"node2vec", Node2vecApp{}},
+          {"ppr", PprApp{1.0 / 20.0}},
+          {"simple", SimpleSamplingApp{}},
+          {"metapath", MetapathApp{MetapathParams{3, {0, 1, 2, 1}}}}};
+}
+
+// The acceptance matrix: threads {1, 4, 16} x pinning {off, on} x every
+// app x drivers {shared-memory engine, superstep walker-transfer, fused} —
+// every cell bit-identical to the serial engine reference. Walk output
+// depends only on the seed: never on thread count, steal order, CPU
+// placement, or execution model.
 TEST(DeterminismTest, MatrixAcrossThreadsPinningAndDrivers) {
   util::Rng rng(7);
   auto pairs = graph::GenerateRmat(8, 2400, rng);
@@ -124,53 +138,48 @@ TEST(DeterminismTest, MatrixAcrossThreadsPinningAndDrivers) {
   // not the single-chunk serial early-return.
   cfg.num_walkers = 2048;
 
-  const char* apps[] = {"deepwalk", "node2vec", "ppr"};
-  for (const char* app : apps) {
-    const auto run_engine = [&](util::ThreadPool* pool) -> WalkResult {
-      if (app == std::string("node2vec")) {
-        return RunNode2vec(store, cfg, {}, pool);
-      }
-      if (app == std::string("ppr")) {
-        return RunPpr(store, cfg, 1.0 / 20.0, pool);
-      }
-      return RunDeepWalk(store, cfg, pool);
-    };
-    const auto run_superstep = [&](util::ThreadPool* pool) -> WalkResult {
-      if (app == std::string("node2vec")) {
-        return RunPartitionedNode2vec(sharded, cfg, {}, pool);
-      }
-      if (app == std::string("ppr")) {
-        return RunPartitionedPpr(sharded, cfg, 1.0 / 20.0, pool);
-      }
-      return RunPartitionedDeepWalk(sharded, cfg, pool);
-    };
+  for (const NamedApp& named : AllApps()) {
+    std::visit(
+        [&](const auto& app) {
+          const auto run_fused = [&](util::ThreadPool* pool) {
+            WalkResult fused;
+            RunFusedApp(store, std::span<const WalkConfig>(&cfg, 1), app,
+                        std::span<WalkResult>(&fused, 1), pool);
+            return fused;
+          };
+          const WalkResult reference = RunApp(store, cfg, app, nullptr);
+          EXPECT_GT(reference.total_steps, 0u) << named.name;
+          ExpectIdentical(reference,
+                          RunPartitionedApp(sharded, cfg, app, nullptr));
+          ExpectIdentical(reference, run_fused(nullptr));
 
-    const WalkResult reference = run_engine(nullptr);
-    EXPECT_GT(reference.total_steps, 0u) << app;
-    ExpectIdentical(reference, run_superstep(nullptr));
-
-    for (const std::size_t threads : {1uL, 4uL, 16uL}) {
-      for (const bool pin : {false, true}) {
-        util::PoolOptions options;
-        options.num_threads = threads;
-        options.pin_threads = pin;
-        options.numa_interleave = pin;
-        util::ThreadPool pool(options);
-        SCOPED_TRACE(std::string(app) + " threads=" +
-                     std::to_string(threads) + " pin=" + (pin ? "on" : "off"));
-        ExpectIdentical(reference, run_engine(&pool));
-        ExpectIdentical(reference, run_superstep(&pool));
-      }
-    }
+          for (const std::size_t threads : {1uL, 4uL, 16uL}) {
+            for (const bool pin : {false, true}) {
+              util::PoolOptions options;
+              options.num_threads = threads;
+              options.pin_threads = pin;
+              options.numa_interleave = pin;
+              util::ThreadPool pool(options);
+              SCOPED_TRACE(std::string(named.name) + " threads=" +
+                           std::to_string(threads) +
+                           " pin=" + (pin ? "on" : "off"));
+              ExpectIdentical(reference, RunApp(store, cfg, app, &pool));
+              ExpectIdentical(reference,
+                              RunPartitionedApp(sharded, cfg, app, &pool));
+              ExpectIdentical(reference, run_fused(&pool));
+            }
+          }
+        },
+        named.app);
   }
 }
 
 // The out-of-core row of the acceptance matrix: the block-scheduled driver
 // over the tiered store at budgets {unconstrained, 1/2, 1/4 of the edge
-// bytes} x threads {1, 4, 16} pinned and unpinned x apps {DeepWalk,
-// node2vec, PPR} — every cell bit-identical to the serial unconstrained
-// engine walk of the same store. Scheduling order (which block runs when)
-// is budget- and load-dependent; walker variate streams are not.
+// bytes} x threads {1, 4, 16} pinned and unpinned x every app — every cell
+// bit-identical to the serial unconstrained engine walk of the same store.
+// Scheduling order (which block runs when) is budget- and load-dependent;
+// walker variate streams are not.
 TEST(DeterminismTest, OocMatrixAcrossBudgetsThreadsAndPinning) {
   util::Rng rng(11);
   auto pairs = graph::GenerateRmat(8, 2400, rng);
@@ -200,46 +209,35 @@ TEST(DeterminismTest, OocMatrixAcrossBudgetsThreadsAndPinning) {
     EXPECT_NE(store, nullptr) << error;
     return store;
   };
-  const auto run = [&](const char* app, const TieredStore& store,
-                       util::ThreadPool* pool) -> WalkResult {
-    if (app == std::string("node2vec")) {
-      return RunOocNode2vec(store, cfg, {}, pool);
-    }
-    if (app == std::string("ppr")) {
-      return RunOocPpr(store, cfg, 1.0 / 20.0, pool);
-    }
-    return RunOocDeepWalk(store, cfg, pool);
-  };
 
   const auto reference_store = open(0);
-  for (const char* app : {"deepwalk", "node2vec", "ppr"}) {
-    WalkResult reference;
-    if (app == std::string("node2vec")) {
-      reference = RunNode2vec(*reference_store, cfg, {});
-    } else if (app == std::string("ppr")) {
-      reference = RunPpr(*reference_store, cfg, 1.0 / 20.0);
-    } else {
-      reference = RunDeepWalk(*reference_store, cfg);
-    }
-    EXPECT_GT(reference.total_steps, 0u) << app;
+  for (const NamedApp& named : AllApps()) {
+    std::visit(
+        [&](const auto& app) {
+          const WalkResult reference = RunApp(*reference_store, cfg, app);
+          EXPECT_GT(reference.total_steps, 0u) << named.name;
 
-    for (const std::size_t budget :
-         {std::size_t{0}, edge_bytes / 2, edge_bytes / 4}) {
-      const auto store = open(budget);
-      for (const std::size_t threads : {1uL, 4uL, 16uL}) {
-        for (const bool pin : {false, true}) {
-          util::PoolOptions options;
-          options.num_threads = threads;
-          options.pin_threads = pin;
-          util::ThreadPool pool(options);
-          SCOPED_TRACE(std::string(app) + " budget=" +
-                       std::to_string(budget) + " threads=" +
-                       std::to_string(threads) + " pin=" +
-                       (pin ? "on" : "off"));
-          ExpectIdentical(reference, run(app, *store, &pool));
-        }
-      }
-    }
+          for (const std::size_t budget :
+               {std::size_t{0}, edge_bytes / 2, edge_bytes / 4}) {
+            const auto store = open(budget);
+            for (const std::size_t threads : {1uL, 4uL, 16uL}) {
+              for (const bool pin : {false, true}) {
+                util::PoolOptions options;
+                options.num_threads = threads;
+                options.pin_threads = pin;
+                util::ThreadPool pool(options);
+                SCOPED_TRACE(std::string(named.name) + " budget=" +
+                             std::to_string(budget) + " threads=" +
+                             std::to_string(threads) + " pin=" +
+                             (pin ? "on" : "off"));
+                const OocWalkResult ooc = RunOocApp(*store, cfg, app, &pool);
+                EXPECT_TRUE(ooc.error.empty()) << ooc.error;
+                ExpectIdentical(reference, ooc);
+              }
+            }
+          }
+        },
+        named.app);
   }
   std::remove(path.c_str());
 }
@@ -278,7 +276,8 @@ TEST(DeterminismTest, TemporalMatrixAcrossThreadsAndDrivers) {
     SCOPED_TRACE(phase);
     const WalkResult reference = RunDeepWalk(store, cfg, nullptr);
     EXPECT_GT(reference.total_steps, 0u);
-    ExpectIdentical(reference, RunPartitionedDeepWalk(sharded, cfg, nullptr));
+    ExpectIdentical(reference,
+                    RunPartitionedApp(sharded, cfg, DeepWalkApp{}, nullptr));
     WalkResult fused_serial;
     RunDeepWalkFused(store, std::span<const WalkConfig>(&cfg, 1),
                      std::span<WalkResult>(&fused_serial, 1), nullptr);
@@ -287,7 +286,8 @@ TEST(DeterminismTest, TemporalMatrixAcrossThreadsAndDrivers) {
       util::ThreadPool pool(threads);
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ExpectIdentical(reference, RunDeepWalk(store, cfg, &pool));
-      ExpectIdentical(reference, RunPartitionedDeepWalk(sharded, cfg, &pool));
+      ExpectIdentical(reference,
+                      RunPartitionedApp(sharded, cfg, DeepWalkApp{}, &pool));
       WalkResult fused;
       RunDeepWalkFused(store, std::span<const WalkConfig>(&cfg, 1),
                        std::span<WalkResult>(&fused, 1), &pool);
@@ -334,17 +334,18 @@ TEST(DeterminismTest, MetapathMatrixAcrossThreadsAndDrivers) {
     SCOPED_TRACE("pattern size=" + std::to_string(params.pattern.size()));
     const WalkResult reference = RunMetapath(store, cfg, params, nullptr);
     EXPECT_GT(reference.total_steps, 0u);
-    ExpectIdentical(reference,
-                    RunPartitionedMetapath(sharded, cfg, params, nullptr));
+    ExpectIdentical(reference, RunPartitionedApp(sharded, cfg,
+                                                 MetapathApp{params}, nullptr));
     for (const std::size_t threads : {1uL, 4uL, 16uL}) {
       util::ThreadPool pool(threads);
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ExpectIdentical(reference, RunMetapath(store, cfg, params, &pool));
-      ExpectIdentical(reference,
-                      RunPartitionedMetapath(sharded, cfg, params, &pool));
+      ExpectIdentical(reference, RunPartitionedApp(sharded, cfg,
+                                                   MetapathApp{params}, &pool));
       WalkResult fused;
-      RunMetapathFused(store, std::span<const WalkConfig>(&cfg, 1),
-                       std::span<WalkResult>(&fused, 1), params, &pool);
+      RunFusedApp(store, std::span<const WalkConfig>(&cfg, 1),
+                  MetapathApp{params}, std::span<WalkResult>(&fused, 1),
+                  &pool);
       ExpectIdentical(reference, fused);
     }
   }

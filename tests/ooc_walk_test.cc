@@ -2,8 +2,8 @@
 // scheduled driver, and the streamed service recovery.
 //
 // The load-bearing contract is bit-identity: a TieredStore walk of a given
-// history produces the SAME output through every driver (engine, block-
-// scheduled OOC, superstep, fused), at every memory budget (unconstrained
+// history produces the SAME output through every driver that runs on it
+// (engine, block-scheduled OOC, fused), at every memory budget (unconstrained
 // down to a single resident block), at every thread count, with or without
 // walker spill. Everything here compares full outputs — paths, offsets,
 // visit counts — not statistics.
@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "src/walk/ooc.h"
 #include "src/walk/ooc_service.h"
 #include "src/walk/ooc_store.h"
-#include "src/walk/partitioned.h"
 #include "src/walk/service.h"
 
 namespace bingo::walk {
@@ -138,10 +138,11 @@ TEST(OocWalkTest, MatchesEngineAcrossBudgetsThreadsAndApps) {
       const OocWalkResult dw = RunOocDeepWalk(*store, cfg, &pool);
       ASSERT_TRUE(dw.error.empty()) << what << ": " << dw.error;
       ExpectSameResult(dw, ref_deepwalk, "deepwalk " + what);
-      const OocWalkResult n2v = RunOocNode2vec(*store, cfg, {}, &pool);
+      const OocWalkResult n2v =
+          RunOocApp(*store, cfg, Node2vecApp{}, &pool);
       ASSERT_TRUE(n2v.error.empty()) << what << ": " << n2v.error;
       ExpectSameResult(n2v, ref_node2vec, "node2vec " + what);
-      const OocWalkResult ppr = RunOocPpr(*store, cfg, 1.0 / 80.0, &pool);
+      const OocWalkResult ppr = RunOocApp(*store, cfg, PprApp{}, &pool);
       ASSERT_TRUE(ppr.error.empty()) << what << ": " << ppr.error;
       ExpectSameResult(ppr, ref_ppr, "ppr " + what);
       if (budget > 0) {
@@ -243,7 +244,27 @@ TEST(OocWalkTest, SpilledParkingQueuesProduceIdenticalOutput) {
   std::remove(csr.c_str());
 }
 
-TEST(OocWalkTest, SuperstepAndFusedDriversMatchOnTieredStore) {
+TEST(OocWalkTest, SpillThresholdWithoutDirectoryIsAnError) {
+  const auto edges = RmatEdges(28);
+  const std::string csr = WriteCsr(edges, "ooc_spill_nodir.csr");
+  const auto store = OpenTiered(csr, EdgeBytes(edges) / 4);
+  OocWalkOptions options;
+  options.spill_threshold_walkers = 1;  // spilling asked for, nowhere to go
+  util::ThreadPool pool;
+  const OocWalkResult result =
+      RunOocDeepWalk(*store, SmallConfig(), &pool, options);
+  EXPECT_FALSE(result.error.empty());
+  // Rejected before any walker moved.
+  EXPECT_EQ(result.total_steps, 0u);
+  EXPECT_EQ(result.block_passes, 0u);
+  EXPECT_EQ(result.spilled_walkers, 0u);
+  // The store is left walkable: the exclusive-walk gate was never taken.
+  const OocWalkResult retry = RunOocDeepWalk(*store, SmallConfig(), &pool);
+  EXPECT_TRUE(retry.error.empty()) << retry.error;
+  std::remove(csr.c_str());
+}
+
+TEST(OocWalkTest, FusedDriverMatchesOnTieredStore) {
   const auto edges = RmatEdges(25);
   const std::string csr = WriteCsr(edges, "ooc_drivers.csr");
   const WalkConfig cfg = SmallConfig();
@@ -252,19 +273,10 @@ TEST(OocWalkTest, SuperstepAndFusedDriversMatchOnTieredStore) {
   const auto reference_store = OpenTiered(csr, 0);
   const WalkResult reference = RunDeepWalk(*reference_store, cfg);
 
-  // Superstep driver, budgeted: TieredStore models ShardPreparableStore, so
-  // the driver runs shards one at a time, most-loaded first, preparing each
-  // block just before its pass.
-  const auto budgeted = OpenTiered(csr, EdgeBytes(edges) / 4);
-  const PartitionedWalkResult superstep =
-      RunPartitionedDeepWalk(*budgeted, cfg, &pool);
-  ExpectSameResult(superstep, reference, "superstep on tiered");
-  EXPECT_GT(superstep.walker_migrations, 0u);
-
   // Fused driver, unconstrained: the batched front-end over the same store.
-  const WalkResult fused = RunFusedWalks(
-      *reference_store, cfg,
-      internal::FirstOrderStepper<TieredStore>{*reference_store}, &pool);
+  WalkResult fused;
+  RunFusedApp(*reference_store, std::span<const WalkConfig>(&cfg, 1),
+              DeepWalkApp{}, std::span<WalkResult>(&fused, 1), &pool);
   ExpectSameResult(fused, reference, "fused on tiered");
   std::remove(csr.c_str());
 }

@@ -112,7 +112,7 @@ TEST(PartitionedStoreTest, WalkerMigrationAccountingIsExact) {
   PartitionedBingoStore store(edges, kNumVertices, shards);
   WalkConfig cfg;
   cfg.walk_length = 15;
-  const auto result = RunPartitionedDeepWalk(store, cfg, nullptr);
+  const auto result = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
 
   uint64_t expected_steps = 0;
   uint64_t expected_finished = 0;
@@ -147,7 +147,7 @@ TEST(PartitionedStoreTest, SingleShardNeverMigrates) {
   PartitionedBingoStore store(edges, kNumVertices, 1);
   WalkConfig cfg;
   cfg.walk_length = 12;
-  const auto result = RunPartitionedDeepWalk(store, cfg, nullptr);
+  const auto result = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
   EXPECT_GT(result.total_steps, 0u);
   EXPECT_EQ(result.walker_migrations, 0u);
 }

@@ -1,4 +1,4 @@
-// The generalized walker-transfer superstep driver (RunPartitionedWalks):
+// The generalized walker-transfer superstep driver (RunPartitionedApp):
 // DeepWalk / node2vec / PPR steppers must produce results that are
 // deterministic across shard counts 1/2/8, bit-identical to the
 // shared-memory engine driving the same stepper (PartitionedBingoStore
@@ -66,8 +66,8 @@ TEST(PartitionedWalksTest, DeepWalkMatchesEngineAcrossShardCounts) {
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     PartitionedBingoStore store(edges, kNumVertices, shards);
-    const auto serial = RunPartitionedDeepWalk(store, cfg, nullptr);
-    const auto parallel = RunPartitionedDeepWalk(store, cfg, &pool);
+    const auto serial = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
+    const auto parallel = RunPartitionedApp(store, cfg, DeepWalkApp{}, &pool);
     ExpectSameAsEngine(engine, serial);
     ExpectSameAsEngine(engine, parallel);
     if (shards == 1) {
@@ -97,10 +97,10 @@ TEST(PartitionedWalksTest, Node2vecMatchesEngineAcrossShardCounts) {
     PartitionedBingoStore store(edges, kNumVertices, shards);
     // Second-order state survives shard hops: the walker record carries
     // prev, and HasEdge(prev, ·) routes to prev's owning shard.
-    ExpectSameAsEngine(engine,
-                       RunPartitionedNode2vec(store, cfg, params, nullptr));
-    ExpectSameAsEngine(engine,
-                       RunPartitionedNode2vec(store, cfg, params, &pool));
+    ExpectSameAsEngine(
+        engine, RunPartitionedApp(store, cfg, Node2vecApp{params}, nullptr));
+    ExpectSameAsEngine(
+        engine, RunPartitionedApp(store, cfg, Node2vecApp{params}, &pool));
   }
 }
 
@@ -116,7 +116,7 @@ TEST(PartitionedWalksTest, PprMatchesEngineAcrossShardCounts) {
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     PartitionedBingoStore store(edges, kNumVertices, shards);
-    const auto superstep = RunPartitionedPpr(store, cfg, stop, nullptr);
+    const auto superstep = RunPartitionedApp(store, cfg, PprApp{stop}, nullptr);
     // Terminate() draws consume the same per-walker stream positions as the
     // engine, so the geometric stopping times — and hence the visit counts —
     // are identical, not just identically distributed.
@@ -142,12 +142,11 @@ TEST(PartitionedWalksTest, StartVertexOverrideMatchesEngine) {
   cfg.walk_length = 64;
   cfg.count_visits = true;
   cfg.start_vertex = hub;
-  internal::PprStepper<BingoStore> engine_stepper{reference, 1.0 / 16.0};
-  const WalkResult engine = RunWalks(reference, cfg, engine_stepper, nullptr);
+  const WalkResult engine = RunApp(reference, cfg, PprApp{1.0 / 16.0});
 
   PartitionedBingoStore store(edges, kNumVertices, 4);
-  internal::PprStepper<PartitionedBingoStore> stepper{store, 1.0 / 16.0};
-  const auto superstep = RunPartitionedWalks(store, cfg, stepper, nullptr);
+  const auto superstep =
+      RunPartitionedApp(store, cfg, PprApp{1.0 / 16.0}, nullptr);
   EXPECT_EQ(superstep.total_steps, engine.total_steps);
   EXPECT_EQ(superstep.visit_counts, engine.visit_counts);
   EXPECT_GT(superstep.visit_counts[hub], 0u);
@@ -195,7 +194,7 @@ TEST(PartitionedWalksTest, SuperstepTransitionsMatchBiases) {
   cfg.walk_length = 40;
   cfg.num_walkers = 4096;
   cfg.record_paths = true;
-  const auto result = RunPartitionedDeepWalk(store, cfg, nullptr);
+  const auto result = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
 
   VertexId hub = 0;
   std::size_t hub_degree = 0;
@@ -243,7 +242,7 @@ TEST(PartitionedWalksTest, ZeroLengthWalksRecordStartsOnly) {
   cfg.record_paths = true;
   cfg.count_visits = true;
   const WalkResult engine = RunDeepWalk(reference, cfg, nullptr);
-  const auto superstep = RunPartitionedDeepWalk(store, cfg, nullptr);
+  const auto superstep = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
   ExpectSameAsEngine(engine, superstep);
   EXPECT_EQ(superstep.total_steps, 0u);
   EXPECT_EQ(superstep.supersteps, 0u);
@@ -258,7 +257,7 @@ TEST(PartitionedWalksTest, AccountingInvariantsHold) {
     PartitionedBingoStore store(edges, kNumVertices, shards);
     WalkConfig cfg;
     cfg.walk_length = 25;
-    const auto result = RunPartitionedDeepWalk(store, cfg, nullptr);
+    const auto result = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
     EXPECT_GT(result.total_steps, 0u);
     EXPECT_LE(result.finished_walkers, uint64_t{kNumVertices});
     EXPECT_LE(result.walker_migrations, result.total_steps);

@@ -153,8 +153,8 @@ TEST(FusedWalksTest, Node2vecBitIdenticalToEngine) {
   cfg.seed = 31;
   const WalkResult engine = RunNode2vec(store, cfg, params);
   WalkResult fused;
-  RunNode2vecFused(store, std::span<const WalkConfig>(&cfg, 1),
-                   std::span<WalkResult>(&fused, 1), params, &pool);
+  RunFusedApp(store, std::span<const WalkConfig>(&cfg, 1),
+              Node2vecApp{params}, std::span<WalkResult>(&fused, 1), &pool);
   ExpectSameResult(fused, engine, "node2vec fused");
 }
 

@@ -124,7 +124,8 @@ void ExpectSuperstepMatchesEngine(const PartitionedBingoStore& part,
   cfg.record_paths = true;
 
   const WalkResult engine = RunDeepWalk(reference, cfg);
-  const PartitionedWalkResult super = RunPartitionedDeepWalk(part, cfg);
+  const PartitionedWalkResult super =
+      RunPartitionedApp(part, cfg, DeepWalkApp{});
   ASSERT_EQ(super.total_steps, engine.total_steps)
       << "seed=" << seed << " round=" << round;
   ASSERT_EQ(super.finished_walkers, engine.finished_walkers);
@@ -141,14 +142,15 @@ void ExpectSuperstepMatchesEngine(const PartitionedBingoStore& part,
   if (round % 3 == 0) {
     cfg.num_walkers = 32;
     const WalkResult engine_n2v = RunNode2vec(reference, cfg, {});
-    const PartitionedWalkResult super_n2v = RunPartitionedNode2vec(part, cfg, {});
+    const PartitionedWalkResult super_n2v =
+        RunPartitionedApp(part, cfg, Node2vecApp{});
     ASSERT_EQ(super_n2v.paths, engine_n2v.paths)
         << "superstep node2vec seed=" << seed << " round=" << round;
 
     cfg.record_paths = false;
     const WalkResult engine_ppr = RunPpr(reference, cfg, 1.0 / 20.0);
     const PartitionedWalkResult super_ppr =
-        RunPartitionedPpr(part, cfg, 1.0 / 20.0);
+        RunPartitionedApp(part, cfg, PprApp{1.0 / 20.0});
     ASSERT_EQ(super_ppr.visit_counts, engine_ppr.visit_counts)
         << "superstep ppr seed=" << seed << " round=" << round;
     ASSERT_EQ(super_ppr.finished_walkers, engine_ppr.finished_walkers);

@@ -114,7 +114,7 @@ TEST(EngineTest, TransientScratchDemandConvergesToReuse) {
   int consecutive_clean = 0;
   for (int attempt = 0; attempt < 32 && consecutive_clean < 2; ++attempt) {
     RunDeepWalk(store, cfg, &pool);
-    RunPartitionedDeepWalk(sharded, cfg, &pool);
+    RunPartitionedApp(sharded, cfg, DeepWalkApp{}, &pool);
     const uint64_t fresh_after =
         pool.ScratchMemory().Stats().FreshAllocations();
     consecutive_clean = fresh_after == fresh_before ? consecutive_clean + 1 : 0;
@@ -161,9 +161,9 @@ TEST(EngineTest, VisitCountsMatchStepsPlusStarts) {
   WalkConfig cfg;
   cfg.walk_length = 12;
   cfg.count_visits = true;
-  const auto result = RunWalks(
-      store.Graph().NumVertices(), cfg,
-      internal::FirstOrderStepper<BingoStore>{store}, nullptr);
+  const auto result =
+      RunWalks(store, cfg, internal::FirstOrderStepper<BingoStore>{store},
+               nullptr);
   const uint64_t total_visits =
       std::accumulate(result.visit_counts.begin(), result.visit_counts.end(),
                       uint64_t{0});
@@ -434,7 +434,8 @@ TEST(EngineTest, OutOfRangeStartVertexProducesEmptyResult) {
   EXPECT_TRUE(engine.visit_counts.empty());
 
   PartitionedBingoStore partitioned(edges, 256, 4);
-  const auto superstep = RunPartitionedDeepWalk(partitioned, cfg, nullptr);
+  const auto superstep =
+      RunPartitionedApp(partitioned, cfg, DeepWalkApp{}, nullptr);
   EXPECT_EQ(superstep.total_steps, 0u);
   EXPECT_TRUE(superstep.paths.empty());
 }
@@ -663,7 +664,7 @@ TEST(PartitionedTest, WalkerTransferWalksMatchExpectedVolume) {
   PartitionedBingoStore store(edges, 256, 4);
   WalkConfig cfg;
   cfg.walk_length = 20;
-  const auto result = RunPartitionedDeepWalk(store, cfg, nullptr);
+  const auto result = RunPartitionedApp(store, cfg, DeepWalkApp{}, nullptr);
   // The undirected R-MAT graph has few dead ends; most walkers should walk
   // most of their length, and cross-shard transfers must dominate with
   // round-robin partitioning.

@@ -126,6 +126,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/bingo.h"
@@ -277,7 +278,7 @@ void PrintUsage() {
       "  walk        --store ooc --csr FILE.csr\n"
       "              [--memory-budget N[K|M|G]] [--spill-dir DIR\n"
       "               --spill-threshold W] [--app deepwalk|node2vec|ppr|\n"
-      "              metapath] [walk flags as above]\n"
+      "              simple|metapath] [walk flags as above]\n"
       "              (out-of-core block-scheduled walk over the CSR tier:\n"
       "               resident blocks are capped at the byte budget, walkers\n"
       "               park per block and the block with most parked walkers\n"
@@ -605,34 +606,55 @@ void PrintExecutorBanner(const Args& args, const util::ThreadPool& pool) {
               args.pin && !pool.AffinityApplied() ? " (pinning failed)" : "");
 }
 
-// Runs the selected application on any AdjacencyStore backend.
-template <walk::AdjacencyStore Store>
-int RunWalkApp(const Args& args, const Store& store, util::ThreadPool* pool) {
+// The app descriptor the flags name, built once and handed to whichever
+// driver runs; nullopt (after printing why) for an unknown app or a
+// malformed --metapath. "temporal" is DeepWalk over the decaying pipeline
+// (PipelineConfig).
+std::optional<walk::AnyWalkApp> ParseApp(const Args& args) {
+  if (args.app == "deepwalk" || args.app == "temporal") {
+    return walk::DeepWalkApp{};
+  }
+  if (args.app == "node2vec") {
+    return walk::Node2vecApp{walk::Node2vecParams{args.p, args.q}};
+  }
+  if (args.app == "ppr") {
+    return walk::PprApp{1.0 / args.length};
+  }
+  if (args.app == "simple") {
+    return walk::SimpleSamplingApp{};
+  }
+  if (args.app == "metapath") {
+    walk::MetapathParams params;
+    if (!ParseMetapathPattern(args, params)) {
+      std::fprintf(stderr,
+                   "--metapath must be comma-separated types, each < --types "
+                   "(got \"%s\" with %u types)\n",
+                   args.metapath.c_str(), args.types);
+      return std::nullopt;
+    }
+    return walk::MetapathApp{params};
+  }
+  std::fprintf(stderr, "unknown app: %s\n", args.app.c_str());
+  return std::nullopt;
+}
+
+walk::WalkConfig WalkConfigFor(const Args& args) {
   walk::WalkConfig cfg;
   cfg.walk_length = args.length;
   cfg.num_walkers = args.walkers;
   cfg.seed = args.seed;
   cfg.record_paths = !args.paths_out.empty();
+  return cfg;
+}
 
+// Runs the app on the engine over any AdjacencyStore backend.
+template <walk::AdjacencyStore Store>
+int RunWalkApp(const Args& args, const walk::AnyWalkApp& app,
+               const Store& store, util::ThreadPool* pool) {
+  const walk::WalkConfig cfg = WalkConfigFor(args);
   util::Timer walk_timer;
-  walk::WalkResult result;
-  if (args.app == "node2vec") {
-    walk::Node2vecParams params;
-    params.p = args.p;
-    params.q = args.q;
-    result = walk::RunNode2vec(store, cfg, params, pool);
-  } else if (args.app == "ppr") {
-    result = walk::RunPpr(store, cfg, 1.0 / args.length, pool);
-  } else if (args.app == "simple") {
-    result = walk::RunSimpleSampling(store, cfg, pool);
-  } else if (args.app == "metapath") {
-    walk::MetapathParams params;
-    ParseMetapathPattern(args, params);  // validated in Walk()
-    result = walk::RunMetapath(store, cfg, params, pool);
-  } else {  // "deepwalk"/"temporal": first-order walks over the (possibly
-            // decayed) composed biases; Walk() validated the app name
-    result = walk::RunDeepWalk(store, cfg, pool);
-  }
+  const walk::WalkResult result = std::visit(
+      [&](const auto& a) { return walk::RunApp(store, cfg, a, pool); }, app);
   const double seconds = walk_timer.Seconds();
   std::printf("%s[%s]: %llu steps in %.2fs (%.2fM steps/s)\n",
               args.app.c_str(), args.store.c_str(),
@@ -649,32 +671,16 @@ int RunWalkApp(const Args& args, const Store& store, util::ThreadPool* pool) {
 // streams, but walkers hop between per-shard queues superstep by superstep.
 // Reports the communication volume (cross-shard migrations per step) the
 // multi-device design would pay.
-int RunSuperstepApp(const Args& args, const walk::PartitionedBingoStore& store,
+int RunSuperstepApp(const Args& args, const walk::AnyWalkApp& app,
+                    const walk::PartitionedBingoStore& store,
                     util::ThreadPool* pool) {
-  walk::WalkConfig cfg;
-  cfg.walk_length = args.length;
-  cfg.num_walkers = args.walkers;
-  cfg.seed = args.seed;
-  cfg.record_paths = !args.paths_out.empty();
-
+  const walk::WalkConfig cfg = WalkConfigFor(args);
   util::Timer walk_timer;
-  walk::PartitionedWalkResult result;
-  if (args.app == "node2vec") {
-    walk::Node2vecParams params;
-    params.p = args.p;
-    params.q = args.q;
-    result = walk::RunPartitionedNode2vec(store, cfg, params, pool);
-  } else if (args.app == "ppr") {
-    result = walk::RunPartitionedPpr(store, cfg, 1.0 / args.length, pool);
-  } else if (args.app == "simple") {
-    result = walk::RunPartitionedSimpleSampling(store, cfg, pool);
-  } else if (args.app == "metapath") {
-    walk::MetapathParams params;
-    ParseMetapathPattern(args, params);  // validated in Walk()
-    result = walk::RunPartitionedMetapath(store, cfg, params, pool);
-  } else {  // "deepwalk"/"temporal": Walk() validated the app name
-    result = walk::RunPartitionedDeepWalk(store, cfg, pool);
-  }
+  const walk::PartitionedWalkResult result = std::visit(
+      [&](const auto& a) {
+        return walk::RunPartitionedApp(store, cfg, a, pool);
+      },
+      app);
   const double seconds = walk_timer.Seconds();
   std::printf("%s[superstep x%d]: %llu steps in %.2fs (%.2fM steps/s)\n",
               args.app.c_str(), store.NumShards(),
@@ -697,14 +703,13 @@ int RunSuperstepApp(const Args& args, const walk::PartitionedBingoStore& store,
   return 0;
 }
 
-int WalkOoc(const Args& args);  // defined below, after Stats
+int WalkOoc(const Args& args,
+            const walk::AnyWalkApp& app);  // defined below, after Stats
 
 int Walk(const Args& args) {
   // Reject bad names before paying for the graph load or store build.
-  if (args.app != "deepwalk" && args.app != "node2vec" && args.app != "ppr" &&
-      args.app != "simple" && args.app != "metapath" &&
-      args.app != "temporal") {
-    std::fprintf(stderr, "unknown app: %s\n", args.app.c_str());
+  const std::optional<walk::AnyWalkApp> app = ParseApp(args);
+  if (!app) {
     return 2;
   }
   if (args.app == "temporal" && args.decay >= 1.0) {
@@ -713,18 +718,8 @@ int Walk(const Args& args) {
                  "temporal effect\n");
     return 2;
   }
-  if (args.app == "metapath") {
-    walk::MetapathParams params;
-    if (!ParseMetapathPattern(args, params)) {
-      std::fprintf(stderr,
-                   "--metapath must be comma-separated types, each < --types "
-                   "(got \"%s\" with %u types)\n",
-                   args.metapath.c_str(), args.types);
-      return 2;
-    }
-  }
   if (args.store == "ooc") {
-    return WalkOoc(args);  // its own driver + --csr input; validated there
+    return WalkOoc(args, *app);  // its own driver + --csr input
   }
   if (args.store != "bingo" && args.store != "alias" && args.store != "its" &&
       args.store != "reservoir" && args.store != "partitioned") {
@@ -775,7 +770,7 @@ int Walk(const Args& args) {
         label.c_str(), n, edges.size(), build_timer.Seconds(),
         store.MemoryBytes() / 1024.0 / 1024.0);
     advance_clock(store);
-    return RunWalkApp(args, store, pool);
+    return RunWalkApp(args, *app, store, pool);
   };
 
   if (args.store == "bingo") {
@@ -812,7 +807,7 @@ int Walk(const Args& args) {
           args.shards, n, edges.size(), build_timer.Seconds(),
           store.MemoryBytes() / 1024.0 / 1024.0);
       advance_clock(store);
-      return RunSuperstepApp(args, store, pool);
+      return RunSuperstepApp(args, *app, store, pool);
     }
     return build_and_run(
         "partitioned(" + std::to_string(args.shards) + " shards)",
@@ -904,13 +899,11 @@ int BuildCsr(const Args& args) {
 
 // Out-of-core walk: TieredStore over a CSR container, block-scheduled
 // driver, resident bytes capped at --memory-budget.
-int WalkOoc(const Args& args) {
-  if (args.app != "deepwalk" && args.app != "node2vec" && args.app != "ppr" &&
-      args.app != "metapath") {
+int WalkOoc(const Args& args, const walk::AnyWalkApp& app) {
+  if (args.app == "temporal") {
     std::fprintf(stderr,
-                 "--store ooc supports --app deepwalk|node2vec|ppr|metapath "
-                 "(got %s)\n",
-                 args.app.c_str());
+                 "--store ooc walks the CSR's stored biases; --app temporal "
+                 "needs a decaying pipeline\n");
     return 2;
   }
   if (args.csr_path.empty()) {
@@ -949,36 +942,18 @@ int WalkOoc(const Args& args) {
           : (std::to_string(args.memory_budget / 1024) + " KiB").c_str(),
       open_timer.Seconds());
 
-  walk::WalkConfig cfg;
-  cfg.walk_length = args.length;
-  cfg.num_walkers = args.walkers;
-  cfg.seed = args.seed;
-  cfg.record_paths = !args.paths_out.empty();
+  const walk::WalkConfig cfg = WalkConfigFor(args);
   walk::OocWalkOptions ooc_options;
   ooc_options.spill_threshold_walkers =
       static_cast<std::size_t>(args.spill_threshold);
   ooc_options.spill_dir = args.spill_dir;
 
   util::Timer walk_timer;
-  walk::OocWalkResult result;
-  if (args.app == "node2vec") {
-    walk::Node2vecParams params;
-    params.p = args.p;
-    params.q = args.q;
-    result = walk::RunOocNode2vec(*store, cfg, params, pool, ooc_options);
-  } else if (args.app == "ppr") {
-    result = walk::RunOocPpr(*store, cfg, 1.0 / args.length, pool, ooc_options);
-  } else if (args.app == "metapath") {
-    walk::MetapathParams params;
-    if (!ParseMetapathPattern(args, params)) {
-      std::fprintf(stderr, "invalid --metapath \"%s\" with %u types\n",
-                   args.metapath.c_str(), args.types);
-      return 2;
-    }
-    result = walk::RunOocMetapath(*store, cfg, params, pool, ooc_options);
-  } else {
-    result = walk::RunOocDeepWalk(*store, cfg, pool, ooc_options);
-  }
+  const walk::OocWalkResult result = std::visit(
+      [&](const auto& a) {
+        return walk::RunOocApp(*store, cfg, a, pool, ooc_options);
+      },
+      app);
   const double seconds = walk_timer.Seconds();
   if (!result.error.empty()) {
     std::fprintf(stderr, "ooc walk failed: %s\n", result.error.c_str());
