@@ -16,17 +16,17 @@
 // leans on exactly this to make crash recovery reproduce the live store bit
 // for bit.
 //
-// On-disk format (version 3): a checksummed header carrying the format
-// version, a fingerprint of the BingoConfig the store was built with (a
+// On-disk format: a graph::WriteEdgeFile edge file (graph/io.h) whose
+// checksummed header carries the format version, a fingerprint of the BingoConfig the store was built with (a
 // snapshot restored under a different config would imply different sampling
 // structures), the true vertex count (trailing isolated vertices survive
 // the round trip), the edge count, the WAL sequence number the snapshot
 // covers, and the logical decay epoch; then the packed 20-byte edge records
 // {src, dst, timestamp, bias} with their own CRC. Files are written
 // atomically (temp + fsync + rename), so a crash mid-save never destroys
-// the previous good snapshot. Version-2 files (no epoch, 16-byte records —
-// timestamps load as 0) and legacy version-1 raw edge dumps are still
-// readable.
+// the previous good snapshot. Version 3 is the only supported version:
+// files of older versions are rejected, as are records whose ids reach
+// the header's vertex count or whose bias is negative or not finite.
 
 #ifndef BINGO_SRC_CORE_SNAPSHOT_H_
 #define BINGO_SRC_CORE_SNAPSHOT_H_
@@ -43,14 +43,13 @@ namespace bingo::core {
 // Parsed snapshot header.
 struct SnapshotInfo {
   uint32_t version = 0;
-  uint64_t config_fingerprint = 0;  // 0 = unknown (legacy files)
+  uint64_t config_fingerprint = 0;
   graph::VertexId num_vertices = 0;
   uint64_t num_edges = 0;
   // Updates up to and including this WAL sequence number are folded into
   // the snapshot; recovery replays only records with seq > wal_seq.
   uint64_t wal_seq = 0;
-  // Logical decay epoch at save time (v3+; 0 for older files). Mutable
-  // temporal state: carried in the header, excluded from the fingerprint.
+  // Logical decay epoch at save time. Mutable temporal state: carried in the header, excluded from the fingerprint.
   uint64_t logical_epoch = 0;
 };
 
@@ -82,27 +81,26 @@ bool SaveSnapshot(const BingoStore& store, const std::string& path,
                   uint64_t wal_seq = 0);
 
 // Reads the edge section (and header) without building a store. Returns
-// false on missing/corrupt files. Legacy files yield version 1,
-// fingerprint 0, and the implied vertex count.
+// false on missing, corrupt or retired-version files.
 bool LoadSnapshotEdges(const std::string& path, graph::WeightedEdgeList& edges,
                        SnapshotInfo* info = nullptr);
 
-// Streams the edge section of a v2/v3 snapshot record by record — O(1)
+// Streams the edge section of a snapshot record by record — O(1)
 // memory instead of materializing the whole edge list — in the canonical
-// vertex-major order the file stores. `fn` returning false aborts the
+// vertex-major order the file stores. `*info` (if given) is filled from
+// the header before the first record. `fn` returning false aborts the
 // stream (and the call returns false). The payload CRC is verified after
 // the last record, so on a false return the caller must discard whatever
 // `fn` accumulated: the delivered records are tentative until the call
-// returns true. Legacy v1 files are not streamable; callers fall back to
-// LoadSnapshotEdges.
+// returns true.
 bool StreamSnapshotEdges(
     const std::string& path, SnapshotInfo* info,
     const std::function<bool(const graph::WeightedEdge&)>& fn);
 
 // Rebuilds a store from a snapshot. Returns nullptr on I/O failure, on a
 // corrupt file, or when the snapshot's config fingerprint does not match
-// `config`. `num_vertices` overrides the vertex count (0 = the header's
-// count; legacy files fall back to max id + 1).
+// `config`. `num_vertices` overrides the vertex count when larger than the
+// header's (0 = the header's count).
 std::unique_ptr<BingoStore> LoadSnapshot(const std::string& path,
                                          BingoConfig config = {},
                                          graph::VertexId num_vertices = 0,

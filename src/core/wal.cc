@@ -20,10 +20,6 @@ using util::AppendPod;
 using util::ReadPod;
 
 constexpr uint64_t kFileMagic = 0x42494e474f57414cULL;  // "BINGOWAL"
-// v1: per-update payload {kind u8, src u32, dst u32, bias f64}, kinds
-//     insert/delete only.
-// v2: adds a u32 timestamp per update (logical epoch) and the kAdvanceTime
-//     kind. Replay reads both; new files are created at v2.
 constexpr uint32_t kFileVersion = 2;
 constexpr uint32_t kRecordMagic = 0x4c415257u;  // "WRAL"
 
@@ -32,13 +28,8 @@ constexpr std::size_t kFileHeaderBytes = 8 + 4 + 4 + 8 + 4;
 // record header: magic u32, payload_bytes u32, seq u64, payload_crc u32,
 // header_crc u32
 constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 4 + 4;
-// payload: count u32, then one packed update per entry (size by version)
-constexpr std::size_t kUpdateBytesV1 = 1 + 4 + 4 + 8;
-constexpr std::size_t kUpdateBytesV2 = 1 + 4 + 4 + 4 + 8;
-
-std::size_t UpdateBytes(uint32_t version) {
-  return version >= 2 ? kUpdateBytesV2 : kUpdateBytesV1;
-}
+// payload: count u32, then one packed update per entry
+constexpr std::size_t kUpdateBytes = 1 + 4 + 4 + 4 + 8;
 
 bool WriteAll(int fd, const char* data, std::size_t len) {
   while (len > 0) {
@@ -65,34 +56,30 @@ std::string EncodeFileHeader(uint64_t start_seq) {
   return header;
 }
 
-std::string EncodePayload(const graph::UpdateList& updates, uint32_t version) {
+std::string EncodePayload(const graph::UpdateList& updates) {
   std::string payload;
-  payload.reserve(4 + updates.size() * UpdateBytes(version));
+  payload.reserve(4 + updates.size() * kUpdateBytes);
   AppendPod(payload, static_cast<uint32_t>(updates.size()));
   for (const graph::Update& u : updates) {
     AppendPod(payload, static_cast<uint8_t>(u.kind));
     AppendPod(payload, u.src);
     AppendPod(payload, u.dst);
-    if (version >= 2) {
-      AppendPod(payload, u.timestamp);
-    }
+    AppendPod(payload, u.timestamp);
     AppendPod(payload, u.bias);
   }
   return payload;
 }
 
 // False = corrupt payload (treated like a torn record: replay stops).
-bool DecodePayload(std::string_view payload, uint32_t version,
-                   graph::UpdateList& updates) {
+bool DecodePayload(std::string_view payload, graph::UpdateList& updates) {
   std::size_t offset = 0;
   uint32_t count = 0;
   if (!ReadPod(payload, offset, count) ||
-      payload.size() - offset != count * UpdateBytes(version)) {
+      payload.size() - offset != count * kUpdateBytes) {
     return false;
   }
-  const uint8_t max_kind =
-      version >= 2 ? static_cast<uint8_t>(graph::Update::Kind::kAdvanceTime)
-                   : static_cast<uint8_t>(graph::Update::Kind::kDelete);
+  constexpr auto kMaxKind =
+      static_cast<uint8_t>(graph::Update::Kind::kAdvanceTime);
   updates.clear();
   updates.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -101,11 +88,9 @@ bool DecodePayload(std::string_view payload, uint32_t version,
     ReadPod(payload, offset, kind);
     ReadPod(payload, offset, u.src);
     ReadPod(payload, offset, u.dst);
-    if (version >= 2) {
-      ReadPod(payload, offset, u.timestamp);
-    }
+    ReadPod(payload, offset, u.timestamp);
     ReadPod(payload, offset, u.bias);
-    if (kind > max_kind || !std::isfinite(u.bias)) {
+    if (kind > kMaxKind || !std::isfinite(u.bias)) {
       return false;
     }
     u.kind = static_cast<graph::Update::Kind>(kind);
@@ -151,12 +136,11 @@ WalReplayResult ReplayWal(
       result.start_seq = 0;
       return result;
     }
-    if (magic != kFileMagic || version == 0 || version > kFileVersion ||
+    if (magic != kFileMagic || version != kFileVersion ||
         crc != util::Crc32c(data.data(), crc_span)) {
       result.start_seq = 0;
-      return result;  // full header present but invalid: corruption
+      return result;  // full header present but invalid or retired: refuse
     }
-    result.version = version;
   }
   result.header_ok = true;
   result.last_seq = result.start_seq;
@@ -189,7 +173,7 @@ WalReplayResult ReplayWal(
     const std::string_view payload(data.data() + offset, payload_bytes);
     offset += payload_bytes;
     if (payload_crc != util::Crc32c(payload.data(), payload.size()) ||
-        !DecodePayload(payload, result.version, batch)) {
+        !DecodePayload(payload, batch)) {
       result.truncated_tail = true;
       break;
     }
@@ -207,10 +191,9 @@ WalReplayResult ReplayWal(
   return result;
 }
 
-WalWriter::WalWriter(int fd, uint32_t version, uint64_t start_seq,
-                     uint64_t last_seq, uint64_t bytes, WalOptions options)
+WalWriter::WalWriter(int fd, uint64_t start_seq, uint64_t last_seq,
+                     uint64_t bytes, WalOptions options)
     : fd_(fd),
-      version_(version),
       start_seq_(start_seq),
       last_seq_(last_seq),
       bytes_(bytes),
@@ -234,8 +217,8 @@ std::unique_ptr<WalWriter> WalWriter::Create(const std::string& path,
     ::close(fd);
     return nullptr;
   }
-  return std::unique_ptr<WalWriter>(new WalWriter(
-      fd, kFileVersion, start_seq, start_seq, header.size(), options));
+  return std::unique_ptr<WalWriter>(
+      new WalWriter(fd, start_seq, start_seq, header.size(), options));
 }
 
 std::unique_ptr<WalWriter> WalWriter::OpenForAppend(const std::string& path,
@@ -252,35 +235,21 @@ std::unique_ptr<WalWriter> WalWriter::OpenForAppend(const std::string& path,
   if (fd < 0) {
     return nullptr;
   }
-  // Appends keep the file's existing record encoding: readers size each
-  // update by the header version, so mixing encodings would corrupt replay.
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(fd, replay.version, replay.start_seq, replay.last_seq,
-                    replay.valid_bytes, options));
+  return std::unique_ptr<WalWriter>(new WalWriter(
+      fd, replay.start_seq, replay.last_seq, replay.valid_bytes, options));
 }
 
 bool WalWriter::Append(const graph::UpdateList& updates) {
   if (!ok_ || fd_ < 0) {
     return false;
   }
-  if (updates.size() > (UINT32_MAX - 4) / UpdateBytes(version_)) {
+  if (updates.size() > (UINT32_MAX - 4) / kUpdateBytes) {
     // The frame's payload length is 32-bit; a wrapped length could never
     // replay. Refuse (and poison) instead of journaling garbage.
     ok_ = false;
     return false;
   }
-  if (version_ < 2) {
-    for (const graph::Update& u : updates) {
-      if (u.kind == graph::Update::Kind::kAdvanceTime || u.timestamp != 0) {
-        // The v1 encoding cannot represent temporal updates; journaling a
-        // lossy record would silently diverge recovery. Poison instead —
-        // the next Checkpoint() compacts into a fresh v2 WAL.
-        ok_ = false;
-        return false;
-      }
-    }
-  }
-  const std::string payload = EncodePayload(updates, version_);
+  const std::string payload = EncodePayload(updates);
   std::string record;
   record.reserve(kRecordHeaderBytes + payload.size());
   AppendPod(record, kRecordMagic);

@@ -13,9 +13,10 @@
 //   file header   magic, version, start_seq, header CRC
 //   record*       record magic, seq, payload bytes, payload CRC,
 //                 header CRC, payload
-// Payload: update count, then packed updates — v2 (current) records are
-// {kind u8, src u32, dst u32, timestamp u32, bias f64}; v1 files (no
-// timestamp, insert/delete kinds only) still replay, with timestamp 0.
+// Payload: update count, then packed updates
+// {kind u8, src u32, dst u32, timestamp u32, bias f64}. Version 2 is the
+// only supported version: a file with any other version in a CRC-valid
+// header is refused like a corrupt header (header_ok stays false).
 //
 // Record sequence numbers are contiguous: the first record after the header
 // carries start_seq + 1. Replay delivers exactly the longest prefix of
@@ -48,7 +49,6 @@ struct WalReplayResult {
   bool header_ok = false;   // file header present, magic/version/CRC valid
   bool header_torn = false;  // file shorter than a header (crash mid-create);
                              // distinct from a full-but-corrupt header
-  uint32_t version = 0;    // file format version (0 until the header parses)
   uint64_t start_seq = 0;  // from the file header
   uint64_t last_seq = 0;   // seq of the last complete record (start_seq if none)
   uint64_t records = 0;    // complete records decoded
@@ -98,15 +98,10 @@ class WalWriter {
   uint64_t BytesWritten() const { return bytes_; }  // current file length
 
  private:
-  WalWriter(int fd, uint32_t version, uint64_t start_seq, uint64_t last_seq,
-            uint64_t bytes, WalOptions options);
+  WalWriter(int fd, uint64_t start_seq, uint64_t last_seq, uint64_t bytes,
+            WalOptions options);
 
   int fd_ = -1;
-  // Record encoding version of the file being appended to. Create() writes
-  // the current version; OpenForAppend keeps the existing file's. A v1
-  // writer poisons on updates it cannot represent (kAdvanceTime, nonzero
-  // timestamps) rather than journal them lossily.
-  uint32_t version_ = 0;
   bool ok_ = true;
   uint64_t start_seq_ = 0;
   uint64_t last_seq_ = 0;

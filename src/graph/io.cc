@@ -17,30 +17,12 @@ namespace {
 using util::AppendPod;
 using util::ReadPod;
 
-// Legacy format (unchecksummed): magic, count, raw records. Still readable.
-constexpr uint64_t kMagicV1 = 0x42494e474f454447ULL;  // "BINGOEDG"
-// v2: magic, version, count, header CRC, 16-byte records, payload CRC.
-constexpr uint64_t kMagicV2 = 0x42494e474f454432ULL;  // "BINGOED2"
-// Current format: same framing, 20-byte records carrying the timestamp.
-constexpr uint64_t kMagicV3 = 0x42494e474f454433ULL;  // "BINGOED3"
+constexpr uint64_t kMagic = 0x42494e474f454433ULL;  // "BINGOED3"
 constexpr uint32_t kFormatVersion = 3;
-constexpr std::size_t kHeaderBytesV1 = 8 + 8;
-constexpr std::size_t kHeaderBytesV23 = 8 + 4 + 4 + 8 + 4;
-
-// v1/v2 record: {src u32, dst u32, bias f64}, the pre-timestamp
-// WeightedEdge layout. Kept as a local packed mirror — the in-memory struct
-// has grown (and padded) past it, so records are serialized field-wise
-// rather than dumped raw.
-struct PackedRecordV12 {
-  VertexId src;
-  VertexId dst;
-  double bias;
-};
-static_assert(sizeof(PackedRecordV12) == 16,
-              "v1/v2 record layout must stay 16 bytes");
-// v3 record: {src u32, dst u32, timestamp u32, bias f64}, packed to 20
-// bytes (the in-memory struct carries 4 bytes of padding).
-constexpr std::size_t kRecordBytesV3 = 4 + 4 + 4 + 8;
+// magic, version, reserved, count
+constexpr std::size_t kHeaderFieldBytes = 8 + 4 + 4 + 8;
+constexpr std::size_t kRecordBytes = 4 + 4 + 4 + 8;
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
 // A bias that can never have been produced by a valid save: corrupt record.
 bool ValidBias(double bias) { return std::isfinite(bias) && bias >= 0.0; }
@@ -83,7 +65,8 @@ bool LoadWeightedEdgesText(const std::string& path, WeightedEdgeList& edges) {
     }
     std::istringstream ss(line);
     WeightedEdge e{0, 0, 1.0};
-    if (!(ss >> e.src >> e.dst)) {
+    if (!(ss >> e.src >> e.dst) || e.src == kInvalidVertex ||
+        e.dst == kInvalidVertex) {
       return false;
     }
     ss >> std::ws;
@@ -103,17 +86,60 @@ bool LoadWeightedEdgesText(const std::string& path, WeightedEdgeList& edges) {
 }
 
 bool SaveWeightedEdgesBinary(const std::string& path, const WeightedEdgeList& edges) {
+  std::string header;
+  AppendPod(header, kMagic);
+  AppendPod(header, kFormatVersion);
+  AppendPod(header, uint32_t{0});  // reserved
+  AppendPod(header, static_cast<uint64_t>(edges.size()));
+  return WriteEdgeFile(path, std::move(header), edges);
+}
+
+bool LoadWeightedEdgesBinary(const std::string& path, WeightedEdgeList& edges) {
+  edges.clear();
+  uint64_t count = 0;
+  const auto parse = [&count](std::string_view fields, uint64_t& n,
+                              VertexId& id_bound) {
+    std::size_t offset = 0;
+    uint64_t magic = 0;
+    uint32_t version = 0;
+    uint32_t reserved = 0;
+    id_bound = kInvalidVertex;
+    if (!ReadPod(fields, offset, magic) || !ReadPod(fields, offset, version) ||
+        !ReadPod(fields, offset, reserved) || !ReadPod(fields, offset, n)) {
+      return false;
+    }
+    count = n;
+    return magic == kMagic && version == kFormatVersion;
+  };
+  return ReadEdgeFile(path, kHeaderFieldBytes, parse,
+                      [&](const WeightedEdge& e) {
+                        // ReadEdgeFile checks the count against the file size
+                        // before the first record arrives.
+                        if (edges.empty()) {
+                          edges.reserve(count);
+                        }
+                        edges.push_back(e);
+                        return true;
+                      });
+}
+
+VertexId ImpliedVertexCount(const WeightedEdgeList& edges) {
+  VertexId max_id = 0;
+  for (const WeightedEdge& e : edges) {
+    max_id = std::max({max_id, e.src, e.dst});
+  }
+  return edges.empty() ? 0 : max_id + 1;
+}
+
+bool WriteEdgeFile(const std::string& path, std::string header_fields,
+                   const WeightedEdgeList& edges, uint64_t* bytes_written) {
   util::AtomicFileWriter writer(path);
   if (!writer.ok()) {
     return false;
   }
-  std::string header;
-  AppendPod(header, kMagicV3);
-  AppendPod(header, kFormatVersion);
-  AppendPod(header, uint32_t{0});  // reserved
-  AppendPod(header, static_cast<uint64_t>(edges.size()));
-  AppendPod(header, util::Crc32c(header.data(), header.size()));
-  if (!writer.Write(header.data(), header.size())) {
+  AppendPod(header_fields,
+            util::Crc32c(header_fields.data(), header_fields.size()));
+  if (!writer.Write(header_fields.data(), header_fields.size())) {
     return false;
   }
   // Serialize field-wise in 1 MiB chunks, accumulating the payload CRC over
@@ -126,7 +152,7 @@ bool SaveWeightedEdgesBinary(const std::string& path, const WeightedEdgeList& ed
     AppendPod(chunk, e.dst);
     AppendPod(chunk, e.timestamp);
     AppendPod(chunk, e.bias);
-    if (chunk.size() >= (1u << 20)) {
+    if (chunk.size() >= kChunkBytes) {
       payload_crc = util::Crc32c(chunk.data(), chunk.size(), payload_crc);
       if (!writer.Write(chunk.data(), chunk.size())) {
         return false;
@@ -140,16 +166,18 @@ bool SaveWeightedEdgesBinary(const std::string& path, const WeightedEdgeList& ed
       return false;
     }
   }
-  if (!writer.Write(&payload_crc, sizeof(payload_crc))) {
+  if (!writer.Write(&payload_crc, sizeof(payload_crc)) || !writer.Commit()) {
     return false;
   }
-  return writer.Commit();
+  if (bytes_written != nullptr) {
+    *bytes_written = writer.bytes_written();
+  }
+  return true;
 }
 
-bool LoadWeightedEdgesBinary(const std::string& path, WeightedEdgeList& edges) {
-  // The packed record is narrower than the in-memory struct, so the payload
-  // is read once into a byte buffer and decoded field-wise (the CRC covers
-  // the packed bytes, never padding).
+bool ReadEdgeFile(const std::string& path, std::size_t header_field_bytes,
+                  const EdgeHeaderParser& parse,
+                  const std::function<bool(const WeightedEdge&)>& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return false;
@@ -157,99 +185,57 @@ bool LoadWeightedEdgesBinary(const std::string& path, WeightedEdgeList& edges) {
   in.seekg(0, std::ios::end);
   const uint64_t file_size = static_cast<uint64_t>(in.tellg());
   in.seekg(0, std::ios::beg);
-
-  std::string header(
-      static_cast<std::size_t>(std::min<uint64_t>(file_size, kHeaderBytesV23)),
-      '\0');
-  in.read(header.data(), static_cast<std::streamsize>(header.size()));
-  if (!in) {
+  const std::size_t header_bytes = header_field_bytes + sizeof(uint32_t);
+  if (!in || file_size < header_bytes) {
     return false;
   }
-  std::size_t offset = 0;
-  uint64_t magic = 0;
-  if (!ReadPod(header, offset, magic)) {
-    return false;
-  }
-
+  std::string header(header_bytes, '\0');
+  in.read(header.data(), static_cast<std::streamsize>(header_bytes));
+  std::size_t offset = header_field_bytes;
+  uint32_t header_crc = 0;
   uint64_t count = 0;
-  std::size_t payload_offset = 0;
-  std::size_t record_bytes = sizeof(PackedRecordV12);
-  if (magic == kMagicV2 || magic == kMagicV3) {
-    uint32_t version = 0;
-    uint32_t reserved = 0;
-    uint32_t header_crc = 0;
-    if (!ReadPod(header, offset, version) || !ReadPod(header, offset, reserved) ||
-        !ReadPod(header, offset, count)) {
-      return false;
-    }
-    const uint32_t expected_version = magic == kMagicV3 ? 3 : 2;
-    const std::size_t crc_span = offset;
-    if (!ReadPod(header, offset, header_crc) || version != expected_version ||
-        header_crc != util::Crc32c(header.data(), crc_span)) {
-      return false;
-    }
-    payload_offset = kHeaderBytesV23;
-    if (magic == kMagicV3) {
-      record_bytes = kRecordBytesV3;
-    }
-  } else if (magic == kMagicV1) {
-    if (!ReadPod(header, offset, count)) {
-      return false;
-    }
-    payload_offset = kHeaderBytesV1;
-  } else {
+  VertexId id_bound = 0;
+  if (!in || !ReadPod(header, offset, header_crc) ||
+      header_crc != util::Crc32c(header.data(), header_field_bytes) ||
+      !parse(std::string_view(header).substr(0, header_field_bytes), count,
+             id_bound)) {
     return false;
   }
-
-  // The on-disk count is untrusted: validate it against the bytes actually
-  // present before allocating, so a truncated or corrupt file cannot
-  // trigger a multi-GB resize.
-  const uint64_t remaining = file_size - payload_offset;
-  if (count > remaining / record_bytes) {
+  // The on-disk count is untrusted: bound it by the bytes actually present
+  // before allocating, so a corrupt count cannot demand a multi-GB buffer.
+  if (count > (file_size - header_bytes) / kRecordBytes) {
     return false;
   }
-  const std::size_t payload_bytes =
-      static_cast<std::size_t>(count) * record_bytes;
-  std::string payload(payload_bytes, '\0');
-  in.seekg(static_cast<std::streamoff>(payload_offset));
-  in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!in) {
-    return false;
-  }
-  if (magic != kMagicV1) {
-    uint32_t payload_crc = 0;
-    in.read(reinterpret_cast<char*>(&payload_crc), sizeof(payload_crc));
-    if (!in ||
-        payload_crc != util::Crc32c(payload.data(), payload.size())) {
+  // Stream whole records in ~1 MiB chunks with a running CRC; the stored
+  // payload CRC is checked after the final chunk.
+  std::string chunk;
+  uint32_t payload_crc = 0;
+  for (uint64_t remaining = count; remaining > 0;) {
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<uint64_t>(remaining, kChunkBytes / kRecordBytes));
+    chunk.resize(take * kRecordBytes);
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    if (!in) {
       return false;
     }
-  }
-  edges.clear();
-  edges.reserve(count);
-  std::size_t pos = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    WeightedEdge e{};
-    ReadPod(payload, pos, e.src);
-    ReadPod(payload, pos, e.dst);
-    if (magic == kMagicV3) {
-      ReadPod(payload, pos, e.timestamp);
+    payload_crc = util::Crc32c(chunk.data(), chunk.size(), payload_crc);
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < take; ++i) {
+      WeightedEdge e{};
+      ReadPod(chunk, pos, e.src);
+      ReadPod(chunk, pos, e.dst);
+      ReadPod(chunk, pos, e.timestamp);
+      ReadPod(chunk, pos, e.bias);
+      if (e.src >= id_bound || e.dst >= id_bound || !ValidBias(e.bias) ||
+          !fn(e)) {
+        return false;
+      }
     }
-    ReadPod(payload, pos, e.bias);
-    if (!ValidBias(e.bias)) {
-      edges.clear();
-      return false;
-    }
-    edges.push_back(e);
+    remaining -= take;
   }
-  return true;
-}
-
-VertexId ImpliedVertexCount(const WeightedEdgeList& edges) {
-  VertexId max_id = 0;
-  for (const WeightedEdge& e : edges) {
-    max_id = std::max({max_id, e.src, e.dst});
-  }
-  return edges.empty() ? 0 : max_id + 1;
+  uint32_t stored_crc = 0;
+  in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
+  return static_cast<bool>(in) && stored_crc == payload_crc;
 }
 
 }  // namespace bingo::graph

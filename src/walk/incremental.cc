@@ -24,7 +24,7 @@ namespace {
 //   | u32 header_crc | payload | u32 payload_crc
 // payload = per walk: u32 len, then len * u32 vertex ids.
 // Counts are validated against the file size before any allocation (the
-// same untrusted-resize rule as graph/io v2).
+// same untrusted-resize rule as graph::ReadEdgeFile).
 constexpr uint64_t kCorpusMagic = 0x73656B6C57474E42ull;  // "BNGWlkes"
 constexpr uint32_t kCorpusVersion = 1;
 

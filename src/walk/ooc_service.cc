@@ -1,11 +1,9 @@
 #include "src/walk/ooc_service.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "src/core/wal.h"
-#include "src/graph/io.h"
 #include "src/graph/types.h"
 
 namespace bingo::walk {
@@ -17,9 +15,9 @@ bool BuildCsrFromSnapshot(const std::string& snapshot_path,
                           core::SnapshotInfo* info, std::string* error) {
   core::SnapshotInfo local_info;
   core::SnapshotInfo* out_info = info != nullptr ? info : &local_info;
-  // v2/v3: one streamed pass, O(1) resident. StreamSnapshotEdges fills the
-  // header before the first record, so the writer (which needs the vertex
-  // count) is constructed lazily inside the callback.
+  // One streamed pass, O(1) resident. StreamSnapshotEdges fills the header
+  // before the first record, so the writer (which needs the vertex count)
+  // is constructed lazily inside the callback.
   std::unique_ptr<graph::CsrFileWriter> writer;
   const bool streamed = core::StreamSnapshotEdges(
       snapshot_path, out_info, [&](const graph::WeightedEdge& e) {
@@ -33,27 +31,18 @@ bool BuildCsrFromSnapshot(const std::string& snapshot_path,
         edge.bias = e.bias;
         return writer->ok() && writer->Append(e.src, edge);
       });
-  if (streamed) {
-    if (writer == nullptr) {  // edge-free snapshot
-      writer = std::make_unique<graph::CsrFileWriter>(
-          csr_path, out_info->num_vertices, block_bytes);
-    }
-    return writer->Finish(error);
-  }
-  writer.reset();  // abandon the tentative side file (CRC or I/O failure)
-
-  // Legacy v1 (or a short v2/v3 read): fall back to a materialized load.
-  graph::WeightedEdgeList edges;
-  if (!core::LoadSnapshotEdges(snapshot_path, edges, out_info)) {
+  if (!streamed) {
+    writer.reset();  // abandon the tentative side file
     if (error != nullptr) {
       *error = "build-csr: snapshot unreadable or corrupt: " + snapshot_path;
     }
     return false;
   }
-  const graph::VertexId n =
-      std::max(out_info->num_vertices, graph::ImpliedVertexCount(edges));
-  out_info->num_vertices = n;
-  return graph::WriteCsrFile(csr_path, n, edges, block_bytes, error);
+  if (writer == nullptr) {  // edge-free snapshot
+    writer = std::make_unique<graph::CsrFileWriter>(
+        csr_path, out_info->num_vertices, block_bytes);
+  }
+  return writer->Finish(error);
 }
 
 std::unique_ptr<OocWalkService> MakeOocWalkService(
@@ -97,8 +86,7 @@ std::unique_ptr<OocWalkService> RecoverOocWalkService(
                             options.csr_block_bytes, &info, error)) {
     return fail();
   }
-  if (info.version >= 2 &&
-      info.config_fingerprint != core::ConfigFingerprint(config)) {
+  if (info.config_fingerprint != core::ConfigFingerprint(config)) {
     if (error != nullptr) {
       *error = "recover: base snapshot fingerprint does not match config";
     }

@@ -44,9 +44,9 @@ struct OocServiceOptions {
   WalPersistenceOptions wal;
 };
 
-// Streams `snapshot_path` (v2/v3: record by record, O(1) memory; legacy v1
-// falls back to a materialized load) into a CSR container at `csr_path`,
-// written atomically. `*info` (optional) receives the snapshot header.
+// Streams `snapshot_path` record by record (O(1) memory) into a CSR
+// container at `csr_path`, written atomically; a snapshot that fails to
+// stream (corrupt, truncated, retired version) fails the build. `*info` (optional) receives the snapshot header.
 bool BuildCsrFromSnapshot(const std::string& snapshot_path,
                           const std::string& csr_path, uint64_t block_bytes,
                           core::SnapshotInfo* info = nullptr,

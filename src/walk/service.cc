@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/graph/dynamic_graph.h"
-#include "src/graph/io.h"
 #include "src/util/stats.h"
 #include "src/util/timer.h"
 
@@ -42,18 +41,14 @@ std::unique_ptr<WalkService> RecoverWalkService(
 
   graph::WeightedEdgeList edges;
   core::SnapshotInfo info;
-  if (!core::LoadSnapshotEdges(dir + "/base.snapshot", edges, &info)) {
-    return fail();
-  }
-  if (info.version >= 2 &&
+  if (!core::LoadSnapshotEdges(dir + "/base.snapshot", edges, &info) ||
       info.config_fingerprint != core::ConfigFingerprint(config)) {
     return fail();
   }
   // Resume the decay clock where the snapshot left it; WAL replay then
   // re-applies any AdvanceTime ticks journaled after the checkpoint.
   config.logical_epoch = static_cast<uint32_t>(info.logical_epoch);
-  const graph::VertexId n = std::max(
-      {num_vertices, info.num_vertices, graph::ImpliedVertexCount(edges)});
+  const graph::VertexId n = std::max(num_vertices, info.num_vertices);
   local.base_edges = edges.size();
   local.base_wal_seq = info.wal_seq;
   local.num_vertices = n;

@@ -19,9 +19,28 @@
 #include "src/graph/io.h"
 #include "src/graph/types.h"
 #include "src/graph/update_stream.h"
+#include "src/util/checksum.h"
 
 namespace bingo::graph {
 namespace {
+
+constexpr uint64_t kBinaryMagicV3 = 0x42494e474f454433ULL;  // "BINGOED3"
+
+template <typename T>
+void AppendField(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 WeightedEdgeList StarEdges(VertexId center, VertexId leaves) {
   WeightedEdgeList edges;
@@ -506,41 +525,108 @@ TEST(IoTest, TruncatedBinaryFileFailsInsteadOfHugeResize) {
   WeightedEdgeList loaded;
   EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded));
 
-  // A fabricated header claiming ~2^60 records must fail fast, not OOM.
+  // A fabricated v3 header claiming ~2^60 records, with a correct header
+  // CRC, must fail fast on the count-vs-file-size check, not OOM.
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const uint64_t magic = 0x42494e474f454447ULL;  // legacy "BINGOEDG"
-    const uint64_t absurd = uint64_t{1} << 60;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&absurd), sizeof(absurd));
+    std::string header;
+    AppendField(header, kBinaryMagicV3);
+    AppendField(header, uint32_t{3});  // version
+    AppendField(header, uint32_t{0});  // reserved
+    AppendField(header, uint64_t{1} << 60);
+    AppendField(header, util::Crc32c(header.data(), header.size()));
+    WriteBytes(path, header + std::string(64, '\0'));
   }
   EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded));
   std::remove(path.c_str());
 }
 
-TEST(IoTest, LegacyUnchecksummedBinaryStillLoads) {
-  const std::string path = ::testing::TempDir() + "/bingo_io_legacy.dat";
+TEST(IoTest, RetiredBinaryVersionsAreRejected) {
+  const std::string path = ::testing::TempDir() + "/bingo_io_retired.dat";
   const WeightedEdgeList edges = {{0, 1, 2.0}, {1, 2, 5.5}};
-  {
-    // Hand-write the pre-v2 format: magic, count, packed 16-byte records
-    // {src, dst, bias}, no CRCs. (The in-memory struct has since grown a
-    // timestamp + padding, so the legacy layout is written field-wise.)
-    std::ofstream out(path, std::ios::binary);
-    const uint64_t magic = 0x42494e474f454447ULL;
-    const uint64_t count = edges.size();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    for (const WeightedEdge& e : edges) {
-      out.write(reinterpret_cast<const char*>(&e.src), sizeof(e.src));
-      out.write(reinterpret_cast<const char*>(&e.dst), sizeof(e.dst));
-      out.write(reinterpret_cast<const char*>(&e.bias), sizeof(e.bias));
-    }
+  // Packed 16-byte v1/v2 records {src, dst, bias}.
+  std::string records;
+  for (const WeightedEdge& e : edges) {
+    AppendField(records, e.src);
+    AppendField(records, e.dst);
+    AppendField(records, e.bias);
   }
   WeightedEdgeList loaded;
+
+  // v1: magic "BINGOEDG", count, records, no CRCs.
+  std::string v1;
+  AppendField(v1, uint64_t{0x42494e474f454447ULL});
+  AppendField(v1, static_cast<uint64_t>(edges.size()));
+  WriteBytes(path, v1 + records);
+  EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded));
+
+  // v2: magic "BINGOED2", version 2, reserved, count, header CRC, records,
+  // payload CRC — every checksum valid.
+  std::string v2;
+  AppendField(v2, uint64_t{0x42494e474f454432ULL});
+  AppendField(v2, uint32_t{2});
+  AppendField(v2, uint32_t{0});
+  AppendField(v2, static_cast<uint64_t>(edges.size()));
+  AppendField(v2, util::Crc32c(v2.data(), v2.size()));
+  v2 += records;
+  AppendField(v2, util::Crc32c(records.data(), records.size()));
+  WriteBytes(path, v2);
+  EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, OutOfRangeIdAndInvalidBiasFailCleanly) {
+  // Regression: the binary decoder did not check vertex ids, so a record
+  // naming kInvalidVertex loaded, ImpliedVertexCount wrapped to 0, and the
+  // CLI's bulk load wrote far past its degree array.
+  const std::string path = ::testing::TempDir() + "/bingo_io_bad_ids.dat";
+  const WeightedEdgeList bad = {
+      {kInvalidVertex, 1, 1.0},
+      {0, kInvalidVertex, 1.0},
+      {0, 1, std::nan("")},
+      {0, 1, -3.0},
+  };
+  for (const WeightedEdge& record : bad) {
+    WeightedEdgeList edges = {{0, 1, 2.0}, {1, 2, 3.0}, record};
+    ASSERT_TRUE(SaveWeightedEdgesBinary(path, edges));
+    WeightedEdgeList loaded;
+    EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded));
+  }
+  // The largest valid id still round-trips.
+  const WeightedEdgeList largest_id = {{kInvalidVertex - 1, 0, 1.0}};
+  ASSERT_TRUE(SaveWeightedEdgesBinary(path, largest_id));
+  WeightedEdgeList loaded;
   ASSERT_TRUE(LoadWeightedEdgesBinary(path, loaded));
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[1].dst, 2u);
-  EXPECT_DOUBLE_EQ(loaded[1].bias, 5.5);
+  EXPECT_EQ(ImpliedVertexCount(loaded), kInvalidVertex);
+
+  // The text format refuses the same id.
+  {
+    std::ofstream out(path);
+    out << "4294967295 1 1.0\n";
+  }
+  EXPECT_FALSE(LoadWeightedEdgesText(path, loaded));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, EveryByteFlipAndTruncationFailsCleanly) {
+  const std::string path = ::testing::TempDir() + "/bingo_io_sweep.dat";
+  const WeightedEdgeList edges = {
+      {0, 1, 2.0, 5}, {1, 2, 0.5, 6}, {2, 0, 7.25, 7}, {3, 1, 1.0, 8}};
+  ASSERT_TRUE(SaveWeightedEdgesBinary(path, edges));
+  const std::string good = ReadBytes(path);
+  WeightedEdgeList loaded;
+  ASSERT_TRUE(LoadWeightedEdgesBinary(path, loaded));
+  ASSERT_EQ(loaded.size(), edges.size());
+
+  for (std::size_t offset = 0; offset < good.size(); ++offset) {
+    std::string flipped = good;
+    flipped[offset] = static_cast<char>(flipped[offset] ^ 0x5a);
+    WriteBytes(path, flipped);
+    EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded)) << "offset " << offset;
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    WriteBytes(path, good.substr(0, len));
+    EXPECT_FALSE(LoadWeightedEdgesBinary(path, loaded)) << "length " << len;
+  }
   std::remove(path.c_str());
 }
 

@@ -402,8 +402,8 @@ TEST(OocServiceTest, CorruptOrTruncatedSnapshotFailsRecoveryCleanly) {
   // Baseline sanity: the untouched directory recovers.
   ASSERT_NE(recover(), nullptr);
 
-  // Payload corruption in the current-version snapshot: the streamed pass's
-  // CRC check rejects it, and the v1 fallback cannot parse it either.
+  // Payload corruption in the snapshot: the streamed pass's CRC check
+  // rejects it, and a failed stream fails the recovery.
   FlipByte(snapshot, full / 2);
   EXPECT_EQ(recover(), nullptr);
 

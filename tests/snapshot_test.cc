@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +14,10 @@
 #include "src/graph/bias.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
+#include "src/graph/io.h"
+#include "src/util/checksum.h"
 #include "src/util/rng.h"
+#include "src/walk/service.h"
 
 namespace bingo::core {
 namespace {
@@ -22,6 +26,24 @@ using graph::VertexId;
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+constexpr uint64_t kSnapshotMagic = 0x42494e474f534e50ULL;  // "BINGOSNP"
+
+template <typename T>
+void AppendField(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 BingoStore RmatStore(uint64_t seed) {
@@ -107,7 +129,7 @@ TEST(SnapshotTest, IsolatedTrailingVerticesSurviveViaHeaderCount) {
   BingoStore original(graph::DynamicGraph(100));
   original.StreamingInsert(0, 1, 1.0);
   ASSERT_TRUE(SaveSnapshot(original, path));
-  // The v2 header records the true vertex count, so no override is needed.
+  // The header records the true vertex count, so no override is needed.
   const auto implicit = LoadSnapshot(path);
   ASSERT_NE(implicit, nullptr);
   EXPECT_EQ(implicit->Graph().NumVertices(), 100u);
@@ -203,6 +225,125 @@ TEST(SnapshotTest, LoadedStoreAcceptsFurtherUpdates) {
                             1.0 + rng.NextBounded(64));
   }
   EXPECT_TRUE(loaded->CheckInvariants().empty()) << loaded->CheckInvariants();
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, OutOfRangeIdsAndInvalidBiasesFailCleanly) {
+  // Regression: the snapshot decoder checked neither vertex ids nor
+  // biases. A record naming kInvalidVertex wrapped the implied vertex count
+  // to 0 and LoadSnapshot wrote past its degree array; an id at or above
+  // the header's vertex count silently grew the store; NaN and negative
+  // biases built a store without complaint.
+  const std::string path = TempPath("snap_bad_records.bin");
+  const graph::WeightedEdgeList good = {{0, 1, 2.0}, {1, 2, 3.0}};
+  const graph::WeightedEdgeList bad = {
+      {graph::kInvalidVertex, 1, 1.0},
+      {0, 3, 1.0},  // dst == the header's vertex count
+      {0, 1000000, 1.0},
+      {0, 1, std::nan("")},
+      {0, 1, -3.0},
+  };
+  for (const graph::WeightedEdge& record : bad) {
+    graph::WeightedEdgeList edges = good;
+    edges.push_back(record);
+    ASSERT_TRUE(SaveEdgeSnapshot(edges, 3, BingoConfig{}, path));
+    EXPECT_EQ(LoadSnapshot(path), nullptr) << "src " << record.src;
+    graph::WeightedEdgeList loaded;
+    EXPECT_FALSE(LoadSnapshotEdges(path, loaded)) << "src " << record.src;
+  }
+  ASSERT_TRUE(SaveEdgeSnapshot(good, 3, BingoConfig{}, path));
+  const auto loaded = LoadSnapshot(path);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->Graph().NumVertices(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, RecoveryFromBaseWithOutOfRangeIdFailsCleanly) {
+  const std::string dir = TempPath("snap_bad_recovery");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const graph::WeightedEdgeList edges = {{0, 1, 2.0},
+                                         {graph::kInvalidVertex, 1, 1.0}};
+  ASSERT_TRUE(SaveEdgeSnapshot(edges, 3, BingoConfig{}, dir + "/base.snapshot"));
+  walk::RecoveryReport report;
+  report.ok = true;
+  EXPECT_EQ(walk::RecoverWalkService(dir, {}, 0, nullptr, nullptr, {}, &report),
+            nullptr);
+  EXPECT_FALSE(report.ok);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotTest, RetiredVersionsAreRejected) {
+  const std::string path = TempPath("snap_retired.bin");
+  const uint64_t fingerprint = ConfigFingerprint(BingoConfig{});
+  graph::WeightedEdgeList loaded;
+
+  // A v2 file: 48 header bytes + CRC, 16-byte records {src, dst, bias},
+  // payload CRC — every checksum valid.
+  std::string v2;
+  AppendField(v2, kSnapshotMagic);
+  AppendField(v2, uint32_t{2});
+  AppendField(v2, uint32_t{0});  // reserved
+  AppendField(v2, fingerprint);
+  AppendField(v2, uint64_t{3});  // vertices
+  AppendField(v2, uint64_t{1});  // edges
+  AppendField(v2, uint64_t{0});  // wal_seq
+  AppendField(v2, util::Crc32c(v2.data(), v2.size()));
+  std::string record;
+  AppendField(record, graph::VertexId{0});
+  AppendField(record, graph::VertexId{1});
+  AppendField(record, 2.0);
+  v2 += record;
+  AppendField(v2, util::Crc32c(record.data(), record.size()));
+  WriteBytes(path, v2);
+  EXPECT_FALSE(LoadSnapshotEdges(path, loaded));
+  EXPECT_EQ(LoadSnapshot(path), nullptr);
+
+  // A current-layout file whose CRC-valid header says version 2: refused by
+  // the version check, not the checksum.
+  ASSERT_TRUE(SaveEdgeSnapshot({{0, 1, 2.0}}, 3, BingoConfig{}, path));
+  std::string v3 = ReadBytes(path);
+  const uint32_t version = 2;
+  v3.replace(8, sizeof(version), reinterpret_cast<const char*>(&version),
+             sizeof(version));
+  const std::size_t fields = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+  const uint32_t crc = util::Crc32c(v3.data(), fields);
+  v3.replace(fields, sizeof(crc), reinterpret_cast<const char*>(&crc),
+             sizeof(crc));
+  WriteBytes(path, v3);
+  EXPECT_FALSE(LoadSnapshotEdges(path, loaded));
+
+  // Version 1 snapshots were plain io binary edge lists; one is no longer
+  // read as a snapshot.
+  ASSERT_TRUE(graph::SaveWeightedEdgesBinary(path, {{0, 1, 2.0}}));
+  EXPECT_FALSE(LoadSnapshotEdges(path, loaded));
+  EXPECT_EQ(LoadSnapshot(path), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, EveryByteFlipAndTruncationFailsCleanly) {
+  const std::string path = TempPath("snap_sweep.bin");
+  const graph::WeightedEdgeList edges = {
+      {0, 1, 2.0, 5}, {0, 2, 0.5, 6}, {1, 0, 7.25, 7}, {2, 1, 1.0, 8}};
+  ASSERT_TRUE(SaveEdgeSnapshot(edges, 3, BingoConfig{}, path, /*wal_seq=*/9));
+  const std::string good = ReadBytes(path);
+  graph::WeightedEdgeList loaded;
+  ASSERT_TRUE(LoadSnapshotEdges(path, loaded));
+  ASSERT_EQ(loaded.size(), edges.size());
+  ASSERT_NE(LoadSnapshot(path), nullptr);
+
+  for (std::size_t offset = 0; offset < good.size(); ++offset) {
+    std::string flipped = good;
+    flipped[offset] = static_cast<char>(flipped[offset] ^ 0x5a);
+    WriteBytes(path, flipped);
+    EXPECT_FALSE(LoadSnapshotEdges(path, loaded)) << "offset " << offset;
+    EXPECT_EQ(LoadSnapshot(path), nullptr) << "offset " << offset;
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    WriteBytes(path, good.substr(0, len));
+    EXPECT_FALSE(LoadSnapshotEdges(path, loaded)) << "length " << len;
+    EXPECT_EQ(LoadSnapshot(path), nullptr) << "length " << len;
+  }
   std::remove(path.c_str());
 }
 

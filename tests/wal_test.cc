@@ -9,8 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "src/core/snapshot.h"
 #include "src/core/wal.h"
+#include "src/util/checksum.h"
 #include "src/util/rng.h"
+#include "src/walk/service.h"
 
 namespace bingo::core {
 namespace {
@@ -204,6 +207,62 @@ TEST(WalTest, MissingTornAndCorruptHeaders) {
   EXPECT_FALSE(bad.header_torn);
   std::remove(torn_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+TEST(WalTest, RetiredVersionOneHeaderIsRefused) {
+  // A v1 file (no per-update timestamp) with a CRC-valid header and one
+  // CRC-valid record: replay refuses the header instead of decoding it.
+  const std::string dir = TempPath("wal_v1_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/wal.log";
+  std::string file;
+  const auto append = [&file](const auto& value) {
+    file.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(uint64_t{0x42494e474f57414cULL});  // "BINGOWAL"
+  append(uint32_t{1});                      // version
+  append(uint32_t{0});                      // reserved
+  append(uint64_t{0});                      // start_seq
+  append(util::Crc32c(file.data(), file.size()));
+  std::string payload;
+  payload.append("\x01\0\0\0", 4);  // one update
+  payload.append("\0", 1);           // kind = insert
+  const graph::VertexId src = 0;
+  const graph::VertexId dst = 1;
+  const double bias = 2.0;
+  payload.append(reinterpret_cast<const char*>(&src), sizeof(src));
+  payload.append(reinterpret_cast<const char*>(&dst), sizeof(dst));
+  payload.append(reinterpret_cast<const char*>(&bias), sizeof(bias));
+  const std::size_t record_start = file.size();
+  append(uint32_t{0x4c415257u});  // "WRAL"
+  append(static_cast<uint32_t>(payload.size()));
+  append(uint64_t{1});  // seq
+  append(util::Crc32c(payload.data(), payload.size()));
+  append(util::Crc32c(file.data() + record_start, file.size() - record_start));
+  file += payload;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  uint64_t delivered = 0;
+  const WalReplayResult replay = ReplayWal(
+      path, 0, [&](uint64_t, const graph::UpdateList&) { ++delivered; });
+  EXPECT_TRUE(replay.opened);
+  EXPECT_FALSE(replay.header_ok);
+  EXPECT_FALSE(replay.header_torn);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(WalWriter::OpenForAppend(path, replay), nullptr);
+
+  // Recovery over a valid base refuses the directory rather than replaying
+  // or superseding the journal.
+  ASSERT_TRUE(SaveEdgeSnapshot({{0, 2, 1.0}}, 3, BingoConfig{},
+                               dir + "/base.snapshot"));
+  walk::RecoveryReport report;
+  EXPECT_EQ(walk::RecoverWalkService(dir, {}, 0, nullptr, nullptr, {}, &report),
+            nullptr);
+  EXPECT_FALSE(report.ok);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WalTest, FsyncOnCommitAppends) {
