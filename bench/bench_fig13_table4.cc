@@ -38,6 +38,13 @@ class InstrumentedStore {
       samplers_[v].Build(graph_.Neighbors(v));
     }
   }
+  ~InstrumentedStore() {
+    for (core::VertexSampler& s : samplers_) {
+      s.Release();
+    }
+  }
+  InstrumentedStore(const InstrumentedStore&) = delete;
+  InstrumentedStore& operator=(const InstrumentedStore&) = delete;
 
   void Apply(const graph::UpdateList& updates) {
     for (const graph::Update& u : updates) {

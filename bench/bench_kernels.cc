@@ -193,6 +193,7 @@ int main(int argc, char** argv) {
         [&](util::Rng* const* rngs, std::size_t n, uint32_t* out) {
           sampler.SampleIndexBatch(adj, rngs, n, out);
         }));
+    sampler.Release();
 
     core::RadixBaseVertexSampler radix(/*log2_base=*/2);
     radix.Build(adj);

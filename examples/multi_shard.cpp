@@ -3,8 +3,9 @@
 // The paper scales to multiple GPUs by partitioning vertices 1-D across
 // devices and transferring *walkers* (tiny) instead of sampling structures
 // (huge). This example runs the same workload on 1, 2, and 4 shards and
-// reports the walker-migration volume — the communication the multi-GPU
-// design trades for replicated structures.
+// reports the walker-migration volume — the communication a partitioned
+// design pays instead of holding every vertex's sampling structure on
+// every device.
 //
 //   $ ./multi_shard
 

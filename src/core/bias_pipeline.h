@@ -15,7 +15,7 @@
 // wall clock (bingo_lint rule wall-clock-time enforces this in src/core and
 // src/walk). That keeps stores pure functions of (initial edges, applied
 // updates): the same batch sequence — clock ticks included — replays to the
-// same bits on every replica, shard layout, and recovery path.
+// same bits on every store, shard layout, and recovery path.
 //
 // Decay model: an edge of age `a` epochs carries factor decay^min(a, H)
 // where H is an optional horizon (0 = unbounded). Advancing the epoch from

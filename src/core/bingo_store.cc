@@ -5,14 +5,18 @@
 #include <cassert>
 
 #include "src/core/batch.h"
+#include "src/util/sync.h"
 
 namespace bingo::core {
 
 BingoStore::BingoStore(graph::DynamicGraph graph, BingoConfig config,
                        util::ThreadPool* pool)
-    : config_(config), graph_(std::move(graph)) {
+    : own_reclaimer_(std::make_unique<util::EpochReclaimer>()),
+      reclaimer_(own_reclaimer_.get()),
+      config_(config),
+      graph_(std::move(graph)),
+      samplers_(graph_.NumVertices()) {
   config_.conversion_stats = &conversion_stats_;
-  samplers_.resize(graph_.NumVertices());
   const auto build_range = [this](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
       samplers_[v].SetConfig(&config_);
@@ -26,6 +30,92 @@ BingoStore::BingoStore(graph::DynamicGraph graph, BingoConfig config,
   }
 }
 
+BingoStore::BingoStore(ViewTag, const BingoStore& origin)
+    : reclaimer_(origin.reclaimer_),
+      pinned_(origin.reclaimer_),
+      config_(origin.config_),
+      graph_(origin.graph_.View()),
+      samplers_(origin.samplers_.View()),
+      version_(origin.version_) {
+  pinned_->Pin(version_);
+}
+
+BingoStore::~BingoStore() {
+  if (pinned_ != nullptr) {
+    pinned_->Unpin(version_);  // a view owns nothing
+    return;
+  }
+  reclaimer_->FreeAll();
+  for (std::size_t v = 0; v < samplers_.size(); ++v) {
+    samplers_[v].Release();
+  }
+}
+
+std::unique_ptr<const BingoStore> BingoStore::View() const {
+  return std::unique_ptr<const BingoStore>(new BingoStore(ViewTag{}, *this));
+}
+
+template <typename Fn>
+void BingoStore::WriteVertices(std::span<const graph::VertexId> vertices,
+                               util::ThreadPool* pool, std::size_t grain,
+                               Fn&& write) {
+  const uint64_t version = version_ + 1;
+  // Pages first, serially: vertices that share a page are written in
+  // parallel below.
+  graph::DynamicGraph::Retired graph_retired;
+  std::vector<SamplerTable::Page*> sampler_pages;
+  for (const graph::VertexId v : vertices) {
+    graph_.ClonePage(v, version, graph_retired);
+    if (SamplerTable::Page* old = samplers_.ClonePage(v, version)) {
+      sampler_pages.push_back(old);
+    }
+  }
+  util::Mutex retired_mutex;
+  std::vector<VertexSampler> old_samplers;
+  std::size_t sampler_bytes = sampler_pages.size() * sizeof(SamplerTable::Page);
+  const auto run_range = [&](std::size_t lo, std::size_t hi) {
+    graph::DynamicGraph::Retired local_graph;
+    std::vector<VertexSampler> local_samplers;
+    std::size_t local_bytes = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const graph::VertexId v = vertices[i];
+      graph_.CloneVertex(v, local_graph);
+      VertexSampler& sampler = samplers_[v];
+      const VertexSampler old = sampler;
+      local_bytes += old.MemoryBreakdown().Total();
+      local_samplers.push_back(old);
+      sampler = old.Clone();
+      sampler.SetConfig(&config_);
+    }
+    write(lo, hi);
+    util::MutexLock lock(retired_mutex);
+    graph_retired.Append(std::move(local_graph));
+    old_samplers.insert(old_samplers.end(), local_samplers.begin(),
+                        local_samplers.end());
+    sampler_bytes += local_bytes;
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunked(0, vertices.size(), run_range, grain);
+  } else {
+    run_range(0, vertices.size());
+  }
+  version_ = version;
+  const std::size_t bytes = graph_retired.Bytes() + sampler_bytes;
+  reclaimer_->Retire(
+      version, bytes,
+      [this, graph = std::move(graph_retired),
+       pages = std::move(sampler_pages),
+       samplers = std::move(old_samplers)]() mutable {
+        graph_.Free(graph);
+        for (VertexSampler& sampler : samplers) {
+          sampler.Release();
+        }
+        for (SamplerTable::Page* page : pages) {
+          delete page;
+        }
+      });
+}
+
 void BingoStore::StreamingInsert(graph::VertexId src, graph::VertexId dst,
                                  double bias) {
   // An insert may reference vertices the store has never seen; grow the
@@ -34,10 +124,12 @@ void BingoStore::StreamingInsert(graph::VertexId src, graph::VertexId dst,
   if (needed >= NumVertices()) {
     AddVertices(needed + 1 - NumVertices());
   }
-  const uint32_t idx = graph_.Insert(src, dst, bias);
-  VertexSampler& sampler = samplers_[src];
-  sampler.InsertEdge(graph_.Neighbors(src), idx);
-  sampler.FinishUpdate(graph_.Neighbors(src));
+  WriteVertices({&src, 1}, nullptr, 1, [&](std::size_t, std::size_t) {
+    const uint32_t idx = graph_.Insert(src, dst, bias);
+    VertexSampler& sampler = samplers_[src];
+    sampler.InsertEdge(graph_.Neighbors(src), idx);
+    sampler.FinishUpdate(graph_.Neighbors(src));
+  });
 }
 
 void BingoStore::StreamingInsert(graph::VertexId src, graph::VertexId dst,
@@ -48,10 +140,12 @@ void BingoStore::StreamingInsert(graph::VertexId src, graph::VertexId dst,
   }
   const double effective = config_.pipeline.Compose(src, dst, bias, timestamp,
                                                     config_.logical_epoch);
-  const uint32_t idx = graph_.Insert(src, dst, effective, timestamp);
-  VertexSampler& sampler = samplers_[src];
-  sampler.InsertEdge(graph_.Neighbors(src), idx);
-  sampler.FinishUpdate(graph_.Neighbors(src));
+  WriteVertices({&src, 1}, nullptr, 1, [&](std::size_t, std::size_t) {
+    const uint32_t idx = graph_.Insert(src, dst, effective, timestamp);
+    VertexSampler& sampler = samplers_[src];
+    sampler.InsertEdge(graph_.Neighbors(src), idx);
+    sampler.FinishUpdate(graph_.Neighbors(src));
+  });
 }
 
 bool BingoStore::StreamingDelete(graph::VertexId src, graph::VertexId dst) {
@@ -62,14 +156,16 @@ bool BingoStore::StreamingDelete(graph::VertexId src, graph::VertexId dst) {
   if (!idx.has_value()) {
     return false;
   }
-  VertexSampler& sampler = samplers_[src];
-  sampler.RemoveEdge(graph_.Neighbors(src), *idx);
-  const auto result = graph_.SwapRemove(src, *idx);
-  if (result.moved) {
-    sampler.RenameIndex(result.moved_edge.bias, result.moved_from,
-                        result.moved_to);
-  }
-  sampler.FinishUpdate(graph_.Neighbors(src));
+  WriteVertices({&src, 1}, nullptr, 1, [&](std::size_t, std::size_t) {
+    VertexSampler& sampler = samplers_[src];
+    sampler.RemoveEdge(graph_.Neighbors(src), *idx);
+    const auto result = graph_.SwapRemove(src, *idx);
+    if (result.moved) {
+      sampler.RenameIndex(result.moved_edge.bias, result.moved_from,
+                          result.moved_to);
+    }
+    sampler.FinishUpdate(graph_.Neighbors(src));
+  });
   return true;
 }
 
@@ -82,14 +178,16 @@ bool BingoStore::UpdateBias(graph::VertexId src, graph::VertexId dst,
   if (!idx.has_value()) {
     return false;
   }
-  VertexSampler& sampler = samplers_[src];
-  // Withdraw the old sub-biases, rewrite the stored bias in place (the
-  // neighbor index is unchanged, so no swap or rename is needed), then
-  // re-split under the new value.
-  sampler.RemoveEdge(graph_.Neighbors(src), *idx);
-  graph_.SetBias(src, *idx, bias);
-  sampler.InsertEdge(graph_.Neighbors(src), *idx);
-  sampler.FinishUpdate(graph_.Neighbors(src));
+  WriteVertices({&src, 1}, nullptr, 1, [&](std::size_t, std::size_t) {
+    VertexSampler& sampler = samplers_[src];
+    // Withdraw the old sub-biases, rewrite the stored bias in place (the
+    // neighbor index is unchanged, so no swap or rename is needed), then
+    // re-split under the new value.
+    sampler.RemoveEdge(graph_.Neighbors(src), *idx);
+    graph_.SetBias(src, *idx, bias);
+    sampler.InsertEdge(graph_.Neighbors(src), *idx);
+    sampler.FinishUpdate(graph_.Neighbors(src));
+  });
   return true;
 }
 
@@ -101,24 +199,24 @@ uint32_t BingoStore::DeleteVertexOutEdges(graph::VertexId v) {
   if (degree == 0) {
     return 0;
   }
-  std::vector<uint32_t> all(degree);
-  for (uint32_t i = 0; i < degree; ++i) {
-    all[i] = i;
-  }
-  VertexSampler& sampler = samplers_[v];
-  sampler.RemoveEdgesBatch(graph_.Neighbors(v), all);
-  graph_.BatchSwapRemove(v, all);  // removes everything: no moves result
-  sampler.FinishUpdate(graph_.Neighbors(v));
+  WriteVertices({&v, 1}, nullptr, 1, [&](std::size_t, std::size_t) {
+    std::vector<uint32_t> all(degree);
+    for (uint32_t i = 0; i < degree; ++i) {
+      all[i] = i;
+    }
+    VertexSampler& sampler = samplers_[v];
+    sampler.RemoveEdgesBatch(graph_.Neighbors(v), all);
+    graph_.BatchSwapRemove(v, all);  // removes everything: no moves result
+    sampler.FinishUpdate(graph_.Neighbors(v));
+  });
   return degree;
 }
 
 void BingoStore::AddVertices(graph::VertexId count) {
+  // New vertices start isolated: a null sampler handle, an empty slot. A
+  // writer sets the handle's config when it first copies the vertex.
   graph_.AddVertices(count);
-  samplers_.resize(graph_.NumVertices());
-  for (std::size_t v = samplers_.size() - count; v < samplers_.size(); ++v) {
-    samplers_[v].SetConfig(&config_);
-    samplers_[v].Build(graph_.Neighbors(static_cast<graph::VertexId>(v)));
-  }
+  samplers_.Resize(graph_.NumVertices());
 }
 
 BatchResult BingoStore::ApplyUpdatesStreaming(const graph::UpdateList& updates) {
@@ -151,36 +249,37 @@ void BingoStore::AdvanceEpoch(uint32_t new_epoch, util::ThreadPool* pool) {
   // decay^(age delta), via the same remove/rewrite/re-split sequence as
   // UpdateBias so the radix groups re-bucket exactly once per edge, then
   // one FinishUpdate per touched vertex. The multiply sequence is a pure
-  // function of (epochs, timestamps), so every replica and every WAL
-  // replay produces bit-identical biases.
-  const auto rescale_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t vi = lo; vi < hi; ++vi) {
-      const graph::VertexId v = static_cast<graph::VertexId>(vi);
+  // function of (epochs, timestamps), so every store and every WAL replay
+  // produces bit-identical biases.
+  std::vector<graph::VertexId> with_edges;
+  for (graph::VertexId v = 0; v < NumVertices(); ++v) {
+    if (graph_.Degree(v) > 0) {
+      with_edges.push_back(v);
+    }
+  }
+  WriteVertices(with_edges, pool, 1024, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const graph::VertexId v = with_edges[i];
       const std::span<const graph::Edge> adj = graph_.Neighbors(v);
       VertexSampler& sampler = samplers_[v];
       bool touched = false;
-      for (uint32_t i = 0; i < adj.size(); ++i) {
+      for (uint32_t e = 0; e < adj.size(); ++e) {
         const double factor = config_.pipeline.RescaleFactor(
-            old_epoch, new_epoch, adj[i].timestamp);
+            old_epoch, new_epoch, adj[e].timestamp);
         if (factor == 1.0) {
           continue;  // at the horizon floor (or future-stamped)
         }
-        const double rescaled = adj[i].bias * factor;
-        sampler.RemoveEdge(adj, i);
-        graph_.SetBias(v, i, rescaled);
-        sampler.InsertEdge(adj, i);
+        const double rescaled = adj[e].bias * factor;
+        sampler.RemoveEdge(adj, e);
+        graph_.SetBias(v, e, rescaled);
+        sampler.InsertEdge(adj, e);
         touched = true;
       }
       if (touched) {
         sampler.FinishUpdate(adj);
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelForChunked(0, samplers_.size(), rescale_range, 1024);
-  } else {
-    rescale_range(0, samplers_.size());
-  }
+  });
 }
 
 void BingoStore::ApplyVertexBatch(graph::VertexId v,
@@ -298,10 +397,10 @@ BatchResult BingoStore::ApplyBatch(const graph::UpdateList& updates,
     AdvanceEpoch(advance_to, pool);
   }
   // Grow the vertex set up front so every referenced id is materialized
-  // before the parallel per-vertex phase touches samplers_. Replicas and
+  // before the parallel per-vertex phase touches samplers_. Live stores and
   // WAL replay apply identical batches, so growth is deterministic and
   // recovery-safe. Deletes grow too: harmless (the delete then skips), and
-  // uniform growth keeps replica vertex counts comparable.
+  // uniform growth keeps the vertex counts of shard stores comparable.
   graph::VertexId max_id = 0;
   bool any_edge_update = false;
   for (const graph::Update& u : updates) {
@@ -315,11 +414,15 @@ BatchResult BingoStore::ApplyBatch(const graph::UpdateList& updates,
     AddVertices(max_id + 1 - NumVertices());
   }
   const GroupedUpdates grouped = GroupUpdatesByVertex(updates);
+  std::vector<graph::VertexId> touched(grouped.ranges.size());
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    touched[i] = grouped.ranges[i].vertex;
+  }
 
   std::atomic<uint64_t> inserted{0};
   std::atomic<uint64_t> deleted{0};
   std::atomic<uint64_t> skipped{0};
-  const auto run_range = [&](std::size_t lo, std::size_t hi) {
+  WriteVertices(touched, pool, 64, [&](std::size_t lo, std::size_t hi) {
     BatchResult local;
     for (std::size_t i = lo; i < hi; ++i) {
       const GroupedUpdates::Range& r = grouped.ranges[i];
@@ -331,31 +434,27 @@ BatchResult BingoStore::ApplyBatch(const graph::UpdateList& updates,
     inserted.fetch_add(local.inserted, std::memory_order_relaxed);
     deleted.fetch_add(local.deleted, std::memory_order_relaxed);
     skipped.fetch_add(local.skipped_deletes, std::memory_order_relaxed);
-  };
-  if (pool != nullptr) {
-    pool->ParallelForChunked(0, grouped.ranges.size(), run_range, 64);
-  } else {
-    run_range(0, grouped.ranges.size());
-  }
+  });
   return BatchResult{inserted.load(), deleted.load(), skipped.load()};
 }
 
 StoreMemoryStats BingoStore::MemoryStats() const {
   StoreMemoryStats stats;
   stats.graph_bytes = graph_.MemoryBytes();
-  // Fixed: the handle array. Dynamic: each vertex's block and payloads,
+  // Fixed: the handle pages. Dynamic: each vertex's block and payloads,
   // group and decimal headers included.
-  stats.sampler_fixed_bytes = samplers_.capacity() * sizeof(VertexSampler);
-  for (const VertexSampler& sampler : samplers_) {
-    stats.sampler_dynamic_bytes += sampler.MemoryBreakdown().Total();
+  stats.sampler_fixed_bytes = samplers_.CapacityBytes();
+  for (std::size_t v = 0; v < samplers_.size(); ++v) {
+    stats.sampler_dynamic_bytes += samplers_[v].MemoryBreakdown().Total();
   }
+  stats.retired_bytes = reclaimer_->RetiredBytes();
   return stats;
 }
 
 std::array<uint64_t, 5> BingoStore::CountGroupKinds() const {
   std::array<uint64_t, 5> counts{};
-  for (const VertexSampler& sampler : samplers_) {
-    sampler.CountGroupKinds(counts);
+  for (std::size_t v = 0; v < samplers_.size(); ++v) {
+    samplers_[v].CountGroupKinds(counts);
   }
   return counts;
 }

@@ -5,12 +5,25 @@
 // two functionalities of Fig 3: sampling (inter-group -> intra-group) and
 // graph updates (streaming, one edge at a time, or batched with a single
 // rebuild per touched vertex, §5.2).
+//
+// Versions (copy-on-write). Bingo updates are vertex-local (§4.2) and a
+// vertex's sampler is a pure function of its adjacency (Theorem 4.1), so
+// every mutation builds the next version from private copies of the
+// vertices it touches: their adjacency slots and sampler handles live in
+// paged tables (util/cow_array.h), each touched page is copied once, and
+// each touched vertex gets its own adjacency block and sampler block before
+// the unchanged per-vertex update code runs on it. View() hands out a
+// read-only store pinned at the current version; it keeps reading exactly
+// that version, bit for bit, while later batches apply. What a version
+// supersedes is freed by epoch-based reclamation (util/reclaimer.h) once no
+// older view is pinned — with no views, at the end of the mutation itself.
 
 #ifndef BINGO_SRC_CORE_BINGO_STORE_H_
 #define BINGO_SRC_CORE_BINGO_STORE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,7 +32,9 @@
 #include "src/core/vertex_sampler.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/graph/types.h"
+#include "src/util/cow_array.h"
 #include "src/util/prefetch.h"
+#include "src/util/reclaimer.h"
 #include "src/util/thread_pool.h"
 
 namespace bingo::core {
@@ -30,9 +45,31 @@ class BingoStore {
   // `pool` parallelizes the build (nullptr = sequential).
   explicit BingoStore(graph::DynamicGraph graph, BingoConfig config = {},
                       util::ThreadPool* pool = nullptr);
+  ~BingoStore();
 
   BingoStore(const BingoStore&) = delete;
   BingoStore& operator=(const BingoStore&) = delete;
+
+  // --- versions -------------------------------------------------------------
+
+  // Versions built so far: 0 after construction, +1 per mutation.
+  uint64_t Version() const { return version_; }
+
+  // A read-only store frozen at the current version. Later mutations of
+  // this store never change what it reads; it must not outlive this store.
+  std::unique_ptr<const BingoStore> View() const;
+
+  // False once storage this view reads has been freed — which the
+  // reclamation protocol never does while the view is alive. Always true
+  // for the store itself.
+  bool Intact() const {
+    return pinned_ == nullptr || pinned_->FreedThrough() <= version_;
+  }
+
+  // Reclamation of superseded versions. A store layered over this one
+  // retires the storage its own copy-on-write state supersedes here, at
+  // the version that superseded it, so this store's views pin it too.
+  util::EpochReclaimer& Reclaimer() const { return *reclaimer_; }
 
   const graph::DynamicGraph& Graph() const { return graph_; }
   const BingoConfig& Config() const { return config_; }
@@ -103,6 +140,8 @@ class BingoStore {
   }
 
   // --- streaming updates (§4.2) -------------------------------------------
+  //
+  // Each call is one copy-on-write version, like a one-vertex ApplyBatch.
 
   // Legacy form: counter-stamped, no pipeline composition (static-bias
   // workloads and the pre-temporal tests).
@@ -143,13 +182,24 @@ class BingoStore {
   // --- batched updates (§5.2) ---------------------------------------------
 
   // Reorders by vertex, then runs insert -> delete -> rebuild per vertex in
-  // parallel; the inter-group space of each touched vertex is rebuilt once.
+  // parallel, each on a private copy of the vertex; the inter-group space
+  // of each touched vertex is rebuilt once. One version (two when the
+  // batch carries a clock tick: the rescale is its own).
   BatchResult ApplyBatch(const graph::UpdateList& updates,
                          util::ThreadPool* pool = nullptr);
 
   // --- introspection --------------------------------------------------------
 
   const VertexSampler& SamplerAt(graph::VertexId v) const { return samplers_[v]; }
+
+  // What a mutation of v alone supersedes, and so the most a pinned view
+  // can hold back per such mutation: v's adjacency block, finder and
+  // sampler block, and the two table pages that hold its slot and handle.
+  // MemoryStats().retired_bytes sums what pinned views hold back.
+  std::size_t VersionBytes(graph::VertexId v) const {
+    return graph_.VertexBytes(v) + samplers_[v].MemoryBreakdown().Total() +
+           graph::DynamicGraph::kPageBytes + sizeof(SamplerTable::Page);
+  }
 
   StoreMemoryStats MemoryStats() const;
   std::size_t MemoryBytes() const { return MemoryStats().TotalBytes(); }
@@ -163,14 +213,35 @@ class BingoStore {
   std::string CheckInvariants() const;
 
  private:
+  using SamplerTable = util::CowArray<VertexSampler, 6>;  // 1 KiB pages
+
+  struct ViewTag {};
+  BingoStore(ViewTag, const BingoStore& origin);
+
+  // One copy-on-write step: builds version Version() + 1. Each vertex of
+  // `vertices` (ascending, distinct) gets a private page and a private
+  // copy of its adjacency and sampler; then `write(lo, hi)` mutates the
+  // copies of vertices[lo, hi), chunks in parallel on `pool`. The
+  // originals are retired to the reclaimer.
+  template <typename Fn>
+  void WriteVertices(std::span<const graph::VertexId> vertices,
+                     util::ThreadPool* pool, std::size_t grain, Fn&& write);
+
   void ApplyVertexBatch(graph::VertexId v, const graph::UpdateList& updates,
                         std::span<const uint32_t> update_indices,
                         BatchResult& result);
 
+  // The store's reclaimer (also referenced by its views), or null for a
+  // view; a view pins its version on `pinned_`. Declared first so that it
+  // is destroyed after the tables and the graph's memory pool.
+  std::unique_ptr<util::EpochReclaimer> own_reclaimer_;
+  util::EpochReclaimer* reclaimer_ = nullptr;
+  util::EpochReclaimer* pinned_ = nullptr;
   BingoConfig config_;  // owned copy; conversion_stats points into this object
   ConversionStats conversion_stats_;
   graph::DynamicGraph graph_;
-  std::vector<VertexSampler> samplers_;
+  SamplerTable samplers_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace bingo::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/util/bitops.h"
 
@@ -195,6 +196,20 @@ void RadixGroup::TakeFrom(RadixGroup& other) {
   other.kind_ = GroupKind::kEmpty;
   other.count_ = 0;
   other.payload_ = nullptr;
+}
+
+RadixGroup RadixGroup::Clone() const {
+  RadixGroup copy;
+  copy.kind_ = kind_;
+  copy.count_ = count_;
+  if (kind_ == GroupKind::kOneElement) {
+    copy.single_ = single_;
+  } else if (HasPayload()) {
+    const std::size_t bytes = MemoryBytes();
+    copy.payload_ = static_cast<Payload*>(::operator new(bytes));
+    std::memcpy(static_cast<void*>(copy.payload_), payload_, bytes);
+  }
+  return copy;
 }
 
 void RadixGroup::Reserve(uint32_t member_capacity, uint32_t index_capacity) {

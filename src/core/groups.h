@@ -91,6 +91,10 @@ class RadixGroup {
   RadixGroup& operator=(const RadixGroup&) = delete;
   ~RadixGroup() { Clear(); }
 
+  // An independent copy, payload included (same capacities, same hash
+  // layout).
+  RadixGroup Clone() const;
+
   GroupKind Kind() const { return kind_; }
   uint32_t Count() const { return count_; }
   bool Empty() const { return count_ == 0; }

@@ -98,13 +98,13 @@ bool LoadSnapshotEdges(const std::string& path, graph::WeightedEdgeList& edges,
   SnapshotInfo parsed;
   edges.clear();
   const bool ok = StreamSnapshotEdges(
-      path, &parsed, [&](const graph::WeightedEdge& e) {
+      path, &parsed, [&](std::span<const graph::WeightedEdge> records) {
         // ReadEdgeFile checks the count against the file size
-        // before the first record arrives.
+        // before the first records arrive.
         if (edges.empty()) {
           edges.reserve(parsed.num_edges);
         }
-        edges.push_back(e);
+        edges.insert(edges.end(), records.begin(), records.end());
         return true;
       });
   if (ok && info != nullptr) {
@@ -113,9 +113,8 @@ bool LoadSnapshotEdges(const std::string& path, graph::WeightedEdgeList& edges,
   return ok;
 }
 
-bool StreamSnapshotEdges(
-    const std::string& path, SnapshotInfo* info,
-    const std::function<bool(const graph::WeightedEdge&)>& fn) {
+bool StreamSnapshotEdges(const std::string& path, SnapshotInfo* info,
+                         const graph::EdgeChunkFn& fn) {
   const auto parse = [info](std::string_view fields, uint64_t& count,
                             graph::VertexId& id_bound) {
     SnapshotInfo parsed;

@@ -34,9 +34,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "src/core/bingo_store.h"
+#include "src/graph/io.h"
 
 namespace bingo::core {
 
@@ -85,17 +87,16 @@ bool SaveSnapshot(const BingoStore& store, const std::string& path,
 bool LoadSnapshotEdges(const std::string& path, graph::WeightedEdgeList& edges,
                        SnapshotInfo* info = nullptr);
 
-// Streams the edge section of a snapshot record by record — O(1)
-// memory instead of materializing the whole edge list — in the canonical
-// vertex-major order the file stores. `*info` (if given) is filled from
-// the header before the first record. `fn` returning false aborts the
-// stream (and the call returns false). The payload CRC is verified after
-// the last record, so on a false return the caller must discard whatever
-// `fn` accumulated: the delivered records are tentative until the call
-// returns true.
-bool StreamSnapshotEdges(
-    const std::string& path, SnapshotInfo* info,
-    const std::function<bool(const graph::WeightedEdge&)>& fn);
+// Streams the edge section of a snapshot one decoded chunk at a time —
+// O(chunk) memory instead of materializing the whole edge list — in the
+// canonical vertex-major order the file stores. `*info` (if given) is
+// filled from the header before the first chunk. `fn` returning false
+// aborts the stream (and the call returns false). The payload CRC is
+// verified after the last record, so on a false return the caller must
+// discard whatever `fn` accumulated: the delivered records are tentative
+// until the call returns true.
+bool StreamSnapshotEdges(const std::string& path, SnapshotInfo* info,
+                         const graph::EdgeChunkFn& fn);
 
 // Rebuilds a store from a snapshot. Returns nullptr on I/O failure, on a
 // corrupt file, or when the snapshot's config fingerprint does not match

@@ -35,16 +35,21 @@ struct StoreMemoryStats {
   std::size_t graph_bytes = 0;
   std::size_t sampler_fixed_bytes = 0;    // per-vertex sampler objects
   std::size_t sampler_dynamic_bytes = 0;  // heap payload behind them
+  // Superseded copy-on-write versions still held for pinned views.
+  std::size_t retired_bytes = 0;
 
   std::size_t SamplerBytes() const {
     return sampler_fixed_bytes + sampler_dynamic_bytes;
   }
-  std::size_t TotalBytes() const { return graph_bytes + SamplerBytes(); }
+  std::size_t TotalBytes() const {
+    return graph_bytes + SamplerBytes() + retired_bytes;
+  }
 
   StoreMemoryStats& operator+=(const StoreMemoryStats& other) {
     graph_bytes += other.graph_bytes;
     sampler_fixed_bytes += other.sampler_fixed_bytes;
     sampler_dynamic_bytes += other.sampler_dynamic_bytes;
+    retired_bytes += other.retired_bytes;
     return *this;
   }
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <new>
 #include <sstream>
 
@@ -86,14 +87,26 @@ struct VertexSampler::Block {
 
 static_assert(alignof(DecimalGroup) <= alignof(RadixGroup));
 
-VertexSampler& VertexSampler::operator=(VertexSampler&& other) noexcept {
-  if (this != &other) {
-    Release();
-    config_ = other.config_;
-    block_ = other.block_;
-    other.block_ = nullptr;
+VertexSampler VertexSampler::Clone() const {
+  VertexSampler copy(config_);
+  if (block_ == nullptr) {
+    return copy;
   }
-  return *this;
+  const Block& from = *block_;
+  auto* fresh = static_cast<Block*>(
+      ::operator new(Block::Bytes(from.num_groups, from.has_decimal)));
+  // Header, alias table and slot map are plain bytes; the groups and the
+  // decimal group deep-copy their payloads.
+  std::memcpy(static_cast<void*>(fresh), &from,
+              Block::GroupsOffset(from.num_slots));
+  for (int g = 0; g < from.num_groups; ++g) {
+    new (fresh->Groups() + g) RadixGroup(from.Groups()[g].Clone());
+  }
+  if (from.has_decimal) {
+    new (fresh->Decimal()) DecimalGroup(*from.Decimal());
+  }
+  copy.block_ = fresh;
+  return copy;
 }
 
 void VertexSampler::Release() {

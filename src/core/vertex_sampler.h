@@ -12,9 +12,9 @@
 // source vertex's adjacency span (the graph is the single source of truth,
 // and dense-group rejection reads biases straight from it).
 //
-// Memory layout: a VertexSampler is a 16-byte handle (config pointer plus
-// block pointer). A vertex without out-weight has no block. Otherwise its
-// block is one heap allocation holding, contiguously:
+// Memory layout: a VertexSampler is a 16-byte, trivially copyable handle
+// (config pointer plus block pointer). A vertex without out-weight has no
+// block. Otherwise its block is one heap allocation holding, contiguously:
 //   * a 16-byte header (the presence mask of radix positions, counts);
 //   * the inter-group alias table, prob[] (double) and alias[] (uint32);
 //   * the slot map, slot -> radix position (int8, -1 = decimal group);
@@ -24,6 +24,11 @@
 // positions have a header, and popcount below k finds it. Alias slot s is
 // header s (the non-empty groups in ascending k, as the inter-group table
 // has always been ordered), and the decimal group takes the last slot.
+//
+// Ownership is explicit, as for a raw pointer: copying a handle aliases the
+// block (the page copies of a copy-on-write vertex table do exactly that),
+// Clone() makes an independent deep copy, and whoever owns the block frees
+// it with Release().
 
 #ifndef BINGO_SRC_CORE_VERTEX_SAMPLER_H_
 #define BINGO_SRC_CORE_VERTEX_SAMPLER_H_
@@ -33,6 +38,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/bias_pipeline.h"
@@ -105,16 +111,16 @@ class VertexSampler {
 
   VertexSampler() = default;
   explicit VertexSampler(const BingoConfig* config) : config_(config) {}
-  VertexSampler(VertexSampler&& other) noexcept
-      : config_(other.config_), block_(other.block_) {
-    other.block_ = nullptr;
-  }
-  VertexSampler& operator=(VertexSampler&& other) noexcept;
-  VertexSampler(const VertexSampler&) = delete;
-  VertexSampler& operator=(const VertexSampler&) = delete;
-  ~VertexSampler() { Release(); }
 
   void SetConfig(const BingoConfig* config) { config_ = config; }
+
+  // An independent copy: a new block holding the same groups, alias table
+  // and decimal group, so it samples bit-identically to this one.
+  VertexSampler Clone() const;
+
+  // Frees the block (and every group payload in it); the handle reads as a
+  // vertex without out-weight afterwards.
+  void Release();
 
   // Rebuilds everything from scratch (initial load, O(d·K)).
   void Build(std::span<const graph::Edge> adj);
@@ -207,7 +213,6 @@ class VertexSampler {
   void Reshape(uint64_t present, bool decimal);
   // Header of radix position k, which must be present.
   RadixGroup& GroupFor(int k);
-  void Release();
   void RebuildInterGroupAlias();
   void ReclassifyGroups(std::span<const graph::Edge> adj);
   // Members of group k recovered by scanning the adjacency (used when
@@ -219,6 +224,7 @@ class VertexSampler {
 };
 
 static_assert(sizeof(VertexSampler) == 16, "the per-vertex handle is 16 bytes");
+static_assert(std::is_trivially_copyable_v<VertexSampler>);
 
 }  // namespace bingo::core
 

@@ -5,7 +5,7 @@
 // durable state is exactly the edge multiset — a base snapshot
 // (core/snapshot.h) plus the stream of ApplyBatch update batches applied
 // since it. The WAL journals that stream: one framed, CRC'd record per
-// batch, appended before the batch mutates any replica, so a crash loses at
+// batch, appended before the batch mutates the store, so a crash loses at
 // most the batches whose records never reached the file (none, with
 // fsync_on_commit).
 //

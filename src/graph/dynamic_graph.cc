@@ -92,17 +92,23 @@ bool DynamicGraph::Finder::Reindex(VertexId dst, uint32_t old_index,
 // ---------------------------------------------------------- DynamicGraph --
 
 DynamicGraph::DynamicGraph(VertexId num_vertices)
-    : pool_(std::make_unique<util::MemoryPool>()), slots_(num_vertices) {}
+    : pool_(std::make_shared<util::MemoryPool>()), slots_(num_vertices) {}
 
 DynamicGraph::~DynamicGraph() {
-  if (pool_ == nullptr) {
-    return;  // moved-from
+  if (pool_ == nullptr || !slots_.Owner()) {
+    return;  // moved-from, or a view
   }
-  for (Slot& s : slots_) {
-    if (s.edges != nullptr) {
-      pool_->Deallocate(s.edges, static_cast<std::size_t>(s.capacity) * sizeof(Edge));
-    }
+  for (std::size_t v = 0; v < slots_.size(); ++v) {
+    FreeSlot(slots_[v]);
   }
+}
+
+void DynamicGraph::FreeSlot(const Slot& slot) {
+  if (slot.edges != nullptr) {
+    pool_->Deallocate(slot.edges,
+                      static_cast<std::size_t>(slot.capacity) * sizeof(Edge));
+  }
+  delete slot.finder;
 }
 
 DynamicGraph::DynamicGraph(DynamicGraph&& other) noexcept
@@ -187,7 +193,7 @@ void DynamicGraph::EnsureFinder(VertexId v) {
   if (s.finder != nullptr) {
     return;
   }
-  s.finder = std::make_unique<Finder>();
+  s.finder = new Finder();
   s.finder->Grow(s.size + 1);
   for (uint32_t i = 0; i < s.size; ++i) {
     s.finder->Insert(s.edges[i].dst, i);
@@ -373,7 +379,8 @@ bool DynamicGraph::IsCanonical() const {
   if (!unmodified_.load(std::memory_order_relaxed)) {
     return false;
   }
-  for (const Slot& s : slots_) {
+  for (std::size_t v = 0; v < slots_.size(); ++v) {
+    const Slot& s = slots_[v];
     for (uint32_t i = 1; i < s.size; ++i) {
       if (s.edges[i].timestamp < s.edges[i - 1].timestamp) {
         return false;
@@ -384,18 +391,81 @@ bool DynamicGraph::IsCanonical() const {
 }
 
 void DynamicGraph::AddVertices(VertexId count) {
-  slots_.resize(slots_.size() + count);
+  slots_.Resize(slots_.size() + count);
+}
+
+std::size_t DynamicGraph::SlotBytes(const Slot& s) {
+  std::size_t bytes = static_cast<std::size_t>(s.capacity) * sizeof(Edge);
+  if (s.finder != nullptr) {
+    bytes += s.finder->table.size() * sizeof(Finder::Entry) + sizeof(Finder);
+  }
+  return bytes;
 }
 
 std::size_t DynamicGraph::MemoryBytes() const {
-  std::size_t total = slots_.size() * sizeof(Slot);
-  for (const Slot& s : slots_) {
-    total += static_cast<std::size_t>(s.capacity) * sizeof(Edge);
-    if (s.finder != nullptr) {
-      total += s.finder->table.size() * sizeof(Finder::Entry) + sizeof(Finder);
-    }
+  std::size_t total = slots_.CapacityBytes();
+  for (std::size_t v = 0; v < slots_.size(); ++v) {
+    total += SlotBytes(slots_[v]);
   }
   return total;
+}
+
+// --------------------------------------------------------------- versions --
+
+DynamicGraph DynamicGraph::View() const {
+  DynamicGraph view;
+  view.pool_ = pool_;
+  view.slots_ = slots_.View();
+  view.num_edges_.store(NumEdges(), std::memory_order_relaxed);
+  view.next_timestamp_.store(next_timestamp_.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+  view.unmodified_.store(unmodified_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  return view;
+}
+
+void DynamicGraph::Retired::Append(Retired&& other) {
+  pages_.insert(pages_.end(), other.pages_.begin(), other.pages_.end());
+  slots_.insert(slots_.end(), other.slots_.begin(), other.slots_.end());
+  bytes_ += other.bytes_;
+  other = Retired{};
+}
+
+void DynamicGraph::ClonePage(VertexId v, uint64_t version, Retired& retired) {
+  if (SlotTable::Page* old = slots_.ClonePage(v, version)) {
+    retired.pages_.push_back(old);
+    retired.bytes_ += sizeof(SlotTable::Page);
+  }
+}
+
+void DynamicGraph::CloneVertex(VertexId v, Retired& retired) {
+  Slot& s = slots_[v];
+  const Slot old = s;
+  if (old.edges == nullptr && old.finder == nullptr) {
+    return;  // nothing to share
+  }
+  if (old.edges != nullptr) {
+    const std::size_t bytes =
+        static_cast<std::size_t>(old.capacity) * sizeof(Edge);
+    s.edges = static_cast<Edge*>(pool_->Allocate(bytes));
+    std::memcpy(s.edges, old.edges,
+                static_cast<std::size_t>(old.size) * sizeof(Edge));
+  }
+  if (old.finder != nullptr) {
+    s.finder = new Finder(*old.finder);
+  }
+  retired.slots_.push_back(old);
+  retired.bytes_ += SlotBytes(old);
+}
+
+void DynamicGraph::Free(Retired& retired) {
+  for (const Slot& slot : retired.slots_) {
+    FreeSlot(slot);
+  }
+  for (SlotTable::Page* page : retired.pages_) {
+    delete page;
+  }
+  retired = Retired{};
 }
 
 }  // namespace bingo::graph

@@ -14,6 +14,14 @@
 // finder so that delete-by-endpoint and node2vec's distance(w, v) adjacency
 // probes run in O(1) expected time; low-degree vertices fall back to a
 // linear scan over the (short) adjacency array.
+//
+// Versions: the per-vertex slots live in a paged copy-on-write table
+// (util/cow_array.h). View() is a read-only graph that keeps reading the
+// state it was taken at; a writer that must not disturb its views first
+// gives each vertex it changes a private page (ClonePage) and a private
+// copy of its adjacency block and finder (CloneVertex), and frees the
+// superseded storage (Free) once no view can read it. A graph that never
+// hands out views mutates in place.
 
 #ifndef BINGO_SRC_GRAPH_DYNAMIC_GRAPH_H_
 #define BINGO_SRC_GRAPH_DYNAMIC_GRAPH_H_
@@ -26,6 +34,7 @@
 #include <vector>
 
 #include "src/graph/types.h"
+#include "src/util/cow_array.h"
 #include "src/util/memory_pool.h"
 #include "src/util/prefetch.h"
 
@@ -34,6 +43,39 @@ namespace bingo::graph {
 class Csr;
 
 class DynamicGraph {
+ private:
+  // Open-addressing multi-map from dst to neighbor index. Created once a
+  // vertex's degree reaches kFinderThreshold.
+  struct Finder {
+    struct Entry {
+      VertexId dst = kInvalidVertex;
+      uint32_t index = kEmpty;
+    };
+    static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+    static constexpr uint32_t kTombstone = 0xFFFFFFFEu;
+
+    std::vector<Entry> table;
+    uint32_t live = 0;
+    uint32_t used = 0;  // live + tombstones
+
+    void Insert(VertexId dst, uint32_t index);
+    bool Erase(VertexId dst, uint32_t index);
+    bool Reindex(VertexId dst, uint32_t old_index, uint32_t new_index);
+    void Grow(std::size_t min_capacity);
+    std::size_t Mask() const { return table.size() - 1; }
+  };
+
+  // A trivially copyable handle: page copies alias the block and finder;
+  // the graph that owns the pages frees them.
+  struct Slot {
+    Edge* edges = nullptr;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+    Finder* finder = nullptr;
+  };
+
+  using SlotTable = util::CowArray<Slot, 6>;  // 64 slots (1.5 KiB) a page
+
  public:
   // Result of a swap-with-tail removal. If `moved` is true, the edge that
   // previously lived at neighbor index `moved_from` (the old tail) now lives
@@ -47,6 +89,7 @@ class DynamicGraph {
   };
 
   explicit DynamicGraph(VertexId num_vertices);
+  // Frees every block this graph owns; a view owns none.
   ~DynamicGraph();
 
   DynamicGraph(const DynamicGraph&) = delete;
@@ -151,39 +194,54 @@ class DynamicGraph {
   // Bytes reserved by adjacency blocks and finders (analytic accounting).
   std::size_t MemoryBytes() const;
 
+  // Bytes of v's adjacency block and finder.
+  std::size_t VertexBytes(VertexId v) const { return SlotBytes(slots_[v]); }
+
   util::MemoryPool& Pool() { return *pool_; }
 
+  // --- copy-on-write versions --------------------------------------------
+
+  // A read-only graph over this graph's current state: it shares every page
+  // and block and owns none, so whatever it reads must stay alive (Free
+  // only what no view can read) and it must not outlive this graph.
+  DynamicGraph View() const;
+
+  // Storage that ClonePage/CloneVertex superseded: reachable from views
+  // taken before them, from nothing written after.
+  class Retired {
+   public:
+    std::size_t Bytes() const { return bytes_; }
+    void Append(Retired&& other);
+
+   private:
+    friend class DynamicGraph;
+    std::vector<SlotTable::Page*> pages_;
+    std::vector<Slot> slots_;
+    std::size_t bytes_ = 0;
+  };
+
+  // Makes the page holding v private to `version` (the version its writer
+  // is building), copying a page an earlier version made. Not thread-safe:
+  // call it for every vertex before a parallel phase writes them.
+  void ClonePage(VertexId v, uint64_t version, Retired& retired);
+
+  // Gives v its own copy of its adjacency block (same capacity) and finder.
+  // Its page must be private. Distinct vertices may be cloned in parallel.
+  void CloneVertex(VertexId v, Retired& retired);
+
+  // Frees superseded storage; no view may read it any more.
+  void Free(Retired& retired);
+
+  // Bytes of one slot page (what ClonePage copies).
+  static constexpr std::size_t kPageBytes = sizeof(SlotTable::Page);
+
  private:
-  // Open-addressing multi-map from dst to neighbor index. Created once a
-  // vertex's degree reaches kFinderThreshold.
-  struct Finder {
-    struct Entry {
-      VertexId dst = kInvalidVertex;
-      uint32_t index = kEmpty;
-    };
-    static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-    static constexpr uint32_t kTombstone = 0xFFFFFFFEu;
-
-    std::vector<Entry> table;
-    uint32_t live = 0;
-    uint32_t used = 0;  // live + tombstones
-
-    void Insert(VertexId dst, uint32_t index);
-    bool Erase(VertexId dst, uint32_t index);
-    bool Reindex(VertexId dst, uint32_t old_index, uint32_t new_index);
-    void Grow(std::size_t min_capacity);
-    std::size_t Mask() const { return table.size() - 1; }
-  };
-
-  struct Slot {
-    Edge* edges = nullptr;
-    uint32_t size = 0;
-    uint32_t capacity = 0;
-    std::unique_ptr<Finder> finder;
-  };
-
   static constexpr uint32_t kFinderThreshold = 32;
 
+  DynamicGraph() = default;  // View()
+  // Adjacency block and finder bytes of one slot.
+  static std::size_t SlotBytes(const Slot& slot);
+  void FreeSlot(const Slot& slot);
   void Grow(Slot& slot);
   void EnsureFinder(VertexId v);
   // Check-then-store keeps the line shared once the flag is down, since
@@ -194,8 +252,8 @@ class DynamicGraph {
     }
   }
 
-  std::unique_ptr<util::MemoryPool> pool_;
-  std::vector<Slot> slots_;
+  std::shared_ptr<util::MemoryPool> pool_;  // shared with views
+  SlotTable slots_;
   // Atomic so that batched updates may mutate disjoint vertices in
   // parallel; per-vertex state itself is never shared across workers.
   std::atomic<uint64_t> num_edges_{0};

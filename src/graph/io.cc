@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "src/util/checksum.h"
 #include "src/util/fileio.h"
@@ -112,13 +113,14 @@ bool LoadWeightedEdgesBinary(const std::string& path, WeightedEdgeList& edges) {
     return magic == kMagic && version == kFormatVersion;
   };
   return ReadEdgeFile(path, kHeaderFieldBytes, parse,
-                      [&](const WeightedEdge& e) {
+                      [&](std::span<const WeightedEdge> records) {
                         // ReadEdgeFile checks the count against the file size
-                        // before the first record arrives.
+                        // before the first records arrive.
                         if (edges.empty()) {
                           edges.reserve(count);
                         }
-                        edges.push_back(e);
+                        edges.insert(edges.end(), records.begin(),
+                                     records.end());
                         return true;
                       });
 }
@@ -176,8 +178,7 @@ bool WriteEdgeFile(const std::string& path, std::string header_fields,
 }
 
 bool ReadEdgeFile(const std::string& path, std::size_t header_field_bytes,
-                  const EdgeHeaderParser& parse,
-                  const std::function<bool(const WeightedEdge&)>& fn) {
+                  const EdgeHeaderParser& parse, const EdgeChunkFn& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return false;
@@ -206,9 +207,11 @@ bool ReadEdgeFile(const std::string& path, std::size_t header_field_bytes,
   if (count > (file_size - header_bytes) / kRecordBytes) {
     return false;
   }
-  // Stream whole records in ~1 MiB chunks with a running CRC; the stored
-  // payload CRC is checked after the final chunk.
+  // Stream whole records in ~1 MiB chunks with a running CRC, decoding and
+  // validating each chunk before handing it over; the stored payload CRC is
+  // checked after the final chunk.
   std::string chunk;
+  std::vector<WeightedEdge> decoded;
   uint32_t payload_crc = 0;
   for (uint64_t remaining = count; remaining > 0;) {
     const std::size_t take = static_cast<std::size_t>(
@@ -219,17 +222,19 @@ bool ReadEdgeFile(const std::string& path, std::size_t header_field_bytes,
       return false;
     }
     payload_crc = util::Crc32c(chunk.data(), chunk.size(), payload_crc);
+    decoded.resize(take);
     std::size_t pos = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      WeightedEdge e{};
+    for (WeightedEdge& e : decoded) {
       ReadPod(chunk, pos, e.src);
       ReadPod(chunk, pos, e.dst);
       ReadPod(chunk, pos, e.timestamp);
       ReadPod(chunk, pos, e.bias);
-      if (e.src >= id_bound || e.dst >= id_bound || !ValidBias(e.bias) ||
-          !fn(e)) {
+      if (e.src >= id_bound || e.dst >= id_bound || !ValidBias(e.bias)) {
         return false;
       }
+    }
+    if (!fn(decoded)) {
+      return false;
     }
     remaining -= take;
   }

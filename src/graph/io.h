@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -58,16 +59,20 @@ bool WriteEdgeFile(const std::string& path, std::string header_fields,
 using EdgeHeaderParser = std::function<bool(
     std::string_view fields, uint64_t& count, VertexId& id_bound)>;
 
+// Receives the records of one decoded chunk, in file order; returning
+// false aborts the stream.
+using EdgeChunkFn = std::function<bool(std::span<const WeightedEdge>)>;
+
 // Streams the records of the edge file at `path`, whose header fields span
-// `header_field_bytes`, to `fn` in file order. The count `parse` returns is
-// checked against the file size before anything is allocated; every
-// record's src and dst must be below `id_bound` and its bias finite and
-// non-negative; the payload CRC is checked after the last record. `fn`
-// returning false aborts the stream. On a false return the caller must
-// discard whatever `fn` accumulated.
+// `header_field_bytes`, to `fn` in file order, one decoded chunk (up to
+// ~1 MiB of records) per call. The count `parse` returns is checked
+// against the file size before anything is allocated; every record's src
+// and dst must be below `id_bound` and its bias finite and non-negative
+// before its chunk is handed over; the payload CRC is checked after the
+// last record. On a false return the caller must discard whatever `fn`
+// accumulated.
 bool ReadEdgeFile(const std::string& path, std::size_t header_field_bytes,
-                  const EdgeHeaderParser& parse,
-                  const std::function<bool(const WeightedEdge&)>& fn);
+                  const EdgeHeaderParser& parse, const EdgeChunkFn& fn);
 
 }  // namespace bingo::graph
 

@@ -96,7 +96,10 @@ void* MemoryPool::Allocate(std::size_t bytes) {
   const std::size_t arena_size = std::max(cls, kArenaBytes);
   if (shard.arenas.empty() || shard.arena_used + cls > kArenaBytes ||
       cls > kArenaBytes) {
-    shard.arenas.push_back(std::make_unique<std::byte[]>(arena_size));
+    // Not zero-filled: an arena's pages become resident only as blocks are
+    // carved from it.
+    shard.arenas.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(arena_size));
     shard.arena_used = 0;
     shard.reserved_bytes += arena_size;
   }

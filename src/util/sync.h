@@ -2,7 +2,7 @@
 // layer (tools/lint/bingo_lint.py rejects raw std::mutex/std::shared_mutex
 // anywhere else).
 //
-// The serving stack's locking protocol — dual-replica epochs, per-shard
+// The serving stack's locking protocol — versioned snapshot epochs, per-shard
 // writer locks, drain threads, a shared-mutex-guarded walk corpus — used to
 // live in comments and in whichever interleavings the TSan tests happened
 // to execute. These wrappers carry Clang Thread Safety Analysis attributes

@@ -1,12 +1,14 @@
 #include "src/walk/ooc_service.h"
 
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "src/core/wal.h"
 #include "src/graph/types.h"
 
 namespace bingo::walk {
+
+static_assert(VersionedStore<TieredStore>);
 
 template class WalkServiceT<TieredStore>;
 
@@ -15,21 +17,27 @@ bool BuildCsrFromSnapshot(const std::string& snapshot_path,
                           core::SnapshotInfo* info, std::string* error) {
   core::SnapshotInfo local_info;
   core::SnapshotInfo* out_info = info != nullptr ? info : &local_info;
-  // One streamed pass, O(1) resident. StreamSnapshotEdges fills the header
-  // before the first record, so the writer (which needs the vertex count)
-  // is constructed lazily inside the callback.
+  // One streamed pass, O(chunk) resident. StreamSnapshotEdges fills the
+  // header before the first chunk, so the writer (which needs the vertex
+  // count) is constructed lazily inside the callback.
   std::unique_ptr<graph::CsrFileWriter> writer;
   const bool streamed = core::StreamSnapshotEdges(
-      snapshot_path, out_info, [&](const graph::WeightedEdge& e) {
+      snapshot_path, out_info,
+      [&](std::span<const graph::WeightedEdge> records) {
         if (writer == nullptr) {
           writer = std::make_unique<graph::CsrFileWriter>(
               csr_path, out_info->num_vertices, block_bytes);
         }
-        graph::Edge edge;
-        edge.dst = e.dst;
-        edge.timestamp = e.timestamp;
-        edge.bias = e.bias;
-        return writer->ok() && writer->Append(e.src, edge);
+        for (const graph::WeightedEdge& e : records) {
+          graph::Edge edge;
+          edge.dst = e.dst;
+          edge.timestamp = e.timestamp;
+          edge.bias = e.bias;
+          if (!writer->ok() || !writer->Append(e.src, edge)) {
+            return false;
+          }
+        }
+        return true;
       });
   if (!streamed) {
     writer.reset();  // abandon the tentative side file
@@ -49,24 +57,12 @@ std::unique_ptr<OocWalkService> MakeOocWalkService(
     const std::string& csr_path, core::BingoConfig config,
     TieredStoreOptions options, util::ThreadPool* build_pool,
     util::ThreadPool* update_pool, std::string* error) {
-  // The service factory runs twice and cannot report failure, so both
-  // replicas are opened here first.
-  std::vector<std::unique_ptr<TieredStore>> replicas;
-  for (int i = 0; i < 2; ++i) {
-    auto store = TieredStore::Open(csr_path, config, options, build_pool,
-                                   error);
-    if (store == nullptr) {
-      return nullptr;
-    }
-    replicas.push_back(std::move(store));
+  auto store =
+      TieredStore::Open(csr_path, config, options, build_pool, error);
+  if (store == nullptr) {
+    return nullptr;
   }
-  return std::make_unique<OocWalkService>(
-      [&replicas]() {
-        auto store = std::move(replicas.back());
-        replicas.pop_back();
-        return store;
-      },
-      update_pool);
+  return std::make_unique<OocWalkService>(std::move(store), update_pool);
 }
 
 std::unique_ptr<OocWalkService> RecoverOocWalkService(
@@ -105,13 +101,14 @@ std::unique_ptr<OocWalkService> RecoverOocWalkService(
     return fail();
   }
 
-  // Replay the journaled suffix; each batch promotes the base vertices it
-  // touches, exactly as live updates would. Journaling is not armed yet.
+  // Replay the journaled suffix on the build pool; each batch promotes the
+  // base vertices it touches, exactly as live updates would. Journaling is
+  // not armed yet.
   const std::string wal_path = dir + "/wal.log";
   const core::WalReplayResult replay = core::ReplayWal(
       wal_path, info.wal_seq,
       [&](uint64_t /*seq*/, const graph::UpdateList& batch) {
-        service->ApplyBatch(batch);
+        service->ApplyBatch(batch, build_pool);
       });
   // The same decision tree as the in-memory RecoverWalkService: a missing
   // or pre-header-torn WAL, or one fully covered by the base, is superseded

@@ -1,7 +1,7 @@
 // Out-of-core walk service: WalkServiceT over the tiered store, plus
 // streamed recovery.
 //
-// The service machinery (left/right replicas, snapshot epochs, WAL
+// The service machinery (one copy-on-write store, snapshot epochs, WAL
 // journaling) is store-generic; this unit instantiates it for TieredStore
 // and supplies the out-of-core recovery path. TieredStore is not
 // CheckpointableStore — its base tier lives in the CSR file, not a
@@ -13,7 +13,7 @@
 // Streamed recovery is the memory headline: BuildCsrFromSnapshot converts
 // dir/base.snapshot into the on-disk CSR container record by record
 // (core::StreamSnapshotEdges — O(1) resident, never a materialized edge
-// list), then two TieredStores mount it with a block-cache budget. Peak
+// list), then one TieredStore mounts it with a block-cache budget. Peak
 // recovery RSS is O(index + budget), not O(E) — bench/bench_ooc.cc
 // measures the gap against full-snapshot materialization.
 
@@ -38,7 +38,7 @@ extern template class WalkServiceT<TieredStore>;
 using OocWalkService = WalkServiceT<TieredStore>;
 
 struct OocServiceOptions {
-  TieredStoreOptions store;  // per-replica cache budget + CRC policy
+  TieredStoreOptions store;  // cache budget + CRC policy
   // Block size target when recovery builds the CSR container.
   uint64_t csr_block_bytes = graph::kDefaultCsrBlockBytes;
   WalPersistenceOptions wal;
@@ -52,9 +52,8 @@ bool BuildCsrFromSnapshot(const std::string& snapshot_path,
                           core::SnapshotInfo* info = nullptr,
                           std::string* error = nullptr);
 
-// Builds an OOC service over an existing CSR container: both replicas are
-// opened up front (so open failures surface here, not inside the service
-// factory). Returns nullptr with `*error` set on failure.
+// Builds an OOC service over an existing CSR container. Returns nullptr
+// with `*error` set when the container does not open.
 std::unique_ptr<OocWalkService> MakeOocWalkService(
     const std::string& csr_path, core::BingoConfig config = {},
     TieredStoreOptions options = {}, util::ThreadPool* build_pool = nullptr,
@@ -62,7 +61,7 @@ std::unique_ptr<OocWalkService> MakeOocWalkService(
 
 // Rebuilds an OOC service from a durability directory written by an
 // in-memory service's AttachWal/Checkpoint: streams dir/base.snapshot into
-// dir/base.csr, mounts two tiered replicas under the configured budget,
+// dir/base.csr, mounts one tiered store under the configured budget,
 // replays the longest valid prefix of dir/wal.log past the base's sequence
 // number (promoting touched vertices exactly as live updates would), and
 // adopts the WAL so journaling resumes. Walks on the recovered service are

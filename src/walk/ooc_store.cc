@@ -56,7 +56,9 @@ std::unique_ptr<TieredStore> TieredStore::Open(const std::string& csr_path,
                                                util::ThreadPool* pool,
                                                std::string* error) {
   auto store = std::make_unique<TieredStore>();
-  if (!graph::CsrMmap::Open(csr_path, &store->csr_, error)) {
+  store->tier_ = std::make_shared<Tier>();
+  Tier& tier = *store->tier_;
+  if (!graph::CsrMmap::Open(csr_path, &tier.csr, error)) {
     return nullptr;
   }
   if (config.pipeline.Active()) {
@@ -67,47 +69,59 @@ std::unique_ptr<TieredStore> TieredStore::Open(const std::string& csr_path,
     }
     return nullptr;
   }
-  store->cache_ = std::make_unique<core::BlockCache>(
-      &store->csr_, core::BlockCacheOptions{options.memory_budget_bytes,
-                                            options.verify_crc});
-  store->overlay_ = std::make_unique<core::BingoStore>(
-      graph::DynamicGraph::FromEdges(store->csr_.NumVertices(),
+  tier.cache = std::make_unique<core::BlockCache>(
+      &tier.csr, core::BlockCacheOptions{options.memory_budget_bytes,
+                                         options.verify_crc});
+  tier.uid = next_store_uid.fetch_add(1, std::memory_order_relaxed);
+  auto overlay = std::make_shared<core::BingoStore>(
+      graph::DynamicGraph::FromEdges(tier.csr.NumVertices(),
                                      graph::WeightedEdgeList{}),
       config, pool);
-  store->promoted_.assign(store->csr_.NumVertices(), 0);
-  store->base_live_edges_ = store->csr_.NumEdges();
-  store->uid_ = next_store_uid.fetch_add(1, std::memory_order_relaxed);
+  store->writer_ = overlay.get();
+  store->overlay_ = std::move(overlay);
+  store->promoted_.Resize(tier.csr.NumVertices());
+  store->base_live_edges_ = tier.csr.NumEdges();
   return store;
+}
+
+std::unique_ptr<const TieredStore> TieredStore::View() const {
+  auto view = std::make_unique<TieredStore>();
+  view->tier_ = tier_;
+  view->overlay_ = overlay_->View();
+  view->promoted_ = promoted_.View();
+  view->base_live_edges_ = base_live_edges_;
+  view->promoted_count_ = promoted_count_;
+  return view;
 }
 
 std::span<const graph::Edge> TieredStore::BaseEdgesFor(
     graph::VertexId v) const {
-  const uint64_t degree = csr_.Degree(v);
+  const uint64_t degree = tier_->csr.Degree(v);
   if (degree == 0) {
     return {};
   }
-  const uint32_t b = csr_.BlockOfVertex(v);
-  const graph::Edge* blk = cache_->Resident(b);
-  if (blk == nullptr && !cache_->Budgeted()) {
+  const uint32_t b = tier_->csr.BlockOfVertex(v);
+  const graph::Edge* blk = tier_->cache->Resident(b);
+  if (blk == nullptr && !tier_->cache->Budgeted()) {
     std::string err;
-    if (cache_->Load(b, &err)) {
-      blk = cache_->Resident(b);
+    if (tier_->cache->Load(b, &err)) {
+      blk = tier_->cache->Resident(b);
     }
   }
-  const uint64_t first = csr_.EdgeOffset(v);
+  const uint64_t first = tier_->csr.EdgeOffset(v);
   if (blk != nullptr) {
-    return {blk + (first - csr_.BlockFirstEdge(b)),
+    return {blk + (first - tier_->csr.BlockFirstEdge(b)),
             static_cast<std::size_t>(degree)};
   }
   TlsEdgeBuffer& buf = tls_edge_buffer;
-  if (buf.store_uid != uid_ || buf.vertex != v) {
+  if (buf.store_uid != tier_->uid || buf.vertex != v) {
     buf.edges.resize(static_cast<std::size_t>(degree));
-    if (!csr_.ReadEdges(first, degree, buf.edges.data())) {
-      io_failed_.store(true, std::memory_order_relaxed);
+    if (!tier_->csr.ReadEdges(first, degree, buf.edges.data())) {
+      tier_->io_failed.store(true, std::memory_order_relaxed);
       buf.vertex = graph::kInvalidVertex;
       return {};
     }
-    buf.store_uid = uid_;
+    buf.store_uid = tier_->uid;
     buf.vertex = v;
   }
   return {buf.edges.data(), static_cast<std::size_t>(degree)};
@@ -119,7 +133,7 @@ graph::VertexId TieredStore::SampleNeighbor(graph::VertexId v,
     const auto adj = overlay_->NeighborsOf(v);
     return SampleIts(adj, SpanTotal(adj), rng);
   }
-  return SampleIts(BaseEdgesFor(v), csr_.TotalBias(v), rng);
+  return SampleIts(BaseEdgesFor(v), tier_->csr.TotalBias(v), rng);
 }
 
 void TieredStore::SampleNeighborBatch(graph::VertexId v,
@@ -132,7 +146,7 @@ void TieredStore::SampleNeighborBatch(graph::VertexId v,
     total = SpanTotal(adj);
   } else {
     adj = BaseEdgesFor(v);
-    total = csr_.TotalBias(v);
+    total = tier_->csr.TotalBias(v);
   }
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = SampleIts(adj, total, *rngs[i]);
@@ -149,21 +163,21 @@ bool TieredStore::HasEdge(graph::VertexId src, graph::VertexId dst) const {
   if (Promoted(src)) {
     return overlay_->HasEdge(src, dst);
   }
-  const uint64_t degree = csr_.Degree(src);
+  const uint64_t degree = tier_->csr.Degree(src);
   if (degree == 0) {
     return false;
   }
-  const uint32_t b = csr_.BlockOfVertex(src);
-  const graph::Edge* blk = cache_->Resident(b);
-  if (blk == nullptr && !cache_->Budgeted()) {
+  const uint32_t b = tier_->csr.BlockOfVertex(src);
+  const graph::Edge* blk = tier_->cache->Resident(b);
+  if (blk == nullptr && !tier_->cache->Budgeted()) {
     std::string err;
-    if (cache_->Load(b, &err)) {
-      blk = cache_->Resident(b);
+    if (tier_->cache->Load(b, &err)) {
+      blk = tier_->cache->Resident(b);
     }
   }
-  const uint64_t first = csr_.EdgeOffset(src);
+  const uint64_t first = tier_->csr.EdgeOffset(src);
   if (blk != nullptr) {
-    const graph::Edge* run = blk + (first - csr_.BlockFirstEdge(b));
+    const graph::Edge* run = blk + (first - tier_->csr.BlockFirstEdge(b));
     for (uint64_t i = 0; i < degree; ++i) {
       if (run[i].dst == dst) {
         return true;
@@ -177,8 +191,8 @@ bool TieredStore::HasEdge(graph::VertexId src, graph::VertexId dst) const {
   graph::Edge chunk[256];
   for (uint64_t i = 0; i < degree; i += 256) {
     const uint64_t take = std::min<uint64_t>(256, degree - i);
-    if (!csr_.ReadEdges(first + i, take, chunk)) {
-      io_failed_.store(true, std::memory_order_relaxed);
+    if (!tier_->csr.ReadEdges(first + i, take, chunk)) {
+      tier_->io_failed.store(true, std::memory_order_relaxed);
       return false;
     }
     for (uint64_t j = 0; j < take; ++j) {
@@ -210,7 +224,7 @@ core::BatchResult TieredStore::ApplyBatch(const graph::UpdateList& updates,
     if (u.kind == graph::Update::Kind::kAdvanceTime) {
       continue;  // no edge; passes through (identity pipeline => no-op)
     }
-    if (u.src < csr_.NumVertices() && promoted_[u.src] == 0) {
+    if (u.src < tier_->csr.NumVertices() && promoted_[u.src] == 0) {
       to_promote.push_back(u.src);
     }
   }
@@ -222,11 +236,11 @@ core::BatchResult TieredStore::ApplyBatch(const graph::UpdateList& updates,
   graph::UpdateList combined;
   std::vector<graph::Edge> run;
   for (const graph::VertexId v : to_promote) {
-    const uint64_t degree = csr_.Degree(v);
+    const uint64_t degree = tier_->csr.Degree(v);
     run.resize(static_cast<std::size_t>(degree));
     if (degree > 0 &&
-        !csr_.ReadEdges(csr_.EdgeOffset(v), degree, run.data())) {
-      io_failed_.store(true, std::memory_order_relaxed);
+        !tier_->csr.ReadEdges(tier_->csr.EdgeOffset(v), degree, run.data())) {
+      tier_->io_failed.store(true, std::memory_order_relaxed);
       return core::BatchResult{};  // nothing applied; CheckInvariants flags
     }
     for (const graph::Edge& e : run) {
@@ -242,48 +256,64 @@ core::BatchResult TieredStore::ApplyBatch(const graph::UpdateList& updates,
   }
   core::BatchResult result;
   if (combined.empty()) {
-    result = overlay_->ApplyBatch(updates, pool);
+    result = writer_->ApplyBatch(updates, pool);
   } else {
     combined.insert(combined.end(), updates.begin(), updates.end());
-    result = overlay_->ApplyBatch(combined, pool);
+    result = writer_->ApplyBatch(combined, pool);
     result.inserted -= synthetic;
   }
+  // The promoted set is copy-on-write too: the pages this batch changes are
+  // copied, and the originals retire with the overlay version just built.
+  const uint64_t version = writer_->Version();
+  std::vector<PromotedSet::Page*> superseded;
   for (const graph::VertexId v : to_promote) {
+    if (PromotedSet::Page* old = promoted_.ClonePage(v, version)) {
+      superseded.push_back(old);
+    }
     promoted_[v] = 1;
-    base_live_edges_ -= csr_.Degree(v);
+    base_live_edges_ -= tier_->csr.Degree(v);
   }
   promoted_count_ += to_promote.size();
+  if (!superseded.empty()) {
+    writer_->Reclaimer().Retire(
+        version, superseded.size() * sizeof(PromotedSet::Page),
+        [pages = std::move(superseded)] {
+          for (PromotedSet::Page* page : pages) {
+            delete page;
+          }
+        });
+  }
   return result;
 }
 
 bool TieredStore::PrepareBlock(uint32_t b) const {
-  if (b >= csr_.NumBlocks()) {
+  if (b >= tier_->csr.NumBlocks()) {
     return true;  // the virtual RAM block is always resident
   }
   std::string err;
-  if (!cache_->Load(b, &err)) {
-    io_failed_.store(true, std::memory_order_relaxed);
+  if (!tier_->cache->Load(b, &err)) {
+    tier_->io_failed.store(true, std::memory_order_relaxed);
     return false;
   }
-  cache_->BeginUse(b);
+  tier_->cache->BeginUse(b);
   return true;
 }
 
 void TieredStore::FinishBlockPass(uint32_t b) const {
-  if (b < csr_.NumBlocks()) {
-    cache_->EndUse(b);
+  if (b < tier_->csr.NumBlocks()) {
+    tier_->cache->EndUse(b);
   }
 }
 
 void TieredStore::SetParked(uint32_t b, uint64_t walkers) const {
-  if (b < csr_.NumBlocks()) {
-    cache_->SetParked(b, walkers);
+  if (b < tier_->csr.NumBlocks()) {
+    tier_->cache->SetParked(b, walkers);
   }
 }
 
 core::StoreMemoryStats TieredStore::MemoryStats() const {
   core::StoreMemoryStats stats = overlay_->MemoryStats();
-  stats.graph_bytes += csr_.IndexBytes() + cache_->Stats().resident_bytes;
+  stats.graph_bytes += tier_->csr.IndexBytes() + tier_->cache->Stats().resident_bytes;
   return stats;
 }
 
@@ -292,17 +322,17 @@ std::string TieredStore::CheckInvariants() const {
   if (!err.empty()) {
     return err;
   }
-  if (io_failed_.load(std::memory_order_relaxed)) {
+  if (tier_->io_failed.load(std::memory_order_relaxed)) {
     return "tiered store: a CSR read or map failed during sampling/apply";
   }
-  err = cache_->CheckAccounting();
+  err = tier_->cache->CheckAccounting();
   if (!err.empty()) {
     return err;
   }
   uint64_t live = 0;
-  for (graph::VertexId v = 0; v < csr_.NumVertices(); ++v) {
+  for (graph::VertexId v = 0; v < tier_->csr.NumVertices(); ++v) {
     if (promoted_[v] == 0) {
-      live += csr_.Degree(v);
+      live += tier_->csr.Degree(v);
     }
   }
   if (live != base_live_edges_) {

@@ -29,6 +29,12 @@
 // *different* vertex (HasEdge deliberately uses a separate stack buffer so
 // node2vec's probe loop never invalidates the span it holds).
 //
+// Versions: the store is copy-on-write like its overlay. ApplyBatch builds
+// the overlay's next version and copies the pages of the promoted set it
+// changes; View() pins both, with the live-edge count of that version, over
+// the same (immutable) base tier. Superseded promoted-set pages retire
+// through the overlay's reclaimer, so the overlay's views pin them too.
+//
 // Constraints: the bias pipeline must be identity (base biases are
 // pre-composed into the file; a decay/type gate would need to re-compose
 // tiered edges it cannot reach), enforced by Open. AdvanceTime ticks pass
@@ -49,6 +55,7 @@
 #include "src/core/block_cache.h"
 #include "src/graph/csr_mmap.h"
 #include "src/graph/types.h"
+#include "src/util/cow_array.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -75,6 +82,11 @@ class TieredStore {
                                            TieredStoreOptions options = {},
                                            util::ThreadPool* pool = nullptr,
                                            std::string* error = nullptr);
+
+  // A read-only store frozen at the current version (walk/store.h
+  // VersionedStore); it must not outlive this store.
+  std::unique_ptr<const TieredStore> View() const;
+  bool Intact() const { return overlay_->Intact(); }
 
   // ---- WalkStore / BatchSamplingStore / AdjacencyStore surface ----
 
@@ -103,59 +115,69 @@ class TieredStore {
 
   // CSR blocks 0..csr blocks-1, plus one virtual always-resident RAM block
   // holding every promoted and overlay-born vertex.
-  uint32_t NumBlocks() const { return csr_.NumBlocks() + 1; }
-  uint32_t RamBlock() const { return csr_.NumBlocks(); }
+  uint32_t NumBlocks() const { return tier_->csr.NumBlocks() + 1; }
+  uint32_t RamBlock() const { return tier_->csr.NumBlocks(); }
   uint32_t BlockOf(graph::VertexId v) const {
-    if (v >= csr_.NumVertices() || promoted_[v] != 0) {
+    if (Promoted(v)) {
       return RamBlock();
     }
-    return csr_.BlockOfVertex(v);
+    return tier_->csr.BlockOfVertex(v);
   }
-  bool Budgeted() const { return cache_->Budgeted(); }
+  bool Budgeted() const { return tier_->cache->Budgeted(); }
 
   // Scheduler hooks: map (evicting under budget) + pin, unpin, rank input,
   // rank query. All no-ops / -1 for the virtual RAM block.
   bool PrepareBlock(uint32_t b) const;
   void FinishBlockPass(uint32_t b) const;
   void SetParked(uint32_t b, uint64_t walkers) const;
-  int64_t PickNextBlock() const { return cache_->PickNext(); }
-  core::BlockCacheStats CacheStats() const { return cache_->Stats(); }
+  int64_t PickNextBlock() const { return tier_->cache->PickNext(); }
+  core::BlockCacheStats CacheStats() const { return tier_->cache->Stats(); }
 
   // At most one out-of-core driver may run on a budgeted store at a time
   // (eviction between its passes would yank blocks from under a concurrent
   // pass). Engine and fused walks are always safe concurrently.
   bool TryBeginExclusiveWalk() const {
-    return !exclusive_walk_.exchange(true, std::memory_order_acquire);
+    return !tier_->exclusive_walk.exchange(true, std::memory_order_acquire);
   }
   void EndExclusiveWalk() const {
-    exclusive_walk_.store(false, std::memory_order_release);
+    tier_->exclusive_walk.store(false, std::memory_order_release);
   }
 
   // ---- introspection ----
 
-  const graph::CsrMmap& Csr() const { return csr_; }
+  const graph::CsrMmap& Csr() const { return tier_->csr; }
   const core::BingoStore& Overlay() const { return *overlay_; }
   uint64_t BaseLiveEdges() const { return base_live_edges_; }
   uint64_t PromotedVertices() const { return promoted_count_; }
 
  private:
+  // The immutable base tier and its cache, shared by the store and its
+  // views.
+  struct Tier {
+    graph::CsrMmap csr;
+    std::unique_ptr<core::BlockCache> cache;  // holds &csr: the tier is pinned
+    uint64_t uid = 0;  // keys the per-thread pread buffer across tiers
+    std::atomic<bool> exclusive_walk{false};
+    std::atomic<bool> io_failed{false};
+  };
+  using PromotedSet = util::CowArray<uint8_t, 12>;  // 4 KiB pages
+
   bool Promoted(graph::VertexId v) const {
-    return v >= csr_.NumVertices() || promoted_[v] != 0;
+    return v >= tier_->csr.NumVertices() || promoted_[v] != 0;
   }
   // The base-tier edge run of an unpromoted vertex: resident block span,
   // transparent demand-map (unconstrained), or per-thread pread buffer
   // (budgeted, non-resident).
   std::span<const graph::Edge> BaseEdgesFor(graph::VertexId v) const;
 
-  graph::CsrMmap csr_;
-  std::unique_ptr<core::BlockCache> cache_;  // holds &csr_: store is pinned
-  std::unique_ptr<core::BingoStore> overlay_;
-  std::vector<uint8_t> promoted_;  // per base vertex
+  std::shared_ptr<Tier> tier_;
+  // Reads go through overlay_ (the live overlay, or a view of it); writes
+  // through writer_, null for a view.
+  std::shared_ptr<const core::BingoStore> overlay_;
+  core::BingoStore* writer_ = nullptr;
+  PromotedSet promoted_;  // per base vertex
   uint64_t base_live_edges_ = 0;
   uint64_t promoted_count_ = 0;
-  uint64_t uid_ = 0;  // keys the per-thread pread buffer across stores
-  mutable std::atomic<bool> exclusive_walk_{false};
-  mutable std::atomic<bool> io_failed_{false};
 };
 
 }  // namespace bingo::walk

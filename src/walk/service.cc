@@ -10,7 +10,8 @@
 
 namespace bingo::walk {
 
-static_assert(WalkStore<core::BingoStore> && AdjacencyStore<core::BingoStore>);
+static_assert(VersionedStore<core::BingoStore> &&
+              AdjacencyStore<core::BingoStore>);
 
 template class WalkServiceT<core::BingoStore>;
 
@@ -18,12 +19,11 @@ std::unique_ptr<WalkService> MakeWalkService(
     const graph::WeightedEdgeList& edges, graph::VertexId num_vertices,
     core::BingoConfig config, util::ThreadPool* build_pool,
     util::ThreadPool* update_pool) {
-  const auto factory = [&]() {
-    return std::make_unique<core::BingoStore>(
-        graph::DynamicGraph::FromEdges(num_vertices, edges), config,
-        build_pool);
-  };
-  return std::make_unique<WalkService>(factory, update_pool);
+  return std::make_unique<WalkService>(
+      std::make_unique<core::BingoStore>(
+          graph::DynamicGraph::FromEdges(num_vertices, edges), config,
+          build_pool),
+      update_pool);
 }
 
 std::unique_ptr<WalkService> RecoverWalkService(
@@ -55,13 +55,14 @@ std::unique_ptr<WalkService> RecoverWalkService(
 
   auto service = MakeWalkService(edges, n, config, build_pool, update_pool);
 
-  // Replay the journaled suffix. Journaling is not armed yet, so the
-  // replayed batches are applied without being re-appended.
+  // Replay the journaled suffix, on the build pool: replay is part of
+  // building the store. Journaling is not armed yet, so the replayed
+  // batches are applied without being re-appended.
   const std::string wal_path = dir + "/wal.log";
   const core::WalReplayResult replay = core::ReplayWal(
       wal_path, info.wal_seq,
       [&](uint64_t seq, const graph::UpdateList& batch) {
-        service->ApplyBatch(batch);
+        service->ApplyBatch(batch, build_pool);
         if (batch_hook) {
           batch_hook(seq, batch, *service);
         }

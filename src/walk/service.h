@@ -5,40 +5,35 @@
 // concurrency story: many walk queries run concurrently with batched
 // updates, and no query ever observes a half-rebuilt vertex sampler.
 //
-// Design — left/right replication with snapshot epochs:
+// Design — one copy-on-write store with snapshot epochs:
 //
-//   * The service owns TWO replicas of the store, built identically.
-//     Queries Acquire() the front replica; ApplyBatch mutates the back
-//     replica, publishes it (epoch++) and returns. The old front, now the
-//     back, still lacks that batch: the next write replays it there first
-//     (the catch-up), after the readers that pinned it have drained, so
-//     the pair converges. A replica is only mutated after its readers have
-//     drained, so snapshots are immutable for their lifetime.
-//   * Readers never wait for an in-flight store mutation: Acquire is one
-//     brief critical section on the front mutex (shared with the writer's
-//     O(1) pointer flip, never held across a store mutation) plus a
-//     reader-count increment; the walk itself runs lock-free on the frozen
-//     replica.
-//   * Snapshot::Consistent() exposes a seqlock-style validation: the
-//     replica's version counter is even and unchanged since Acquire, i.e.
-//     the writer respected the drain protocol. Tests assert it after every
-//     concurrent query.
+//   * The service owns ONE store. Its ApplyBatch builds a new version from
+//     private copies of the vertices the batch touches (core/bingo_store.h:
+//     Bingo updates are vertex-local, §4.2, and a vertex's sampler is a pure
+//     function of its adjacency, Theorem 4.1), so the vertices it does not
+//     touch are shared with every earlier version. The service then
+//     publishes a view of the new version (epoch++) and returns.
+//   * A Snapshot pins one published version: a read-only view of the store
+//     that keeps reading exactly that version, whatever is applied after
+//     it. Acquire is one brief critical section on the front mutex (shared
+//     with the writer's O(1) publish) plus a reference count; the walk runs
+//     lock-free on the frozen view.
+//   * The writer never waits for readers. What a version supersedes (the
+//     old copies of touched vertices, and the table pages that held them)
+//     is freed by epoch-based reclamation once the last snapshot of an
+//     older version is released — by the thread that releases it, or at
+//     publish when none is pinned (util/reclaimer.h).
+//   * Snapshot::Consistent() checks that protocol: nothing the pinned view
+//     reads has been freed. Tests assert it after every concurrent query.
 //
-// Update latency is one store ApplyBatch plus the catch-up of the previous
-// batch, which rarely waits: by the next write the readers of the old
-// front have usually finished. Every batch is still applied to both
-// replicas (2x the apply work) and memory is 2x one store — the cost of
-// never blocking readers. Only CheckInvariants and base writes need the
-// replicas equal; they catch up first. This mirrors snapshot semantics of
-// core/snapshot.h (sampling structures are a pure function of the edge
-// multiset, Theorem 4.1): both replicas are rebuilt from the same edges and
-// replay the same update stream, so they stay bit-identical without copying
-// derived state between them.
+// Update latency is one store ApplyBatch: the copies of the touched
+// vertices plus the per-vertex update work, then the publish. Memory is one
+// store plus the versions pinned snapshots still read. A snapshot also
+// keeps its store alive, so it may outlive a base write that replaces the
+// store (see AttachWal) or the service itself.
 //
-// Caveat: a thread must not call ApplyBatch — nor CheckInvariants or
-// MemoryStats, which take the writer lock — while holding one of its own
-// live Snapshots: the writer waits for that reader to drain and would
-// deadlock (directly, or via the lock a concurrent writer already holds).
+// Caveat: CheckInvariants, MemoryStats and the durability calls take the
+// writer lock; they never wait for readers.
 
 #ifndef BINGO_SRC_WALK_SERVICE_H_
 #define BINGO_SRC_WALK_SERVICE_H_
@@ -51,7 +46,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,7 +68,10 @@ struct ServiceStats {
   uint64_t queries_served = 0;   // snapshots handed out
   uint64_t batches_applied = 0;
   uint64_t updates_applied = 0;  // individual update requests ingested
-  uint64_t drain_spins = 0;      // writer yields spent waiting for readers
+  // Writer yields spent waiting for readers: always 0, since the writer
+  // builds a new version instead of waiting (kept so stats readers that
+  // chart it keep working).
+  uint64_t drain_spins = 0;
   uint64_t wal_records = 0;      // batches journaled to the WAL
   uint64_t wal_updates = 0;      // updates journaled to the WAL
   uint64_t checkpoints = 0;      // Checkpoint() calls that succeeded
@@ -126,81 +123,58 @@ struct RecoveryReport {
   graph::VertexId num_vertices = 0;
 };
 
-template <WalkStore Store>
+template <VersionedStore Store>
 class WalkServiceT {
  public:
-  // `factory` is invoked twice; each call must produce an identical store
-  // (the store is a pure function of its inputs — Theorem 4.1).
-  explicit WalkServiceT(const std::function<std::unique_ptr<Store>()>& factory,
+  explicit WalkServiceT(std::unique_ptr<Store> store,
                         util::ThreadPool* update_pool = nullptr)
-      : update_pool_(update_pool) {
-    replicas_[0].store = factory();
-    replicas_[1].store = factory();
-  }
+      : store_(std::move(store)),
+        front_(std::make_shared<const Version>(store_, 0)),
+        update_pool_(update_pool) {}
 
   WalkServiceT(const WalkServiceT&) = delete;
   WalkServiceT& operator=(const WalkServiceT&) = delete;
 
-  // An immutable view of one published epoch. Movable, not copyable; the
-  // replica it pins cannot be mutated until it is destroyed.
+ private:
+  // One published epoch: a view of the store as that ApplyBatch left it.
+  // The view is destroyed before the store reference it keeps alive.
+  struct Version {
+    Version(std::shared_ptr<Store> s, uint64_t e)
+        : store(std::move(s)), view(store->View()), epoch(e) {}
+    std::shared_ptr<Store> store;
+    std::unique_ptr<const Store> view;
+    uint64_t epoch;
+  };
+
+ public:
+  // An immutable view of one published epoch. Movable, not copyable.
   class Snapshot {
    public:
-    Snapshot(Snapshot&& other) noexcept
-        : store_(other.store_),
-          readers_(other.readers_),
-          version_(other.version_),
-          version_at_acquire_(other.version_at_acquire_),
-          epoch_(other.epoch_) {
-      other.readers_ = nullptr;
-    }
+    Snapshot(Snapshot&&) noexcept = default;
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
     Snapshot& operator=(Snapshot&&) = delete;
-    ~Snapshot() {
-      if (readers_ != nullptr) {
-        // Release: our reads of the store happen-before the writer's
-        // mutation (it acquires the counter before touching the replica).
-        readers_->fetch_sub(1, std::memory_order_release);
-      }
-    }
 
-    const Store& store() const { return *store_; }
-    uint64_t epoch() const { return epoch_; }
+    const Store& store() const { return *version_->view; }
+    uint64_t epoch() const { return version_->epoch; }
 
-    // True while the pinned replica has not been mutated since Acquire.
-    // Under the service protocol this holds for the snapshot's whole
-    // lifetime; a false return means the writer violated the drain.
-    bool Consistent() const {
-      const uint64_t v = version_->load(std::memory_order_acquire);
-      return v == version_at_acquire_ && (v % 2) == 0;
-    }
+    // True while nothing the pinned version reads has been reclaimed. Under
+    // the service protocol this holds for the snapshot's whole lifetime; a
+    // false return means a version was freed while still pinned.
+    bool Consistent() const { return version_->view->Intact(); }
 
    private:
     friend class WalkServiceT;
-    Snapshot(const Store* store, std::atomic<int64_t>* readers,
-             const std::atomic<uint64_t>* version, uint64_t version_at_acquire,
-             uint64_t epoch)
-        : store_(store),
-          readers_(readers),
-          version_(version),
-          version_at_acquire_(version_at_acquire),
-          epoch_(epoch) {}
+    explicit Snapshot(std::shared_ptr<const Version> version)
+        : version_(std::move(version)) {}
 
-    const Store* store_;
-    std::atomic<int64_t>* readers_;
-    const std::atomic<uint64_t>* version_;
-    uint64_t version_at_acquire_;
-    uint64_t epoch_;
+    std::shared_ptr<const Version> version_;
   };
 
   Snapshot Acquire() const BINGO_EXCLUDES(front_mutex_) {
     util::MutexLock lock(front_mutex_);
-    const Replica& r = replicas_[front_];
-    r.readers.fetch_add(1, std::memory_order_relaxed);
     queries_.fetch_add(1, std::memory_order_relaxed);
-    return Snapshot(r.store.get(), &r.readers, &r.version,
-                    r.version.load(std::memory_order_relaxed),
-                    epoch_.load(std::memory_order_relaxed));
+    return Snapshot(front_);
   }
 
   uint64_t Epoch() const { return epoch_.load(std::memory_order_relaxed); }
@@ -230,18 +204,19 @@ class WalkServiceT {
         [&](const Store& s) { return RunNode2vec(s, cfg, params, pool); });
   }
 
-  // Applies one update batch: catches the back replica up with the
-  // previous batch, applies this one there, publishes it (epoch++) and
-  // returns; the old front gets this batch at the next catch-up. Writers
-  // are serialized; readers never wait. With a WAL attached the batch is
-  // journaled BEFORE either replica is touched (write-ahead), so recovery
-  // never misses an applied batch; a journaling failure poisons the WAL
-  // (surfaced by CheckInvariants) and the next Checkpoint() repairs
-  // durability by compacting.
-  core::BatchResult ApplyBatch(const graph::UpdateList& updates)
+  // Applies one update batch as a new store version, publishes it
+  // (epoch++) and returns. Writers are serialized; readers never wait, and
+  // the writer never waits for them. With a WAL attached the batch is
+  // journaled BEFORE the store is touched (write-ahead), so recovery never
+  // misses an applied batch; a journaling failure poisons the WAL (surfaced
+  // by CheckInvariants) and the next Checkpoint() repairs durability by
+  // compacting. `pool` (default: the update pool) runs the per-vertex copies
+  // and updates; recovery replays on its build pool.
+  core::BatchResult ApplyBatch(const graph::UpdateList& updates,
+                               util::ThreadPool* pool = nullptr)
       BINGO_EXCLUDES(update_mutex_, front_mutex_) {
     util::MutexLock wlock(update_mutex_);
-    replicas_as_built_ = false;
+    store_as_built_ = false;
     if (wal_ != nullptr) {
       if (wal_->Append(updates)) {
         wal_records_.fetch_add(1, std::memory_order_relaxed);
@@ -252,19 +227,17 @@ class WalkServiceT {
         wal_failed_.store(true, std::memory_order_relaxed);
       }
     }
-    CatchUpLocked();
-    const int back = BackLocked();
-    const core::BatchResult result = MutateReplica(replicas_[back], updates);
-    PublishLocked(back);
-    replay_.emplace(Replay{updates, result});
+    const core::BatchResult result =
+        store_->ApplyBatch(updates, pool != nullptr ? pool : update_pool_);
+    PublishLocked();
     batches_.fetch_add(1, std::memory_order_relaxed);
     updates_count_.fetch_add(updates.size(), std::memory_order_relaxed);
     return result;
   }
 
   // Advances the temporal-decay logical epoch as an ordinary one-update
-  // batch, so the tick is journaled, applied to both replicas, and replayed
-  // on recovery like any other mutation.
+  // batch, so the tick is journaled, applied, and replayed on recovery like
+  // any other mutation.
   void AdvanceTime(uint32_t new_epoch) {
     ApplyBatch({graph::MakeAdvanceTime(new_epoch)});
   }
@@ -282,28 +255,26 @@ class WalkServiceT {
   // already covers).
   //
   // Bit-identical recovery: writing a base also CANONICALIZES the live
-  // replicas — both are rebuilt from the canonical edge list the base
-  // persists, through the same publish protocol as ApplyBatch (queries keep
-  // running, epoch advances). From then on the live state is, bit for bit,
-  // `bulk-load(base) + replay(journaled batches)` — exactly what
-  // RecoverWalkService reconstructs — so a recovered service walks
-  // identically to one that never crashed, and keeps doing so under further
-  // updates. (Canonicalization preserves every per-vertex distribution and
-  // the duplicate-deletion order; only the internal adjacency/sampler
-  // layout is normalized, the same normalization recovery performs.)
+  // store — it is replaced by the bulk load of the canonical edge list the
+  // base persists, published like an ApplyBatch (queries keep running on
+  // their snapshots of the old store, the epoch advances). From then on the
+  // live state is, bit for bit, `bulk-load(base) + replay(journaled
+  // batches)` — exactly what RecoverWalkService reconstructs — so a
+  // recovered service walks identically to one that never crashed, and
+  // keeps doing so under further updates. (Canonicalization preserves every
+  // per-vertex distribution and the duplicate-deletion order; only the
+  // internal adjacency/sampler layout is normalized, the same normalization
+  // recovery performs.)
   //
-  // The rebuild is skipped when the replicas already ARE that bulk load:
-  // no batch was applied since they were built or last rebuilt, and each
-  // replica's graph is the untouched bulk load of its own canonical edge
-  // list (DynamicGraph::IsCanonical). The store is then Store(graph,
-  // config) for exactly the graph recovery loads (Theorem 4.1), so the
-  // rebuild could only reproduce it. This is the common AttachWal case —
-  // a freshly bulk-loaded service — and it costs no second store copy and
-  // no epoch. After updates (and so on every compaction that follows
-  // them) the rebuild runs as described.
-  //
-  // The ApplyBatch caveat applies: never call these while holding a live
-  // Snapshot of this service.
+  // The rebuild is skipped when the store already IS that bulk load: no
+  // batch was applied since it was built or last rebuilt, and its graph is
+  // the untouched bulk load of its own canonical edge list
+  // (DynamicGraph::IsCanonical). The store is then Store(graph, config) for
+  // exactly the graph recovery loads (Theorem 4.1), so the rebuild could
+  // only reproduce it. This is the common AttachWal case — a freshly
+  // bulk-loaded service — and it costs no second store and no epoch. After
+  // updates (and so on every compaction that follows them) the rebuild
+  // runs as described.
 
   // Attaches `dir` (created if needed) and writes the initial full base.
   CheckpointResult AttachWal(const std::string& dir,
@@ -347,7 +318,7 @@ class WalkServiceT {
     }
     const uint64_t delta =
         wal_updates_since_base_.load(std::memory_order_relaxed);
-    const uint64_t live_edges = replicas_[1 - BackLocked()].store->NumEdges();
+    const uint64_t live_edges = store_->NumEdges();
     const bool compact = force_compact.value_or(
         wal_failed_.load(std::memory_order_relaxed) ||
         static_cast<double>(delta) >
@@ -424,7 +395,6 @@ class WalkServiceT {
     stats.queries_served = queries_.load(std::memory_order_relaxed);
     stats.batches_applied = batches_.load(std::memory_order_relaxed);
     stats.updates_applied = updates_count_.load(std::memory_order_relaxed);
-    stats.drain_spins = drain_spins_.load(std::memory_order_relaxed);
     stats.wal_records = wal_records_.load(std::memory_order_relaxed);
     stats.wal_updates = wal_updates_.load(std::memory_order_relaxed);
     stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
@@ -432,122 +402,45 @@ class WalkServiceT {
     return stats;
   }
 
-  // Both replicas as they stand: the back one may still lack the last
-  // batch.
+  // The live store, including what superseded versions still hold for
+  // pinned snapshots (retired_bytes).
   core::StoreMemoryStats MemoryStats() const BINGO_EXCLUDES(update_mutex_) {
     util::MutexLock lock(update_mutex_);
-    core::StoreMemoryStats total = replicas_[0].store->MemoryStats();
-    total += replicas_[1].store->MemoryStats();
-    return total;
+    return store_->MemoryStats();
   }
 
-  // Catches the back replica up, then audits both replicas and their
-  // agreement. Takes the writer lock, so it must not race updates; queries
-  // may continue.
-  std::string CheckInvariants() BINGO_EXCLUDES(update_mutex_) {
+  // Audits the live store and the journal. Takes the writer lock, so it
+  // must not race updates; queries may continue.
+  std::string CheckInvariants() const BINGO_EXCLUDES(update_mutex_) {
     util::MutexLock lock(update_mutex_);
-    CatchUpLocked();
-    for (int i = 0; i < 2; ++i) {
-      const std::string err = replicas_[i].store->CheckInvariants();
-      if (!err.empty()) {
-        return "replica " + std::to_string(i) + ": " + err;
-      }
-    }
-    if (replicas_diverged_.load(std::memory_order_relaxed)) {
-      return "replicas diverged: a batch replayed with a different outcome";
+    const std::string err = store_->CheckInvariants();
+    if (!err.empty()) {
+      return err;
     }
     if (wal_failed_.load(std::memory_order_relaxed)) {
       return "wal append/sync failed: journal is behind the live store";
-    }
-    if (replicas_[0].store->NumVertices() != replicas_[1].store->NumVertices()) {
-      return "replica vertex counts diverged";
-    }
-    if constexpr (requires { replicas_[0].store->NumEdges(); }) {
-      if (replicas_[0].store->NumEdges() != replicas_[1].store->NumEdges()) {
-        return "replica edge counts diverged";
-      }
     }
     return {};
   }
 
  private:
-  struct Replica {
-    std::unique_ptr<Store> store;
-    // Snapshots currently pinning this replica.
-    mutable std::atomic<int64_t> readers{0};
-    // Seqlock-style: odd while the writer mutates, bumped twice per batch.
-    std::atomic<uint64_t> version{0};
-  };
-
-  // Writers are serialized by update_mutex_; the replica itself is guarded
-  // by the drain/seqlock protocol (readers pin it via Snapshot), which a
-  // mutex annotation cannot express — the seqlock tests and TSan cover it.
-  core::BatchResult MutateReplica(Replica& r, const graph::UpdateList& updates)
-      BINGO_REQUIRES(update_mutex_) {
-    // Drain: the release-decrement in ~Snapshot pairs with this acquire
-    // load, ordering every reader access before our writes.
-    while (r.readers.load(std::memory_order_acquire) != 0) {
-      drain_spins_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
+  // Makes the store's current version the front: new snapshots see it. The
+  // old front is released outside the lock; if no snapshot still reads it,
+  // that frees what the new version superseded.
+  void PublishLocked() BINGO_REQUIRES(update_mutex_) {
+    auto next = std::make_shared<const Version>(
+        store_, epoch_.load(std::memory_order_relaxed) + 1);
+    std::shared_ptr<const Version> old;
+    {
+      util::MutexLock lock(front_mutex_);
+      old = std::exchange(front_, std::move(next));
+      epoch_.fetch_add(1, std::memory_order_relaxed);
     }
-    r.version.fetch_add(1, std::memory_order_release);  // odd: mutating
-    const core::BatchResult result = r.store->ApplyBatch(updates, update_pool_);
-    r.version.fetch_add(1, std::memory_order_release);  // even: stable
-    return result;
-  }
-
-  // Index of the back replica: the one queries do not Acquire.
-  int BackLocked() const BINGO_REQUIRES(update_mutex_) {
-    util::MutexLock lock(front_mutex_);
-    return 1 - front_;
-  }
-
-  // Makes the back replica the front: new snapshots see its epoch.
-  void PublishLocked(int back) BINGO_REQUIRES(update_mutex_) {
-    util::MutexLock lock(front_mutex_);
-    front_ = back;
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Replays the last published batch on the back replica (waiting for the
-  // readers that still pin it), so both replicas hold the same state, and
-  // frees the batch.
-  void CatchUpLocked() BINGO_REQUIRES(update_mutex_) {
-    if (!replay_) {
-      return;
-    }
-    const core::BatchResult replayed =
-        MutateReplica(replicas_[BackLocked()], replay_->updates);
-    if (!(replayed == replay_->result)) {
-      // Replaying the identical batch on an identical replica must produce
-      // the identical outcome; anything else means the pair diverged.
-      replicas_diverged_.store(true, std::memory_order_relaxed);
-    }
-    replay_.reset();
-  }
-
-  // Replaces one replica's store with a canonical rebuild, under the same
-  // drain/seqlock protocol as MutateReplica.
-  void RebuildReplica(Replica& r, const graph::WeightedEdgeList& edges)
-    requires CheckpointableStore<Store>
-  {
-    update_mutex_.AssertHeld();
-    while (r.readers.load(std::memory_order_acquire) != 0) {
-      drain_spins_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-    r.version.fetch_add(1, std::memory_order_release);  // odd: mutating
-    const graph::VertexId n = r.store->NumVertices();
-    const core::BingoConfig config = r.store->Config();
-    r.store = std::make_unique<Store>(graph::DynamicGraph::FromEdges(n, edges),
-                                      config, update_pool_);
-    r.version.fetch_add(1, std::memory_order_release);  // even: stable
   }
 
   // Writes dir/base.snapshot covering wal_seq and starts a fresh WAL
-  // segment; catches the replicas up and canonicalizes them first (unless
-  // they already are canonical, see AttachWal) so live state == what
-  // recovery rebuilds.
+  // segment; canonicalizes the store first (unless it already is
+  // canonical, see AttachWal) so live state == what recovery rebuilds.
   // Caller holds update_mutex_ and owns the checkpoint/compaction counters.
   CheckpointResult WriteBaseLocked(uint64_t wal_seq)
     requires CheckpointableStore<Store>
@@ -557,23 +450,19 @@ class WalkServiceT {
     result.compacted = true;
     result.wal_seq = wal_seq;
 
-    CatchUpLocked();
-    const int back = BackLocked();
-    // One canonical pass: the list both rebuilds load and the base persists.
+    // One canonical pass: the list the rebuild loads and the base persists.
     const graph::WeightedEdgeList edges =
-        core::CanonicalEdgeList(replicas_[1 - back].store->Graph());
-    if (!replicas_as_built_ || !replicas_[0].store->Graph().IsCanonical() ||
-        !replicas_[1].store->Graph().IsCanonical()) {
-      // Canonicalize: both replicas become the bulk-load of the canonical
-      // edge list (publish protocol, back first).
-      RebuildReplica(replicas_[back], edges);
-      PublishLocked(back);
-      RebuildReplica(replicas_[1 - back], edges);
-      replicas_as_built_ = true;
+        core::CanonicalEdgeList(store_->Graph());
+    if (!store_as_built_ || !store_->Graph().IsCanonical()) {
+      store_ = std::make_shared<Store>(
+          graph::DynamicGraph::FromEdges(store_->NumVertices(), edges),
+          store_->Config(), update_pool_);
+      store_as_built_ = true;
+      PublishLocked();
     }
 
     uint64_t base_bytes = 0;
-    const Store& store = *replicas_[0].store;
+    const Store& store = *store_;
     if (!core::SaveEdgeSnapshot(edges, store.NumVertices(), store.Config(),
                                 wal_dir_ + "/base.snapshot", wal_seq,
                                 &base_bytes)) {
@@ -603,27 +492,18 @@ class WalkServiceT {
     return result;
   }
 
-  Replica replicas_[2];
-  mutable util::Mutex front_mutex_;  // guards front_ flips and Acquire
-  int front_ BINGO_GUARDED_BY(front_mutex_) = 0;
-  std::atomic<uint64_t> epoch_{0};
   mutable util::Mutex update_mutex_;  // serializes writers
-  // No batch applied since the replicas were built or last rebuilt: with
-  // canonical graphs, they equal what a base write would rebuild.
-  bool replicas_as_built_ BINGO_GUARDED_BY(update_mutex_) = true;
+  std::shared_ptr<Store> store_ BINGO_GUARDED_BY(update_mutex_);
+  mutable util::Mutex front_mutex_;  // guards the publish and Acquire
+  std::shared_ptr<const Version> front_ BINGO_GUARDED_BY(front_mutex_);
+  std::atomic<uint64_t> epoch_{0};
+  // No batch applied since the store was built or last rebuilt: with a
+  // canonical graph, it equals what a base write would rebuild.
+  bool store_as_built_ BINGO_GUARDED_BY(update_mutex_) = true;
   util::ThreadPool* update_pool_;
   mutable std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> updates_count_{0};
-  std::atomic<uint64_t> drain_spins_{0};
-  std::atomic<bool> replicas_diverged_{false};
-  // The last published batch and its outcome: applied to the front
-  // replica, not yet to the back one (see CatchUpLocked).
-  struct Replay {
-    graph::UpdateList updates;
-    core::BatchResult result;
-  };
-  std::optional<Replay> replay_ BINGO_GUARDED_BY(update_mutex_);
 
   // Persistence state (update_mutex_ guards it; counters are atomic so
   // Stats() stays lock-free).
@@ -644,7 +524,7 @@ extern template class WalkServiceT<core::BingoStore>;
 
 using WalkService = WalkServiceT<core::BingoStore>;
 
-// Builds a BingoStore-backed service over `edges` (both replicas built with
+// Builds a BingoStore-backed service over `edges` (the store built with
 // `build_pool`; batches applied with `update_pool`).
 std::unique_ptr<WalkService> MakeWalkService(
     const graph::WeightedEdgeList& edges, graph::VertexId num_vertices,

@@ -105,8 +105,8 @@ std::unique_ptr<ShardedWalkService> MakeShardedWalkService(
     const graph::WeightedEdgeList& edges, graph::VertexId num_vertices,
     int num_shards, core::BingoConfig config, util::ThreadPool* build_pool,
     util::ThreadPool* update_pool) {
-  // Route once; each shard's factory reads its slice (invoked twice, for
-  // the two replicas). Shard stores span the full vertex-id space so
+  // Route once; each shard's factory reads its slice. Shard stores span
+  // the full vertex-id space so
   // vertex ids need no translation — exactly PartitionedBingoStore's
   // layout, which keeps per-vertex samplers bit-identical to the
   // whole-graph store's.

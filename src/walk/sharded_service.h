@@ -1,14 +1,16 @@
-// ShardedWalkService: per-shard replica pairs with independent epochs.
+// ShardedWalkService: per-shard copy-on-write stores with independent
+// epochs.
 //
-// WalkService (walk/service.h) pays 2x a whole-store ApplyBatch per update
-// batch — update latency scales with the full store even when the batch
-// touches a handful of vertices. This subsystem shards the service the same
-// way PartitionedBingoStore shards the store: vertex v's out-edges (and its
-// sampler) live on shard v % num_shards, and each shard is an independent
-// WalkServiceT replica pair with its own epoch, writer lock, and drain
-// protocol. A batch touching one shard pays 2x *that shard's* ApplyBatch;
-// batches touching disjoint shards apply fully in parallel, and queries
-// against untouched shards never wait at all.
+// This subsystem shards the service the same way PartitionedBingoStore
+// shards the store: vertex v's out-edges (and its sampler) live on shard
+// v % num_shards, and each shard is an independent WalkServiceT — one
+// store with its own versions, epoch and writer lock. A batch pays one
+// ApplyBatch per touched shard, over that shard's slice; slices of one
+// batch, and batches for disjoint shards, apply in parallel, and queries
+// never wait for any of them. Since a WalkService copies only the vertices
+// a batch touches (walk/service.h), sharding no longer buys update latency
+// by shrinking the store a batch is applied to; what it adds is a writer
+// lock per shard, which lets several writers apply at once.
 //
 // Queries Acquire() a multi-shard Snapshot: one per-shard snapshot each,
 // composed into a view that models the store concepts (SamplingStore, and
@@ -20,17 +22,14 @@
 // point (no in-flight writer) the composite equals one whole-graph store —
 // tests/sharded_fuzz_test.cc pins walks to the unsharded store bit for bit.
 //
-// Update latency model: unsharded, a batch is visible after one
-// ApplyBatch(whole store) plus the catch-up of the previous batch on the
-// back replica. Sharded, a batch B is visible after, per touched shard s
-// and in parallel across shards, the catch-up of s's previous slice plus
-// ApplyBatch(shard s slice of B) — for a single-shard-resident workload
-// that is 2 x (1/N)-store work, and bench/bench_sharded_service.cc
-// measures exactly this curve.
+// Update latency model: a batch B is visible once, per touched shard s and
+// in parallel across shards, ApplyBatch(shard s slice of B) has copied the
+// slice's vertices, applied it and published; the untouched vertices of the
+// shard cost nothing. bench/bench_sharded_service.cc measures the curve
+// over shard counts.
 //
-// The caveat of walk/service.h carries over per shard: a thread must not
-// apply updates to a shard — nor call CheckInvariants/MemoryStats — while
-// holding a live Snapshot of its own (every Snapshot pins all shards).
+// The caveat of walk/service.h carries over per shard: CheckInvariants,
+// MemoryStats and the durability calls take each shard's writer lock.
 
 #ifndef BINGO_SRC_WALK_SHARDED_SERVICE_H_
 #define BINGO_SRC_WALK_SHARDED_SERVICE_H_
@@ -67,7 +66,7 @@ struct ShardedServiceStats {
   uint64_t batches_applied = 0;  // per-shard batches (one multi-shard
                                  // ApplyBatch counts once per shard hit)
   uint64_t updates_applied = 0;
-  uint64_t drain_spins = 0;
+  uint64_t drain_spins = 0;      // always 0 (see ServiceStats::drain_spins)
   uint64_t wal_records = 0;      // per-shard batches journaled
   uint64_t wal_updates = 0;
   uint64_t checkpoints = 0;      // per-shard checkpoint operations
@@ -82,14 +81,13 @@ bool ReadShardedWalManifest(const std::string& dir, int& num_shards);
 // Per-shard subdirectory of a sharded durability directory.
 std::string ShardWalDir(const std::string& dir, int shard);
 
-template <WalkStore Store>
+template <VersionedStore Store>
 class ShardedWalkServiceT {
  public:
   using ShardService = WalkServiceT<Store>;
 
-  // `factory(shard)` is invoked twice per shard and must produce identical
-  // stores for a given shard: each holds the out-edges of the vertices with
-  // v % num_shards == shard, over the full vertex-id space.
+  // `factory(shard)` builds shard s's store: the out-edges of the vertices
+  // with v % num_shards == s, over the full vertex-id space.
   ShardedWalkServiceT(
       int num_shards,
       const std::function<std::unique_ptr<Store>(int shard)>& factory,
@@ -98,11 +96,12 @@ class ShardedWalkServiceT {
     assert(num_shards > 0);
     shards_.reserve(num_shards);
     for (int s = 0; s < num_shards; ++s) {
-      // Shard replicas rebuild sequentially: the pool's parallel dimension
-      // is across shards (ApplyBatch routes slices onto it), and nesting
-      // ParallelFor inside pool tasks can starve this fixed-size pool.
-      shards_.push_back(std::make_unique<ShardService>(
-          [&factory, s] { return factory(s); }, /*update_pool=*/nullptr));
+      // Shard stores apply their slices without a pool: the pool's parallel
+      // dimension is across shards (ApplyBatch routes slices onto it), and
+      // nesting ParallelFor inside pool tasks can starve this fixed-size
+      // pool.
+      shards_.push_back(
+          std::make_unique<ShardService>(factory(s), /*update_pool=*/nullptr));
     }
   }
 
@@ -179,7 +178,8 @@ class ShardedWalkServiceT {
       return total;
     }
 
-    // True while no pinned shard replica has been mutated since Acquire.
+    // True while every pinned shard version is intact (nothing it reads
+    // has been reclaimed).
     bool Consistent() const {
       for (const auto& snap : shards_) {
         if (!snap.Consistent()) {
@@ -240,7 +240,7 @@ class ShardedWalkServiceT {
   }
 
   // Routes `updates` by source vertex and applies each shard's slice as one
-  // batch through that shard's replica-pair protocol; slices run in
+  // batch through that shard's service; slices run in
   // parallel on `pool` (falls back to the construction-time update pool,
   // then to sequential). Call from a non-pool thread only: slices ride the
   // pool's fixed workers. Accounting is exact: slices partition the batch
@@ -269,7 +269,7 @@ class ShardedWalkServiceT {
     std::atomic<uint64_t> skipped{0};
     const auto run_shard = [&](std::size_t s) {
       if (per_shard[s].empty()) {
-        return;  // untouched shard: no epoch bump, no replica work
+        return;  // untouched shard: no epoch bump, no work
       }
       const core::BatchResult r = shards_[s]->ApplyBatch(per_shard[s]);
       inserted.fetch_add(r.inserted, std::memory_order_relaxed);
@@ -296,7 +296,7 @@ class ShardedWalkServiceT {
   }
 
   // Advances the logical epoch on every shard (broadcast via ApplyBatch, so
-  // each shard journals and replica-applies the tick).
+  // each shard journals and applies the tick).
   void AdvanceTime(uint32_t new_epoch, util::ThreadPool* pool = nullptr) {
     ApplyBatch({graph::MakeAdvanceTime(new_epoch)}, pool);
   }
@@ -305,8 +305,8 @@ class ShardedWalkServiceT {
   //
   // The sharded layout mirrors the routing: `dir`/MANIFEST records the
   // shard count, and shard s keeps its own base.snapshot + wal.log under
-  // `dir`/shard-s. Each shard journals exactly the batch slices its
-  // replica pair applies (ApplyBatch routing, ApplyShardBatch, and the
+  // `dir`/shard-s. Each shard journals exactly the batch slices its store
+  // applies (ApplyBatch routing, ApplyShardBatch, and the
   // UpdateBatcher's drains all funnel through the shard service), so
   // per-shard recovery replays per-shard apply order — the only order that
   // determines a vertex's state. Checkpoint() makes the compaction decision
@@ -464,8 +464,8 @@ extern template class ShardedWalkServiceT<core::BingoStore>;
 using ShardedWalkService = ShardedWalkServiceT<core::BingoStore>;
 
 // Builds a BingoStore-backed sharded service over `edges`: shard s holds
-// the out-edges of vertices with v % num_shards == s (2 replicas each).
-// `build_pool` parallelizes replica construction; `update_pool` becomes the
+// the out-edges of vertices with v % num_shards == s (one store each).
+// `build_pool` parallelizes store construction; `update_pool` becomes the
 // default cross-shard routing pool for ApplyBatch.
 std::unique_ptr<ShardedWalkService> MakeShardedWalkService(
     const graph::WeightedEdgeList& edges, graph::VertexId num_vertices,

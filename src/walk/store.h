@@ -22,6 +22,7 @@
 #define BINGO_SRC_WALK_STORE_H_
 
 #include <concepts>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -78,6 +79,18 @@ concept WalkStore =
       { s.ApplyBatch(updates, pool) } -> std::same_as<core::BatchResult>;
       { cs.MemoryStats() } -> std::same_as<core::StoreMemoryStats>;
       { cs.CheckInvariants() } -> std::same_as<std::string>;
+    };
+
+// Stores that version themselves copy-on-write: every mutation builds a new
+// version, View() returns a read-only store pinned at the current one
+// (immutable for its lifetime; it must not outlive its store), and
+// Intact() reports that nothing the view reads has been reclaimed.
+// WalkService serves any such store from one copy (walk/service.h).
+template <typename S>
+concept VersionedStore =
+    WalkStore<S> && requires(const S& cs) {
+      { cs.View() } -> std::same_as<std::unique_ptr<const S>>;
+      { cs.Intact() } -> std::same_as<bool>;
     };
 
 }  // namespace bingo::walk

@@ -292,6 +292,9 @@ struct SamplerFixture {
     sampler.SetConfig(&config);
     sampler.Build(graph.Neighbors(0));
   }
+  ~SamplerFixture() { sampler.Release(); }
+  SamplerFixture(const SamplerFixture&) = delete;
+  SamplerFixture& operator=(const SamplerFixture&) = delete;
 
   std::span<const graph::Edge> Adj() const { return graph.Neighbors(0); }
 };

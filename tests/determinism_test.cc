@@ -246,7 +246,7 @@ TEST(DeterminismTest, OocMatrixAcrossBudgetsThreadsAndPinning) {
 // threads {1, 4, 16} x drivers {engine, superstep, fused} — stay
 // bit-identical to the serial engine reference, both before and after an
 // AdvanceTime tick lands mid-run. The tick is an ordinary ApplyBatch, so
-// every replica (plain and sharded) rescales to identical bits.
+// every store (plain and sharded) rescales to identical bits.
 TEST(DeterminismTest, TemporalMatrixAcrossThreadsAndDrivers) {
   util::Rng rng(13);
   auto pairs = graph::GenerateRmat(8, 2400, rng);

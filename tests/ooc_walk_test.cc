@@ -17,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -372,6 +373,60 @@ TEST(OocServiceTest, StreamedRecoveryMatchesFreshBuildPlusReplay) {
 
   std::remove(csr2.c_str());
   std::filesystem::remove_all(dir);
+}
+
+// A snapshot pinned across an ApplyBatch that promotes base vertices keeps
+// walking the version it pinned: the overlay, the promoted set and the
+// live-edge count it reads are that version's, while the writer — racing
+// the pinned reader (the TSan job runs this) — publishes the next one.
+TEST(OocServiceTest, SnapshotSurvivesPromotingBatch) {
+  const auto edges = RmatEdges(30);
+  const std::string csr = WriteCsr(edges, "ooc_pinned.csr");
+  util::ThreadPool pool(2);
+  std::string error;
+  auto service = MakeOocWalkService(csr, {}, {}, &pool, &pool, &error);
+  ASSERT_NE(service, nullptr) << error;
+
+  // Deletes of base edges (promoting their sources) plus fresh inserts.
+  graph::UpdateList batch;
+  for (int i = 0; i < 48; ++i) {
+    const graph::WeightedEdge& victim = edges[(i * 131) % edges.size()];
+    batch.push_back({graph::Update::Kind::kDelete, victim.src, victim.dst, 0.0});
+    batch.push_back({graph::Update::Kind::kInsert, victim.src,
+                     static_cast<VertexId>((i * 7) % 512), 3.0});
+  }
+
+  const WalkConfig cfg = SmallConfig();
+  auto snap = service->Acquire();
+  const WalkResult before = RunDeepWalk(snap.store(), cfg);
+  const WalkResult before_n2v = RunNode2vec(snap.store(), cfg);
+  const uint64_t edges_before = snap.store().NumEdges();
+  ASSERT_EQ(snap.store().PromotedVertices(), 0u);
+
+  std::thread writer([&] { service->ApplyBatch(batch); });
+  const WalkResult during = RunDeepWalk(snap.store(), cfg);
+  writer.join();
+
+  EXPECT_EQ(service->Epoch(), 1u);
+  {
+    const auto now = service->Acquire();
+    EXPECT_GT(now.store().PromotedVertices(), 0u);
+    EXPECT_NE(RunDeepWalk(now.store(), cfg).paths, before.paths);
+  }
+  EXPECT_EQ(snap.store().PromotedVertices(), 0u);
+  EXPECT_EQ(snap.store().NumEdges(), edges_before);
+  ExpectSameResult(during, before, "pinned deepwalk while the batch applied");
+  ExpectSameResult(RunDeepWalk(snap.store(), cfg), before, "pinned deepwalk");
+  ExpectSameResult(RunNode2vec(snap.store(), cfg), before_n2v,
+                   "pinned node2vec");
+  EXPECT_TRUE(snap.Consistent());
+  EXPECT_GT(service->MemoryStats().retired_bytes, 0u);
+
+  { auto release = std::move(snap); }
+  EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
+  EXPECT_TRUE(service->CheckInvariants().empty())
+      << service->CheckInvariants();
+  std::remove(csr.c_str());
 }
 
 TEST(OocServiceTest, CorruptOrTruncatedSnapshotFailsRecoveryCleanly) {

@@ -11,7 +11,7 @@
 //     complete records.
 //
 // The reference store mirrors the service's canonicalization points
-// (AttachWal / compaction rebuild the replicas from the canonical edge
+// (AttachWal / compaction rebuild the store from the canonical edge
 // list; see walk/service.h), which is precisely the contract that makes
 // recovery deterministic: live state == bulk-load(base) + replay(WAL).
 //
@@ -165,7 +165,7 @@ void RunCheckpointCrashRecover(int num_shards, uint64_t seed) {
   util::Rng rng(seed ^ 0xfeedULL);
 
   // Pre-durability churn, then attach: the service canonicalizes its
-  // replicas when it writes the base; mirror that on the reference.
+  // store when it writes the base; mirror that on the reference.
   for (int round = 0; round < 2; ++round) {
     const auto batch = RandomBatch(rng, g.num_vertices, 120);
     service->ApplyBatch(batch);
@@ -401,7 +401,7 @@ TEST(PersistenceTest, CompactionRewritesBaseAndStaysBitIdentical) {
   const CheckpointResult compact = service->Checkpoint();
   ASSERT_TRUE(compact.ok);
   EXPECT_TRUE(compact.compacted);
-  // Compaction canonicalizes the live replicas; mirror on the reference.
+  // Compaction canonicalizes the live store; mirror on the reference.
   Canonicalize(reference);
   ExpectBitIdenticalWalks(*service, *reference, 55, 400);
 
@@ -420,9 +420,8 @@ TEST(PersistenceTest, CompactionRewritesBaseAndStaysBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
-// ApplyBatch returns once the batch is published on the front replica; the
-// back replica gets it at the next write or base write (walk/service.h).
-// A checkpoint straight after ApplyBatch must still count that batch.
+// ApplyBatch returns once the batch's version is published; a checkpoint
+// straight after it must count that batch.
 TEST(PersistenceTest, CheckpointRightAfterApplyCountsTheLastBatch) {
   const TestGraph g = MakeGraph(57);
   const std::string dir = FreshDir("deferred_count");
@@ -453,8 +452,8 @@ TEST(PersistenceTest, CheckpointRightAfterApplyCountsTheLastBatch) {
   std::filesystem::remove_all(dir);
 }
 
-// A forced compaction straight after ApplyBatch catches the back replica up
-// before it writes the base; walks stay bit-identical through further
+// A forced compaction straight after ApplyBatch writes the base from the
+// version that batch published; walks stay bit-identical through further
 // writes, a crash and recovery.
 TEST(PersistenceTest, CompactionRightAfterApplyRecoversBitIdentical) {
   const TestGraph g = MakeGraph(58);
@@ -477,7 +476,7 @@ TEST(PersistenceTest, CompactionRightAfterApplyRecoversBitIdentical) {
   Canonicalize(reference);
   ExpectBitIdenticalWalks(*service, *reference, 58, 0);
 
-  // Two more writes publish each replica in turn.
+  // Two more writes on the rebuilt store.
   for (int round = 1; round <= 2; ++round) {
     const auto batch = RandomBatch(rng, g.num_vertices, 60);
     service->ApplyBatch(batch);
@@ -748,7 +747,7 @@ void UpdateCrashRecover(std::unique_ptr<Service> service,
 }
 
 // A freshly bulk-loaded service already is the canonical store recovery
-// builds, so AttachWal writes the base without rebuilding a replica: the
+// builds, so AttachWal writes the base without rebuilding the store: the
 // front stores and the epoch are untouched, and the uncanonicalized
 // bulk-load reference stays bit-identical through updates and recovery.
 TEST(PersistenceTest, FreshAttachSkipsRebuildAndRecoversBitIdentical) {
@@ -823,7 +822,7 @@ TEST(PersistenceTest, NonCanonicalFactoryGraphIsRebuilt) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string dir = FreshDir("noncanonical_" + c.name);
-    auto service = std::make_unique<WalkService>(c.factory);
+    auto service = std::make_unique<WalkService>(c.factory());
     auto reference = c.factory();
     ASSERT_FALSE(reference->Graph().IsCanonical());
     const BingoStore* before = FrontStore(*service);
@@ -882,8 +881,8 @@ TEST(PersistenceTest, AttachAfterApplyBatchStillRebuilds) {
 }
 
 // Queries must keep serving — and stay consistent — while AttachWal and a
-// compacting Checkpoint rebuild the replicas (the canonicalization path
-// follows the same drain/publish protocol as ApplyBatch). Run under TSan in
+// compacting Checkpoint rebuild the store (the canonicalization path
+// publishes like ApplyBatch). Run under TSan in
 // CI alongside the other protocol stress tests.
 TEST(PersistenceTest, QueriesServeThroughCheckpointCanonicalization) {
   const TestGraph g = MakeGraph(222);

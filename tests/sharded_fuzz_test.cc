@@ -188,7 +188,7 @@ void RunDirectInterleaving(int num_shards, uint64_t seed,
     if (with_checkpoint && round == attach_round) {
       std::filesystem::remove_all(wal_dir);
       ASSERT_TRUE(service->AttachWal(wal_dir).ok);
-      // Attaching canonicalizes the service's replicas (that is what makes
+      // Attaching canonicalizes the service's stores (that is what makes
       // recovery bit-identical); mirror the rebuild on both references.
       const auto canonical = core::CanonicalEdgeList(reference->Graph());
       reference = std::make_unique<BingoStore>(

@@ -36,6 +36,9 @@ class Harness {
     sampler_.SetConfig(&config_);
     sampler_.Build(Adj());
   }
+  ~Harness() { sampler_.Release(); }
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
 
   std::span<const graph::Edge> Adj() const { return graph_.Neighbors(0); }
   VertexSampler& Sampler() { return sampler_; }

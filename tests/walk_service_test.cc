@@ -1,6 +1,7 @@
-// WalkService: snapshot isolation, epoch publication, and concurrent
-// queries racing batched updates (the CI sanitizer job runs this under
-// ASan/UBSan; the stress path is the data-race canary).
+// WalkService: snapshot isolation, epoch publication, reclamation of
+// superseded versions, and concurrent queries racing batched updates (the
+// CI sanitizer jobs run this under ASan/UBSan and TSan; the stress path is
+// the data-race canary).
 
 #include <gtest/gtest.h>
 
@@ -70,7 +71,7 @@ TEST(WalkServiceTest, QueriesMatchPlainStore) {
   EXPECT_EQ(service->Stats().queries_served, 1u);
 }
 
-TEST(WalkServiceTest, ApplyBatchAdvancesEpochAndBothReplicas) {
+TEST(WalkServiceTest, ApplyBatchAdvancesEpoch) {
   const auto edges = TestGraph(62);
   const auto service = MakeWalkService(edges, kNumVertices);
   EXPECT_EQ(service->Epoch(), 0u);
@@ -83,7 +84,7 @@ TEST(WalkServiceTest, ApplyBatchAdvancesEpochAndBothReplicas) {
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 
   // The service's post-update state matches a store that applied the same
-  // batch directly (both replicas replayed the identical stream).
+  // batch directly.
   BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges));
   reference.ApplyBatch(updates);
   WalkConfig cfg;
@@ -91,8 +92,7 @@ TEST(WalkServiceTest, ApplyBatchAdvancesEpochAndBothReplicas) {
   cfg.record_paths = true;
   EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
 
-  // Two consecutive epochs: the second batch must land on top of the first
-  // on *both* replicas.
+  // Two consecutive epochs: the second batch lands on top of the first.
   const auto more = MixedUpdates(12, 300);
   service->ApplyBatch(more);
   reference.ApplyBatch(more);
@@ -114,10 +114,9 @@ bool WaitUntil(Pred done) {
   return done();
 }
 
-// A pinned snapshot does not hold back the write that supersedes it: that
-// write applies the back replica, publishes and returns. The pinned
-// replica is then the back one, so the NEXT write, which must first replay
-// the batch there, waits until the snapshot is released.
+// A pinned snapshot holds back no write: each batch builds a new version,
+// publishes it and returns, while the snapshot keeps walking the version it
+// pinned, bit for bit.
 TEST(WalkServiceTest, SnapshotSurvivesConcurrentUpdateUnchanged) {
   const auto edges = TestGraph(63);
   const auto service = MakeWalkService(edges, kNumVertices);
@@ -130,88 +129,108 @@ TEST(WalkServiceTest, SnapshotSurvivesConcurrentUpdateUnchanged) {
   EXPECT_EQ(snap.epoch(), 0u);
   const auto before = RunDeepWalk(snap.store(), cfg);
 
-  std::atomic<bool> first_done{false};
-  std::thread first([&] {
-    service->ApplyBatch(MixedUpdates(21, 400));
-    first_done.store(true, std::memory_order_release);
-  });
-  if (!WaitUntil([&] { return first_done.load(std::memory_order_acquire); })) {
-    { auto release = std::move(snap); }
-    first.join();
-    FAIL() << "ApplyBatch waited for a snapshot of the epoch it replaced";
+  for (uint64_t round = 1; round <= 2; ++round) {
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      service->ApplyBatch(MixedUpdates(20 + round, 400));
+      done.store(true, std::memory_order_release);
+    });
+    const bool returned =
+        WaitUntil([&] { return done.load(std::memory_order_acquire); });
+    if (!returned) {
+      { auto release = std::move(snap); }
+      writer.join();
+      FAIL() << "ApplyBatch " << round << " waited for a pinned snapshot";
+    }
+    writer.join();
+
+    // New queries see the new epoch; our snapshot still serves the old one,
+    // bit-identically, and stays consistent.
+    EXPECT_EQ(service->Epoch(), round);
+    EXPECT_EQ(service->Acquire().epoch(), round);
+    EXPECT_EQ(snap.epoch(), 0u);
+    EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
+    EXPECT_TRUE(snap.Consistent());
   }
-  first.join();
+  EXPECT_EQ(service->Stats().drain_spins, 0u);
+  EXPECT_GT(service->MemoryStats().retired_bytes, 0u);
 
-  // New queries see the new epoch; our snapshot still serves the old one,
-  // bit-identically, and stays consistent.
-  EXPECT_EQ(service->Epoch(), 1u);
-  EXPECT_EQ(service->Acquire().epoch(), 1u);
-  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
-  EXPECT_TRUE(snap.Consistent());
-
-  // The second write spins on our pinned replica's reader count.
-  std::atomic<bool> second_done{false};
-  std::thread second([&] {
-    service->ApplyBatch(MixedUpdates(22, 400));
-    second_done.store(true, std::memory_order_release);
-  });
-  WaitUntil([&] {
-    return service->Stats().drain_spins > 0 ||
-           second_done.load(std::memory_order_acquire);
-  });
-  EXPECT_GT(service->Stats().drain_spins, 0u);
-  EXPECT_FALSE(second_done.load(std::memory_order_acquire));
-  EXPECT_EQ(service->Epoch(), 1u);
-  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
-  EXPECT_TRUE(snap.Consistent());
-
-  { auto release = std::move(snap); }  // drop the pin; the writer may finish
-  second.join();
-  EXPECT_TRUE(second_done.load(std::memory_order_acquire));
-  EXPECT_EQ(service->Epoch(), 2u);
+  { auto release = std::move(snap); }
+  EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 }
 
-void ExpectSameMemory(const core::StoreMemoryStats& got,
-                      const core::StoreMemoryStats& want) {
+// Once every snapshot is released the service holds exactly one store:
+// its memory equals a bare store's that applied the same batches, with
+// nothing retired.
+TEST(WalkServiceTest, ReleasedSnapshotsLeaveOneStore) {
+  const auto edges = TestGraph(65);
+  const auto service = MakeWalkService(edges, kNumVertices);
+  BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges));
+  {
+    const auto pinned = service->Acquire();
+    for (uint64_t seed = 41; seed < 44; ++seed) {
+      const auto updates = MixedUpdates(seed, 300);
+      service->ApplyBatch(updates);
+      reference.ApplyBatch(updates);
+    }
+    EXPECT_GT(service->MemoryStats().retired_bytes, 0u);
+  }
+  const core::StoreMemoryStats got = service->MemoryStats();
+  const core::StoreMemoryStats want = reference.MemoryStats();
   EXPECT_EQ(got.graph_bytes, want.graph_bytes);
   EXPECT_EQ(got.sampler_fixed_bytes, want.sampler_fixed_bytes);
   EXPECT_EQ(got.sampler_dynamic_bytes, want.sampler_dynamic_bytes);
-}
+  EXPECT_EQ(got.retired_bytes, 0u);
+  EXPECT_EQ(want.retired_bytes, 0u);
 
-// ApplyBatch returns before the back replica has the batch. MemoryStats
-// reports both replicas as they stand; CheckInvariants replays the batch
-// first, after which both replicas equal a store that applied it.
-TEST(WalkServiceTest, DeferredReplayIsCaughtUpByCheckInvariants) {
-  const auto edges = TestGraph(65);
-  const auto service = MakeWalkService(edges, kNumVertices);
-  const BingoStore before(graph::DynamicGraph::FromEdges(kNumVertices, edges));
-  BingoStore after(graph::DynamicGraph::FromEdges(kNumVertices, edges));
-  const auto updates = MixedUpdates(41, 300);
-  after.ApplyBatch(updates);
-  ASSERT_NE(before.NumEdges(), after.NumEdges());
-
-  service->ApplyBatch(updates);
-  core::StoreMemoryStats expected = before.MemoryStats();
-  expected += after.MemoryStats();
-  ExpectSameMemory(service->MemoryStats(), expected);
-
-  // Without the replay the replicas' edge counts would disagree.
-  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
-  expected = after.MemoryStats();
-  expected += after.MemoryStats();
-  ExpectSameMemory(service->MemoryStats(), expected);
-
-  // Walk each replica: an empty batch publishes the other one.
   WalkConfig cfg;
   cfg.walk_length = 15;
   cfg.record_paths = true;
-  const auto want = RunDeepWalk(after, cfg).paths;
-  EXPECT_EQ(service->DeepWalk(cfg).paths, want);
-  service->ApplyBatch({});
-  EXPECT_EQ(service->Epoch(), 2u);
-  EXPECT_EQ(service->DeepWalk(cfg).paths, want);
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+}
+
+// A snapshot pinned across 1,000 single-edge batches holds back only the
+// versions those batches superseded — the touched vertices' copies and the
+// table pages holding them — never a second copy of the store.
+TEST(WalkServiceTest, PinnedSnapshotRetainsOnlyTouchedVersions) {
+  constexpr VertexId kVertices = 4096;
+  util::Rng rng(66);
+  auto pairs = graph::GenerateRmat(12, 30000, rng);
+  graph::Canonicalize(pairs);
+  const graph::Csr csr = graph::Csr::FromPairs(kVertices, pairs);
+  const auto edges =
+      graph::ToWeightedEdges(csr, graph::GenerateBiases(csr, {}, rng));
+  const auto service = MakeWalkService(edges, kVertices);
+  BingoStore reference(graph::DynamicGraph::FromEdges(kVertices, edges));
+
+  WalkConfig cfg;
+  cfg.walk_length = 10;
+  cfg.record_paths = true;
+  auto snap = service->Acquire();
+  const auto before = RunDeepWalk(snap.store(), cfg);
+
+  std::size_t bound = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const graph::WeightedEdge& e = edges[rng.NextBounded(edges.size())];
+    const graph::Update u =
+        i % 2 == 0
+            ? graph::Update{graph::Update::Kind::kInsert, e.src, e.dst, 2.0}
+            : graph::Update{graph::Update::Kind::kDelete, e.src, e.dst, 0.0};
+    bound += reference.VersionBytes(u.src);
+    reference.ApplyBatch({u});
+    service->ApplyBatch({u});
+  }
+  const std::size_t retired = service->MemoryStats().retired_bytes;
+  EXPECT_GT(retired, 0u);
+  EXPECT_LE(retired, bound);
+  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
+  EXPECT_TRUE(snap.Consistent());
+
+  { auto release = std::move(snap); }
+  EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
 }
 
 // ------------------------------------------------------- concurrency --

@@ -50,7 +50,7 @@
 //       (CPU-affinity pinning) and --numa (interleave workers across NUMA
 //       nodes); --json appends one machine-readable JSON line with
 //       {throughput, p50, p99, recovery_ms, ...} for the perf-trajectory
-//       tooling. --store sharded uses the per-shard replica pairs
+//       tooling. --store sharded uses one copy-on-write store per shard
 //       (ShardedWalkService) and reports p50/p99 per-batch update latency;
 //       --batcher routes updates one edge at a time through the coalescing
 //       UpdateBatcher instead of pre-formed batches. --walkers is walkers
@@ -92,8 +92,8 @@
 //       Runs the standard serve-bench stress on an in-memory service with
 //       WAL durability into DIR, checkpoints, tears it down, then recovers
 //       an OUT-OF-CORE service from DIR: the base snapshot is streamed
-//       record by record into DIR/base.csr (never materialized) and two
-//       tiered replicas mount it under the budget. Reports streamed
+//       record by record into DIR/base.csr (never materialized) and one
+//       tiered store mounts it under the budget. Reports streamed
 //       recovery time, verifies queries + further updates on the recovered
 //       service, and emits recovery_ms/peak_rss_bytes in --json.
 //
@@ -1097,8 +1097,8 @@ void PrintServeJson(const Args& args, double samples_per_sec,
       static_cast<unsigned long long>(util::PeakRssBytes()));
 }
 
-// The sharded serving path: per-shard replica pairs, optional coalescing
-// batcher front-end, p50/p99 per-batch update latency.
+// The sharded serving path: one copy-on-write store per shard, optional
+// coalescing batcher front-end, p50/p99 per-batch update latency.
 int ServeBenchSharded(const Args& args, const graph::VertexId n,
                       const graph::UpdateWorkload& workload,
                       util::ThreadPool* pool) {
@@ -1106,8 +1106,8 @@ int ServeBenchSharded(const Args& args, const graph::VertexId n,
   auto service = walk::MakeShardedWalkService(
       workload.initial_edges, n, args.shards, PipelineConfig(args), pool, pool);
   std::printf(
-      "serve-bench[sharded]: %u vertices, %zu initial edges, %d shards x 2 "
-      "replicas built in %.2fs (%.1f MiB)\n",
+      "serve-bench[sharded]: %u vertices, %zu initial edges, %d shard "
+      "stores built in %.2fs (%.1f MiB)\n",
       n, workload.initial_edges.size(), args.shards, build_timer.Seconds(),
       service->MemoryStats().TotalBytes() / 1024.0 / 1024.0);
   std::printf(
@@ -1439,7 +1439,7 @@ int ServeOpenLoop(const Args& args) {
 // WAL-journaled service, seal it with a checkpoint, tear it down, then
 // recover OUT OF CORE from the durability dir — the base snapshot streams
 // record by record into DIR/base.csr (core::StreamSnapshotEdges, never a
-// materialized edge list) and two tiered replicas mount it under the
+// materialized edge list) and one tiered store mounts it under the
 // --memory-budget. The recovered service then serves queries and absorbs
 // further updates (promoting the base vertices they touch).
 int ServeBenchOoc(const Args& args, const graph::VertexId n,
@@ -1455,8 +1455,8 @@ int ServeBenchOoc(const Args& args, const graph::VertexId n,
   auto service = walk::MakeWalkService(workload.initial_edges, n,
                                        core::BingoConfig{}, pool, pool);
   std::printf(
-      "serve-bench[ooc]: %u vertices, %zu initial edges, 2 replicas built "
-      "in %.2fs\n",
+      "serve-bench[ooc]: %u vertices, %zu initial edges, store built in "
+      "%.2fs\n",
       n, workload.initial_edges.size(), build_timer.Seconds());
 
   walk::WalPersistenceOptions persist;
@@ -1518,7 +1518,7 @@ int ServeBenchOoc(const Args& args, const graph::VertexId n,
   }
   std::printf(
       "ooc recovery:     %.2fs streamed (%llu base edges -> base.csr, "
-      "%llu wal records / %llu updates replayed, budget %llu bytes/replica)\n",
+      "%llu wal records / %llu updates replayed, budget %llu bytes)\n",
       recovery_ms / 1e3, static_cast<unsigned long long>(recovery.base_edges),
       static_cast<unsigned long long>(recovery.wal_records_replayed),
       static_cast<unsigned long long>(recovery.wal_updates_replayed),
@@ -1671,15 +1671,15 @@ int ServeBench(const Args& args) {
     return ServeBenchOoc(args, n, workload, &serve_pool);
   }
 
-  // The pool builds the replicas and then parallelizes each batch's
-  // replica rebuilds; the stress query threads deliberately run poolless,
-  // so the writer has the pool to itself.
+  // The pool builds the store and then parallelizes each batch's
+  // per-vertex copies and rebuilds; the stress query threads deliberately
+  // run poolless, so the writer has the pool to itself.
   util::Timer build_timer;
   auto service = walk::MakeWalkService(workload.initial_edges, n,
                                        PipelineConfig(args), &serve_pool,
                                        &serve_pool);
   std::printf(
-      "serve-bench: %u vertices, %zu initial edges, 2 replicas built in "
+      "serve-bench: %u vertices, %zu initial edges, store built in "
       "%.2fs (%.1f MiB)\n",
       n, workload.initial_edges.size(), build_timer.Seconds(),
       service->MemoryStats().TotalBytes() / 1024.0 / 1024.0);
