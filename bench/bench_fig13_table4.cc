@@ -32,6 +32,7 @@ class InstrumentedStore {
       : graph_(std::move(graph)) {
     config_.adaptive.adaptive = adaptive;
     config_.conversion_stats = &conversions_;
+    config_.pool = &graph_.Pool();  // as BingoStore does
     samplers_.resize(graph_.NumVertices());
     for (graph::VertexId v = 0; v < graph_.NumVertices(); ++v) {
       samplers_[v].SetConfig(&config_);

@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
     const auto g = bench::StarGraph(degree, degree + 7);
     const auto adj = g.Neighbors(0);
     core::BingoConfig config;
+    config.pool = &g.Pool();  // as BingoStore does
     core::VertexSampler sampler;
     sampler.SetConfig(&config);
     sampler.Build(adj);

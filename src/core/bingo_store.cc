@@ -15,8 +15,9 @@ BingoStore::BingoStore(graph::DynamicGraph graph, BingoConfig config,
       reclaimer_(own_reclaimer_.get()),
       config_(config),
       graph_(std::move(graph)),
-      samplers_(graph_.NumVertices()) {
+      samplers_(graph_.Pool(), graph_.NumVertices()) {
   config_.conversion_stats = &conversion_stats_;
+  config_.pool = &graph_.Pool();
   const auto build_range = [this](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
       samplers_[v].SetConfig(&config_);
@@ -60,6 +61,23 @@ void BingoStore::WriteVertices(std::span<const graph::VertexId> vertices,
                                util::ThreadPool* pool, std::size_t grain,
                                Fn&& write) {
   const uint64_t version = version_ + 1;
+  if (!reclaimer_->Pinned()) {
+    // No view reads any version, so nothing needs the originals: the
+    // vertices change in place. (Views are only taken between mutations.)
+    const auto run_in_place = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        samplers_[vertices[i]].SetConfig(&config_);
+      }
+      write(lo, hi);
+    };
+    if (pool != nullptr) {
+      pool->ParallelForChunked(0, vertices.size(), run_in_place, grain);
+    } else {
+      run_in_place(0, vertices.size());
+    }
+    version_ = version;
+    return;
+  }
   // Pages first, serially: vertices that share a page are written in
   // parallel below.
   graph::DynamicGraph::Retired graph_retired;
@@ -111,7 +129,7 @@ void BingoStore::WriteVertices(std::span<const graph::VertexId> vertices,
           sampler.Release();
         }
         for (SamplerTable::Page* page : pages) {
-          delete page;
+          samplers_.FreePage(page);
         }
       });
 }

@@ -16,7 +16,15 @@
 // read-only store pinned at the current version; it keeps reading exactly
 // that version, bit for bit, while later batches apply. What a version
 // supersedes is freed by epoch-based reclamation (util/reclaimer.h) once no
-// older view is pinned — with no views, at the end of the mutation itself.
+// older view is pinned. While no view is pinned at all, nothing can read an
+// older version, and a mutation changes its vertices in place instead of
+// copying them (WAL replay during recovery, bare stores).
+//
+// Storage. Every per-vertex byte — adjacency blocks, finders, sampler
+// blocks, group and decimal payloads, and the pages of both tables — comes
+// from the graph's MemoryPool (util/memory_pool.h). A superseded version
+// goes back onto the pool's free lists on whichever thread frees it, and
+// the next copy reuses it.
 
 #ifndef BINGO_SRC_CORE_BINGO_STORE_H_
 #define BINGO_SRC_CORE_BINGO_STORE_H_
@@ -72,6 +80,9 @@ class BingoStore {
   util::EpochReclaimer& Reclaimer() const { return *reclaimer_; }
 
   const graph::DynamicGraph& Graph() const { return graph_; }
+  // The pool all of this store's per-vertex storage comes from (its
+  // graph's); a store layered over this one may draw from it too.
+  util::MemoryPool& Pool() const { return graph_.Pool(); }
   const BingoConfig& Config() const { return config_; }
   uint32_t LogicalEpoch() const { return config_.logical_epoch; }
 
@@ -222,7 +233,8 @@ class BingoStore {
   // `vertices` (ascending, distinct) gets a private page and a private
   // copy of its adjacency and sampler; then `write(lo, hi)` mutates the
   // copies of vertices[lo, hi), chunks in parallel on `pool`. The
-  // originals are retired to the reclaimer.
+  // originals are retired to the reclaimer. With no view pinned, `write`
+  // mutates the vertices in place.
   template <typename Fn>
   void WriteVertices(std::span<const graph::VertexId> vertices,
                      util::ThreadPool* pool, std::size_t grain, Fn&& write);

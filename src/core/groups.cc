@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
-#include "src/util/bitops.h"
+#include "src/core/payload.h"
 
 namespace bingo::core {
 
@@ -44,87 +45,14 @@ GroupKind ClassifyGroup(uint64_t count, uint64_t degree, const AdaptiveConfig& c
   return GroupKind::kRegular;
 }
 
-// ------------------------------------------------------------ hash probing --
-//
-// Linear probing over a power-of-two array of `key<<32 | value` slots, shared
-// by IndexMap and the sparse RadixGroup payload.
-
-namespace {
-
-constexpr uint64_t kEmptySlot = ~uint64_t{0};
-constexpr uint64_t kTombstoneSlot = ~uint64_t{0} - 1;
-
-uint64_t PackSlot(uint32_t key, uint32_t value) {
-  return (static_cast<uint64_t>(key) << 32) | value;
-}
-
-bool SlotHolds(uint64_t slot, uint32_t key) {
-  return slot != kEmptySlot && slot != kTombstoneSlot &&
-         static_cast<uint32_t>(slot >> 32) == key;
-}
-
-std::size_t HomeSlot(uint32_t key, std::size_t mask) {
-  return (key * 0x9e3779b9u) & mask;
-}
-
-// Stores (key, value) in the first free slot; true if that slot was never
-// used before (a tombstone reuse leaves the occupancy unchanged). The table
-// must have a free slot.
-bool ProbeInsert(uint64_t* slots, std::size_t capacity, uint32_t key,
-                 uint32_t value) {
-  const std::size_t mask = capacity - 1;
-  std::size_t pos = HomeSlot(key, mask);
-  while (slots[pos] != kEmptySlot && slots[pos] != kTombstoneSlot) {
-    pos = (pos + 1) & mask;
-  }
-  const bool fresh = slots[pos] == kEmptySlot;
-  slots[pos] = PackSlot(key, value);
-  return fresh;
-}
-
-// Slot index holding `key`, or `capacity` when absent.
-std::size_t ProbeFind(const uint64_t* slots, std::size_t capacity,
-                      uint32_t key) {
-  if (capacity == 0) {
-    return 0;
-  }
-  const std::size_t mask = capacity - 1;
-  std::size_t pos = HomeSlot(key, mask);
-  while (slots[pos] != kEmptySlot) {
-    if (SlotHolds(slots[pos], key)) {
-      return pos;
-    }
-    pos = (pos + 1) & mask;
-  }
-  return capacity;
-}
-
-// Slot capacity for `live` keys after a rehash: a power of two >= 8 that
-// keeps the load at or below one half.
-std::size_t HashCapacityFor(std::size_t live) {
-  std::size_t cap = 8;
-  while (cap < live * 2) {
-    cap <<= 1;
-  }
-  return cap;
-}
-
-// True when one more fresh-slot insertion would push the occupancy of a
-// table of `capacity` slots (`used` occupied) to three quarters.
-bool HashNeedsGrowth(std::size_t used, std::size_t capacity) {
-  return capacity == 0 || (used + 1) * 4 >= capacity * 3;
-}
-
-// Capacity to rehash into once HashNeedsGrowth holds, for a table with
-// `live` keys about to take one more. It can equal the current capacity:
-// the rehash must happen anyway, because it is what drops the tombstones.
-// Without it, churn at a steady size fills every slot and the probe for an
-// absent key never ends.
-std::size_t GrownHashCapacity(std::size_t live) {
-  return HashCapacityFor(std::max<std::size_t>(live + 1, 4));
-}
-
-}  // namespace
+using payload::GrownHashCapacity;
+using payload::HashCapacityFor;
+using payload::HashNeedsGrowth;
+using payload::kEmptySlot;
+using payload::kTombstoneSlot;
+using payload::PackSlot;
+using payload::ProbeFind;
+using payload::ProbeInsert;
 
 // ---------------------------------------------------------------- IndexMap --
 
@@ -185,49 +113,31 @@ void IndexMap::Clear() {
 
 // -------------------------------------------------------------- RadixGroup --
 
-void RadixGroup::TakeFrom(RadixGroup& other) {
-  kind_ = other.kind_;
-  count_ = other.count_;
-  if (kind_ == GroupKind::kOneElement) {
-    single_ = other.single_;
-  } else {
-    payload_ = other.HasPayload() ? other.payload_ : nullptr;
-  }
-  other.kind_ = GroupKind::kEmpty;
-  other.count_ = 0;
-  other.payload_ = nullptr;
-}
-
-RadixGroup RadixGroup::Clone() const {
-  RadixGroup copy;
-  copy.kind_ = kind_;
-  copy.count_ = count_;
-  if (kind_ == GroupKind::kOneElement) {
-    copy.single_ = single_;
-  } else if (HasPayload()) {
+RadixGroup RadixGroup::Clone(util::MemoryPool& pool) const {
+  RadixGroup copy = *this;
+  if (HasPayload()) {
     const std::size_t bytes = MemoryBytes();
-    copy.payload_ = static_cast<Payload*>(::operator new(bytes));
+    copy.payload_ = static_cast<Payload*>(pool.Allocate(bytes));
     std::memcpy(static_cast<void*>(copy.payload_), payload_, bytes);
   }
   return copy;
 }
 
-void RadixGroup::Reserve(uint32_t member_capacity, uint32_t index_capacity) {
+void RadixGroup::Reserve(uint32_t member_capacity, uint32_t index_capacity,
+                         util::MemoryPool& pool) {
   assert(HasPayload());
   assert(member_capacity >= count_);
-  member_capacity += member_capacity & 1;  // keeps the hash slots aligned
-  const std::size_t index_entry =
-      kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
-  auto* fresh = static_cast<Payload*>(::operator new(
-      sizeof(Payload) + std::size_t{member_capacity} * sizeof(uint32_t) +
-      std::size_t{index_capacity} * index_entry));
-  fresh->member_capacity = member_capacity;
-  fresh->index_capacity = index_capacity;
-  fresh->index_used = 0;
-  fresh->reserved = 0;
+  const std::size_t index_bytes = std::size_t{index_capacity} * IndexEntryBytes();
+  // Even, so that the hash slots stay 8-byte aligned.
+  member_capacity = payload::FillClass(sizeof(Payload) + index_bytes,
+                                       sizeof(uint32_t), member_capacity, 2);
+  auto* fresh = new (pool.Allocate(sizeof(Payload) +
+                                   std::size_t{member_capacity} * sizeof(uint32_t) +
+                                   index_bytes))
+      Payload{member_capacity, index_capacity, 0, 0};
   if (payload_ != nullptr) {
     std::copy_n(payload_->Members(), count_, fresh->Members());
-    ::operator delete(payload_);
+    pool.Deallocate(payload_, MemoryBytes());
   }
   payload_ = fresh;
   RebuildIndex();
@@ -251,14 +161,14 @@ void RadixGroup::RebuildIndex() {
   }
 }
 
-void RadixGroup::ReserveHashSlot() {
+void RadixGroup::ReserveHashSlot(util::MemoryPool& pool) {
   if (HashNeedsGrowth(payload_->index_used, payload_->index_capacity)) {
     Reserve(payload_->member_capacity,
-            static_cast<uint32_t>(GrownHashCapacity(count_)));
+            static_cast<uint32_t>(GrownHashCapacity(count_)), pool);
   }
 }
 
-void RadixGroup::ReserveForInsert(uint32_t idx) {
+void RadixGroup::ReserveForInsert(uint32_t idx, util::MemoryPool& pool) {
   uint32_t members = payload_->member_capacity;
   bool reallocate = false;
   if (count_ == members) {
@@ -276,7 +186,7 @@ void RadixGroup::ReserveForInsert(uint32_t idx) {
     reallocate = true;  // even at an unchanged capacity (see GrownHashCapacity)
   }
   if (reallocate) {
-    Reserve(members, index);
+    Reserve(members, index, pool);
   }
 }
 
@@ -318,7 +228,8 @@ uint32_t RadixGroup::IndexFind(uint32_t idx) const {
              : static_cast<uint32_t>(payload_->Slots()[slot]);
 }
 
-void RadixGroup::Insert(uint32_t idx, uint32_t degree_hint) {
+void RadixGroup::Insert(uint32_t idx, uint32_t degree_hint,
+                        util::MemoryPool& pool) {
   switch (kind_) {
     case GroupKind::kEmpty:
       kind_ = GroupKind::kOneElement;
@@ -328,14 +239,14 @@ void RadixGroup::Insert(uint32_t idx, uint32_t degree_hint) {
       // Escalate to regular; the post-op reclassification settles the kind.
       const uint32_t existing = single_;
       const uint32_t both[2] = {existing, idx};
-      RebuildAs(GroupKind::kRegular, both, degree_hint);
+      RebuildAs(GroupKind::kRegular, both, degree_hint, pool);
       return;  // RebuildAs set count_ already
     }
     case GroupKind::kDense:
       break;  // count only
     case GroupKind::kSparse:
     case GroupKind::kRegular:
-      ReserveForInsert(idx);
+      ReserveForInsert(idx, pool);
       IndexSet(idx, count_);
       payload_->Members()[count_] = idx;
       break;
@@ -355,7 +266,7 @@ void RadixGroup::RemoveAtPosition(uint32_t pos) {
   IndexErase(removed);
 }
 
-void RadixGroup::Remove(uint32_t idx) {
+void RadixGroup::Remove(uint32_t idx, util::MemoryPool& pool) {
   assert(count_ > 0);
   switch (kind_) {
     case GroupKind::kEmpty:
@@ -376,11 +287,11 @@ void RadixGroup::Remove(uint32_t idx) {
   }
   --count_;
   if (count_ == 0) {
-    Clear();
+    Clear(pool);
   }
 }
 
-void RadixGroup::Rename(uint32_t from, uint32_t to) {
+void RadixGroup::Rename(uint32_t from, uint32_t to, util::MemoryPool& pool) {
   switch (kind_) {
     case GroupKind::kEmpty:
     case GroupKind::kDense:
@@ -393,10 +304,10 @@ void RadixGroup::Rename(uint32_t from, uint32_t to) {
     case GroupKind::kSparse:
     case GroupKind::kRegular: {
       if (kind_ == GroupKind::kSparse) {
-        ReserveHashSlot();
+        ReserveHashSlot(pool);
       } else if (to >= payload_->index_capacity) {
         Reserve(payload_->member_capacity,
-                std::max(to + 1, payload_->index_capacity * 2));
+                std::max(to + 1, payload_->index_capacity * 2), pool);
       }
       const uint32_t pos = IndexFind(from);
       assert(pos != kNoPosition);
@@ -408,7 +319,8 @@ void RadixGroup::Rename(uint32_t from, uint32_t to) {
   }
 }
 
-void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
+void RadixGroup::BatchRemove(std::span<const uint32_t> idxs,
+                             util::MemoryPool& pool) {
   if (idxs.empty()) {
     return;
   }
@@ -416,13 +328,13 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
     assert(idxs.size() <= count_);
     count_ -= static_cast<uint32_t>(idxs.size());
     if (count_ == 0) {
-      Clear();
+      Clear(pool);
     }
     return;
   }
   if (kind_ == GroupKind::kOneElement) {
     assert(idxs.size() == 1 && idxs[0] == single_);
-    Clear();
+    Clear(pool);
     return;
   }
 
@@ -477,13 +389,13 @@ void RadixGroup::BatchRemove(std::span<const uint32_t> idxs) {
 
   count_ -= n;
   if (count_ == 0) {
-    Clear();
+    Clear(pool);
   }
 }
 
 void RadixGroup::RebuildAs(GroupKind target, std::span<const uint32_t> members,
-                           uint32_t degree_hint) {
-  Clear();
+                           uint32_t degree_hint, util::MemoryPool& pool) {
+  Clear(pool);
   kind_ = target;
   switch (target) {
     case GroupKind::kEmpty:
@@ -497,10 +409,9 @@ void RadixGroup::RebuildAs(GroupKind target, std::span<const uint32_t> members,
       break;
     case GroupKind::kSparse:
     case GroupKind::kRegular: {
-      // Power-of-two member headroom (Hornet-style) so the next few appends
-      // do not reallocate.
-      const uint32_t member_capacity = static_cast<uint32_t>(
-          util::CeilPow2(std::max<std::size_t>(members.size(), 1)));
+      // Member headroom is what the payload's size class leaves over.
+      const uint32_t member_capacity =
+          std::max<uint32_t>(static_cast<uint32_t>(members.size()), 1);
       uint32_t index_capacity;
       if (target == GroupKind::kSparse) {
         index_capacity = static_cast<uint32_t>(
@@ -511,7 +422,7 @@ void RadixGroup::RebuildAs(GroupKind target, std::span<const uint32_t> members,
           index_capacity = std::max(index_capacity, idx + 1);
         }
       }
-      Reserve(member_capacity, index_capacity);  // empty: count_ is 0
+      Reserve(member_capacity, index_capacity, pool);  // empty: count_ is 0
       std::copy(members.begin(), members.end(), payload_->Members());
       count_ = static_cast<uint32_t>(members.size());
       RebuildIndex();
@@ -554,9 +465,9 @@ bool RadixGroup::Contains(uint32_t idx) const {
   return false;
 }
 
-void RadixGroup::Clear() {
+void RadixGroup::Clear(util::MemoryPool& pool) {
   if (HasPayload()) {
-    ::operator delete(payload_);
+    pool.Deallocate(payload_, MemoryBytes());
   }
   kind_ = GroupKind::kEmpty;
   count_ = 0;
@@ -567,11 +478,9 @@ std::size_t RadixGroup::MemoryBytes() const {
   if (!HasPayload()) {
     return 0;
   }
-  const std::size_t index_entry =
-      kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
   return sizeof(Payload) +
          std::size_t{payload_->member_capacity} * sizeof(uint32_t) +
-         std::size_t{payload_->index_capacity} * index_entry;
+         std::size_t{payload_->index_capacity} * IndexEntryBytes();
 }
 
 std::string RadixGroup::CheckInvariants() const {

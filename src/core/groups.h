@@ -24,8 +24,10 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/util/memory_pool.h"
 #include "src/util/rng.h"
 
 namespace bingo::core {
@@ -70,30 +72,25 @@ class IndexMap {
 // classification currently demands.
 //
 // The group itself is a 16-byte header: kind, count, and either the
-// one-element member or a pointer to one heap payload holding the member
+// one-element member or a pointer to one pooled payload holding the member
 // list followed by its inverted index (regular: a neighbor-index-sized
 // position array; sparse: open-addressing hash slots). Empty, dense and
-// one-element groups allocate nothing.
+// one-element groups allocate nothing. The member list is sized by the
+// member count, filling its pool size class (payload.h).
+//
+// Ownership is explicit, as for the vertex sampler that holds the group:
+// the header is trivially copyable (a copy aliases the payload), Clone()
+// makes an independent deep copy, and Clear() frees the payload. Every
+// operation that may allocate or free takes the pool the payload lives in.
 class RadixGroup {
  public:
   static constexpr uint32_t kNoPosition = 0xFFFFFFFFu;
 
   RadixGroup() = default;
-  RadixGroup(RadixGroup&& other) noexcept { TakeFrom(other); }
-  RadixGroup& operator=(RadixGroup&& other) noexcept {
-    if (this != &other) {
-      Clear();
-      TakeFrom(other);
-    }
-    return *this;
-  }
-  RadixGroup(const RadixGroup&) = delete;
-  RadixGroup& operator=(const RadixGroup&) = delete;
-  ~RadixGroup() { Clear(); }
 
   // An independent copy, payload included (same capacities, same hash
   // layout).
-  RadixGroup Clone() const;
+  RadixGroup Clone(util::MemoryPool& pool) const;
 
   GroupKind Kind() const { return kind_; }
   uint32_t Count() const { return count_; }
@@ -103,19 +100,19 @@ class RadixGroup {
   // the element (empty, or full one-element), it escalates to the smallest
   // representation that can; a later Reclassify() pass settles the final
   // kind. `degree_hint` sizes the regular inverted index.
-  void Insert(uint32_t idx, uint32_t degree_hint);
+  void Insert(uint32_t idx, uint32_t degree_hint, util::MemoryPool& pool);
 
   // Removes neighbor index `idx` (must be present; for dense groups this
   // only decrements the count). Swap-with-tail keeps members compact.
-  void Remove(uint32_t idx);
+  void Remove(uint32_t idx, util::MemoryPool& pool);
 
   // Re-points member `from` to index `to` after an adjacency swap-with-tail
   // renamed the neighbor index. No-op for dense groups.
-  void Rename(uint32_t from, uint32_t to);
+  void Rename(uint32_t from, uint32_t to, util::MemoryPool& pool);
 
   // Two-phase parallel delete-and-swap (Fig 10b): removes every index in
   // `idxs` (each must be a member; dense groups only adjust the count).
-  void BatchRemove(std::span<const uint32_t> idxs);
+  void BatchRemove(std::span<const uint32_t> idxs, util::MemoryPool& pool);
 
   // Uniform member pick for one-element/sparse/regular groups. Dense groups
   // have no member list; the vertex sampler handles them by rejection on
@@ -130,7 +127,7 @@ class RadixGroup {
   // Rebuilds as `target` from the full member list. `degree_hint` sizes the
   // regular inverted index.
   void RebuildAs(GroupKind target, std::span<const uint32_t> members,
-                 uint32_t degree_hint);
+                 uint32_t degree_hint, util::MemoryPool& pool);
 
   // Appends all members to `out`. Not valid for dense groups (which do not
   // store members).
@@ -139,10 +136,11 @@ class RadixGroup {
   // Membership test (not valid for dense groups).
   bool Contains(uint32_t idx) const;
 
-  void Clear();
+  // Frees the payload; the group reads empty afterwards.
+  void Clear(util::MemoryPool& pool);
 
-  // Bytes of the heap payload (0 for empty, dense and one-element groups);
-  // the 16-byte header is accounted by whoever holds it.
+  // Bytes of the pooled payload (0 for empty, dense and one-element
+  // groups); the 16-byte header is accounted by whoever holds it.
   std::size_t MemoryBytes() const;
 
   // Structural audit: inverted index consistent with members, no
@@ -150,7 +148,7 @@ class RadixGroup {
   std::string CheckInvariants() const;
 
  private:
-  // Heap payload of a sparse or regular group: this header, then
+  // Pooled payload of a sparse or regular group: this header, then
   // `member_capacity` member slots (the first count_ are live), then
   // `index_capacity` inverted-index entries — uint32_t positions for a
   // regular group, uint64_t hash slots for a sparse one (member_capacity is
@@ -176,18 +174,23 @@ class RadixGroup {
   bool HasPayload() const {
     return kind_ == GroupKind::kSparse || kind_ == GroupKind::kRegular;
   }
-  void TakeFrom(RadixGroup& other);
-  // Reallocates the payload with the given capacities, keeping the members
-  // and rebuilding the inverted index from them (which also drops sparse
-  // tombstones). Requires a sparse or regular kind_.
-  void Reserve(uint32_t member_capacity, uint32_t index_capacity);
+  std::size_t IndexEntryBytes() const {
+    return kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
+  }
+  // Reallocates the payload with room for at least `member_capacity`
+  // members (filling the size class) and exactly `index_capacity` index
+  // entries, keeping the members and rebuilding the inverted index from
+  // them (which also drops sparse tombstones). Requires a sparse or regular
+  // kind_.
+  void Reserve(uint32_t member_capacity, uint32_t index_capacity,
+               util::MemoryPool& pool);
   // Refills the inverted index from the first count_ members.
   void RebuildIndex();
   // Makes room for one more member (and, for regular groups, for neighbor
   // index `idx` in the inverted index).
-  void ReserveForInsert(uint32_t idx);
+  void ReserveForInsert(uint32_t idx, util::MemoryPool& pool);
   // Sparse groups: makes room for one hash-slot insertion.
-  void ReserveHashSlot();
+  void ReserveHashSlot(util::MemoryPool& pool);
   void IndexSet(uint32_t idx, uint32_t pos);
   void IndexErase(uint32_t idx);
   uint32_t IndexFind(uint32_t idx) const;
@@ -202,6 +205,7 @@ class RadixGroup {
 };
 
 static_assert(sizeof(RadixGroup) == 16, "group headers are 16 bytes");
+static_assert(std::is_trivially_copyable_v<RadixGroup>);
 
 }  // namespace bingo::core
 

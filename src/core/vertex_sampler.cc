@@ -93,17 +93,18 @@ VertexSampler VertexSampler::Clone() const {
     return copy;
   }
   const Block& from = *block_;
+  util::MemoryPool& pool = Pool();
   auto* fresh = static_cast<Block*>(
-      ::operator new(Block::Bytes(from.num_groups, from.has_decimal)));
+      pool.Allocate(Block::Bytes(from.num_groups, from.has_decimal)));
   // Header, alias table and slot map are plain bytes; the groups and the
   // decimal group deep-copy their payloads.
   std::memcpy(static_cast<void*>(fresh), &from,
               Block::GroupsOffset(from.num_slots));
   for (int g = 0; g < from.num_groups; ++g) {
-    new (fresh->Groups() + g) RadixGroup(from.Groups()[g].Clone());
+    new (fresh->Groups() + g) RadixGroup(from.Groups()[g].Clone(pool));
   }
   if (from.has_decimal) {
-    new (fresh->Decimal()) DecimalGroup(*from.Decimal());
+    new (fresh->Decimal()) DecimalGroup(from.Decimal()->Clone(pool));
   }
   copy.block_ = fresh;
   return copy;
@@ -113,14 +114,15 @@ void VertexSampler::Release() {
   if (block_ == nullptr) {
     return;
   }
+  util::MemoryPool& pool = Pool();
   RadixGroup* groups = block_->Groups();
   for (int g = 0; g < block_->num_groups; ++g) {
-    groups[g].~RadixGroup();
+    groups[g].Clear(pool);
   }
   if (block_->has_decimal) {
-    block_->Decimal()->~DecimalGroup();
+    block_->Decimal()->Clear(pool);
   }
-  ::operator delete(block_);
+  pool.Deallocate(block_, Block::Bytes(block_->num_groups, block_->has_decimal));
   block_ = nullptr;
 }
 
@@ -130,42 +132,37 @@ void VertexSampler::Reshape(uint64_t present, bool decimal) {
     Release();
     return;
   }
+  util::MemoryPool& pool = Pool();
   const int num_groups = util::Popcount(present);
-  Block* fresh = new (::operator new(Block::Bytes(num_groups, decimal)))
+  Block* fresh = new (pool.Allocate(Block::Bytes(num_groups, decimal)))
       Block{present, static_cast<uint8_t>(num_groups),
             static_cast<uint8_t>(num_groups + (decimal ? 1 : 0)), decimal, {}};
 
+  // Headers are trivially copyable handles: surviving ones move over as
+  // bytes, dropped ones are empty and own no payload.
   Block* old = block_;
   const uint64_t old_present = old != nullptr ? old->present : 0;
-  RadixGroup* from = old != nullptr ? old->Groups() : nullptr;
+  const RadixGroup* from = old != nullptr ? old->Groups() : nullptr;
   RadixGroup* to = fresh->Groups();
   util::ForEachSetBit(present | old_present, [&](int k) {
     const bool in_old = (old_present >> k) & 1;
     if ((present >> k) & 1) {
-      if (in_old) {
-        new (to++) RadixGroup(std::move(*from));
-      } else {
-        new (to++) RadixGroup();
-      }
+      new (to++) RadixGroup(in_old ? *from : RadixGroup());
     }
     if (in_old) {
       assert(((present >> k) & 1) || from->Empty());
-      (from++)->~RadixGroup();
+      ++from;
     }
   });
   const bool old_decimal = old != nullptr && old->has_decimal;
   if (decimal) {
-    if (old_decimal) {
-      new (fresh->Decimal()) DecimalGroup(std::move(*old->Decimal()));
-    } else {
-      new (fresh->Decimal()) DecimalGroup(config_->decimal_policy);
-    }
+    new (fresh->Decimal()) DecimalGroup(
+        old_decimal ? *old->Decimal() : DecimalGroup(config_->decimal_policy));
   }
-  if (old_decimal) {
-    assert(decimal || old->Decimal()->Empty());
-    old->Decimal()->~DecimalGroup();
+  assert(!old_decimal || decimal || old->Decimal()->Empty());
+  if (old != nullptr) {
+    pool.Deallocate(old, Block::Bytes(old->num_groups, old->has_decimal));
   }
-  ::operator delete(old);
   block_ = fresh;
 }
 
@@ -199,13 +196,18 @@ void VertexSampler::Build(std::span<const graph::Edge> adj) {
   parts.resize(degree);
   std::array<uint32_t, 64> counts{};
   uint64_t present = 0;
-  bool decimal = false;
+  uint32_t decimal_members = 0;
+  uint32_t decimal_extent = 0;
   for (uint32_t idx = 0; idx < degree; ++idx) {
     parts[idx] = Split(adj[idx].bias);
     present |= parts[idx].int_bits;
     util::ForEachSetBit(parts[idx].int_bits, [&](int k) { ++counts[k]; });
-    decimal |= parts[idx].dec_fixed != 0;
+    if (parts[idx].dec_fixed != 0) {
+      ++decimal_members;
+      decimal_extent = idx + 1;
+    }
   }
+  const bool decimal = decimal_members > 0;
   Reshape(present, decimal);
   if (block_ == nullptr) {
     return;  // no out-weight: no block
@@ -222,12 +224,16 @@ void VertexSampler::Build(std::span<const graph::Edge> adj) {
   });
   static thread_local std::vector<uint32_t> members;
   members.resize(total);
+  util::MemoryPool& pool = Pool();
   DecimalGroup* decimal_group = decimal ? block_->Decimal() : nullptr;
+  if (decimal) {
+    decimal_group->Reserve(decimal_members, decimal_extent, pool);
+  }
   for (uint32_t idx = 0; idx < degree; ++idx) {
     util::ForEachSetBit(parts[idx].int_bits,
                         [&](int k) { members[cursor[k]++] = idx; });
     if (parts[idx].dec_fixed != 0) {
-      decimal_group->Insert(idx, parts[idx].dec_fixed);
+      decimal_group->Insert(idx, parts[idx].dec_fixed, pool);
     }
   }
   RadixGroup* group = block_->Groups();
@@ -236,7 +242,7 @@ void VertexSampler::Build(std::span<const graph::Edge> adj) {
     const GroupKind kind = ClassifyGroup(counts[k], degree, config_->adaptive);
     (group++)->RebuildAs(
         kind, std::span<const uint32_t>(members).subspan(begin, counts[k]),
-        degree);
+        degree, pool);
     begin += counts[k];
   });
   RebuildInterGroupAlias();
@@ -252,26 +258,27 @@ void VertexSampler::InsertEdge(std::span<const graph::Edge> adj, uint32_t idx) {
     Reshape(present | parts.int_bits, decimal || to_decimal);
   }
   util::ForEachSetBit(parts.int_bits,
-                      [&](int k) { GroupFor(k).Insert(idx, degree); });
+                      [&](int k) { GroupFor(k).Insert(idx, degree, Pool()); });
   if (to_decimal) {
-    block_->Decimal()->Insert(idx, parts.dec_fixed);
+    block_->Decimal()->Insert(idx, parts.dec_fixed, Pool());
   }
 }
 
 void VertexSampler::RemoveEdge(std::span<const graph::Edge> adj, uint32_t idx) {
   const BiasParts parts = Split(adj[idx].bias);
-  util::ForEachSetBit(parts.int_bits, [&](int k) { GroupFor(k).Remove(idx); });
+  util::ForEachSetBit(parts.int_bits,
+                      [&](int k) { GroupFor(k).Remove(idx, Pool()); });
   if (parts.dec_fixed != 0) {
-    block_->Decimal()->Remove(idx);
+    block_->Decimal()->Remove(idx, Pool());
   }
 }
 
 void VertexSampler::RenameIndex(double moved_bias, uint32_t from, uint32_t to) {
   const BiasParts parts = Split(moved_bias);
   util::ForEachSetBit(parts.int_bits,
-                      [&](int k) { GroupFor(k).Rename(from, to); });
+                      [&](int k) { GroupFor(k).Rename(from, to, Pool()); });
   if (parts.dec_fixed != 0) {
-    block_->Decimal()->Rename(from, to);
+    block_->Decimal()->Rename(from, to, Pool());
   }
 }
 
@@ -289,13 +296,13 @@ void VertexSampler::RemoveEdgesBatch(std::span<const graph::Edge> adj,
       per_group[static_cast<std::size_t>(k)].push_back(idx);
     });
     if (parts.dec_fixed != 0) {
-      block_->Decimal()->Remove(idx);
+      block_->Decimal()->Remove(idx, Pool());
     }
   }
   for (int k = 0; k < static_cast<int>(per_group.size()); ++k) {
     const auto& victims = per_group[static_cast<std::size_t>(k)];
     if (!victims.empty()) {
-      GroupFor(k).BatchRemove(victims);
+      GroupFor(k).BatchRemove(victims, Pool());
     }
   }
 }
@@ -354,7 +361,7 @@ void VertexSampler::ReclassifyGroups(std::span<const graph::Edge> adj) {
       config_->conversion_stats->Record(current, target);
     }
     if (target == GroupKind::kEmpty) {
-      group.Clear();
+      group.Clear(Pool());
       return;
     }
     std::vector<uint32_t> members;
@@ -363,7 +370,7 @@ void VertexSampler::ReclassifyGroups(std::span<const graph::Edge> adj) {
     } else {
       group.CollectMembers(members);
     }
-    group.RebuildAs(target, members, degree);
+    group.RebuildAs(target, members, degree, Pool());
   });
 }
 

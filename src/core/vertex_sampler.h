@@ -14,13 +14,15 @@
 //
 // Memory layout: a VertexSampler is a 16-byte, trivially copyable handle
 // (config pointer plus block pointer). A vertex without out-weight has no
-// block. Otherwise its block is one heap allocation holding, contiguously:
+// block. Otherwise its block is one allocation from the configured
+// MemoryPool (BingoConfig::pool) holding, contiguously:
 //   * a 16-byte header (the presence mask of radix positions, counts);
 //   * the inter-group alias table, prob[] (double) and alias[] (uint32);
 //   * the slot map, slot -> radix position (int8, -1 = decimal group);
 //   * one 16-byte RadixGroup header per non-empty radix group, ascending k;
-//   * the DecimalGroup, only when the vertex has fractional weight.
-// Empty radix positions are packed out: a 64-bit presence mask says which
+//   * the 16-byte DecimalGroup header, only when the vertex has fractional
+//     weight.
+// Group and decimal payloads come from the same pool. Empty radix positions are packed out: a 64-bit presence mask says which
 // positions have a header, and popcount below k finds it. Alias slot s is
 // header s (the non-empty groups in ascending k, as the inter-group table
 // has always been ordered), and the decimal group takes the last slot.
@@ -47,6 +49,7 @@
 #include "src/core/radix.h"
 #include "src/graph/types.h"
 #include "src/sampling/alias_table.h"
+#include "src/util/memory_pool.h"
 #include "src/util/prefetch.h"
 #include "src/util/rng.h"
 
@@ -81,6 +84,10 @@ struct BingoConfig {
   // advances via graph::MakeAdvanceTime batches and round-trips through the
   // snapshot header on recovery.
   uint32_t logical_epoch = 0;
+  // Where every sampler block and group payload is allocated. A BingoStore
+  // points its own copy at its graph's pool; a standalone sampler needs
+  // one set the same way. Not fingerprinted.
+  util::MemoryPool* pool = nullptr;
 };
 
 // Memory attribution for Fig 11. Total() is every byte the vertex owns
@@ -90,7 +97,7 @@ struct VertexMemoryBreakdown {
   // (dense, one-element and empty groups own no payload).
   std::array<std::size_t, 5> group_bytes{};
   // Fixed parts of the block: its own header (with alignment padding), the
-  // 16-byte group headers and the decimal group's header.
+  // 16-byte group headers and the decimal group's 16-byte header.
   std::size_t header_bytes = 0;
   std::size_t decimal_bytes = 0;  // the decimal group's member arrays
   std::size_t alias_bytes = 0;    // inter-group prob[], alias[], slot map
@@ -204,6 +211,7 @@ class VertexSampler {
   struct Block;
 
   BiasParts Split(double bias) const { return SplitBias(bias, config_->lambda); }
+  util::MemoryPool& Pool() const { return *config_->pool; }
   // Reallocates the block to hold headers for exactly the radix positions
   // in `present`, plus a decimal group iff `decimal`. Surviving headers and
   // the decimal group move over; new ones start empty (a new decimal group

@@ -19,48 +19,8 @@ inline std::size_t HashDst(VertexId dst) {
 
 // ---------------------------------------------------------------- Finder --
 
-void DynamicGraph::Finder::Grow(std::size_t min_capacity) {
-  std::size_t cap = 16;
-  while (cap < min_capacity * 2) {
-    cap <<= 1;
-  }
-  std::vector<Entry> old = std::move(table);
-  table.assign(cap, Entry{});
-  used = live;
-  uint32_t relive = 0;
-  for (const Entry& e : old) {
-    if (e.index != kEmpty && e.index != kTombstone) {
-      std::size_t pos = HashDst(e.dst) & Mask();
-      while (table[pos].index != kEmpty) {
-        pos = (pos + 1) & Mask();
-      }
-      table[pos] = e;
-      ++relive;
-    }
-  }
-  live = relive;
-  used = live;
-}
-
-void DynamicGraph::Finder::Insert(VertexId dst, uint32_t index) {
-  if (table.empty() || (used + 1) * 4 >= table.size() * 3) {
-    Grow(std::max<std::size_t>(live + 1, 8));
-  }
-  std::size_t pos = HashDst(dst) & Mask();
-  while (table[pos].index != kEmpty && table[pos].index != kTombstone) {
-    pos = (pos + 1) & Mask();
-  }
-  if (table[pos].index == kEmpty) {
-    ++used;
-  }
-  table[pos] = Entry{dst, index};
-  ++live;
-}
-
 bool DynamicGraph::Finder::Erase(VertexId dst, uint32_t index) {
-  if (table.empty()) {
-    return false;
-  }
+  Entry* table = Entries();
   std::size_t pos = HashDst(dst) & Mask();
   while (table[pos].index != kEmpty) {
     if (table[pos].dst == dst && table[pos].index == index) {
@@ -75,9 +35,7 @@ bool DynamicGraph::Finder::Erase(VertexId dst, uint32_t index) {
 
 bool DynamicGraph::Finder::Reindex(VertexId dst, uint32_t old_index,
                                    uint32_t new_index) {
-  if (table.empty()) {
-    return false;
-  }
+  Entry* table = Entries();
   std::size_t pos = HashDst(dst) & Mask();
   while (table[pos].index != kEmpty) {
     if (table[pos].dst == dst && table[pos].index == old_index) {
@@ -91,8 +49,58 @@ bool DynamicGraph::Finder::Reindex(VertexId dst, uint32_t old_index,
 
 // ---------------------------------------------------------- DynamicGraph --
 
-DynamicGraph::DynamicGraph(VertexId num_vertices)
-    : pool_(std::make_shared<util::MemoryPool>()), slots_(num_vertices) {}
+DynamicGraph::Finder* DynamicGraph::RebuildFinder(Finder* from,
+                                                  std::size_t min_capacity) {
+  std::size_t cap = 16;
+  while (cap < min_capacity * 2) {
+    cap <<= 1;
+  }
+  auto* finder = new (pool_->Allocate(Finder::BytesFor(cap)))
+      Finder{static_cast<uint32_t>(cap), 0, 0, 0};
+  Finder::Entry* table = finder->Entries();
+  std::fill_n(table, cap, Finder::Entry{kInvalidVertex, Finder::kEmpty});
+  if (from != nullptr) {
+    const Finder::Entry* old = from->Entries();
+    for (std::size_t i = 0; i < from->capacity; ++i) {
+      const Finder::Entry& e = old[i];
+      if (e.index != Finder::kEmpty && e.index != Finder::kTombstone) {
+        std::size_t pos = HashDst(e.dst) & finder->Mask();
+        while (table[pos].index != Finder::kEmpty) {
+          pos = (pos + 1) & finder->Mask();
+        }
+        table[pos] = e;
+        ++finder->live;
+      }
+    }
+    finder->used = finder->live;
+    pool_->Deallocate(from, from->Bytes());
+  }
+  return finder;
+}
+
+void DynamicGraph::FinderInsert(Slot& slot, VertexId dst, uint32_t index) {
+  Finder* f = slot.finder;
+  if ((f->used + 1) * 4 >= f->capacity * 3) {
+    f = slot.finder = RebuildFinder(f, std::max<std::size_t>(f->live + 1, 8));
+  }
+  Finder::Entry* table = f->Entries();
+  std::size_t pos = HashDst(dst) & f->Mask();
+  while (table[pos].index != Finder::kEmpty &&
+         table[pos].index != Finder::kTombstone) {
+    pos = (pos + 1) & f->Mask();
+  }
+  if (table[pos].index == Finder::kEmpty) {
+    ++f->used;
+  }
+  table[pos] = Finder::Entry{dst, index};
+  ++f->live;
+}
+
+DynamicGraph::DynamicGraph(VertexId num_vertices,
+                           std::shared_ptr<util::MemoryPool> pool)
+    : pool_(pool != nullptr ? std::move(pool)
+                            : std::make_shared<util::MemoryPool>()),
+      slots_(*pool_, num_vertices) {}
 
 DynamicGraph::~DynamicGraph() {
   if (pool_ == nullptr || !slots_.Owner()) {
@@ -108,7 +116,9 @@ void DynamicGraph::FreeSlot(const Slot& slot) {
     pool_->Deallocate(slot.edges,
                       static_cast<std::size_t>(slot.capacity) * sizeof(Edge));
   }
-  delete slot.finder;
+  if (slot.finder != nullptr) {
+    pool_->Deallocate(slot.finder, slot.finder->Bytes());
+  }
 }
 
 DynamicGraph::DynamicGraph(DynamicGraph&& other) noexcept
@@ -127,8 +137,9 @@ DynamicGraph& DynamicGraph::operator=(DynamicGraph&& other) noexcept {
 }
 
 DynamicGraph DynamicGraph::FromEdges(VertexId num_vertices,
-                                     const WeightedEdgeList& edges) {
-  DynamicGraph g(num_vertices);
+                                     const WeightedEdgeList& edges,
+                                     std::shared_ptr<util::MemoryPool> pool) {
+  DynamicGraph g(num_vertices, std::move(pool));
   // Two-pass bulk load: size each adjacency block exactly once, then fill.
   std::vector<uint32_t> degree(num_vertices, 0);
   for (const WeightedEdge& e : edges) {
@@ -193,10 +204,9 @@ void DynamicGraph::EnsureFinder(VertexId v) {
   if (s.finder != nullptr) {
     return;
   }
-  s.finder = new Finder();
-  s.finder->Grow(s.size + 1);
+  s.finder = RebuildFinder(nullptr, s.size + 1);
   for (uint32_t i = 0; i < s.size; ++i) {
-    s.finder->Insert(s.edges[i].dst, i);
+    FinderInsert(s, s.edges[i].dst, i);
   }
 }
 
@@ -216,7 +226,7 @@ uint32_t DynamicGraph::Insert(VertexId src, VertexId dst, double bias,
   s.edges[s.size++] = Edge{dst, timestamp, bias};
   num_edges_.fetch_add(1, std::memory_order_relaxed);
   if (s.finder != nullptr) {
-    s.finder->Insert(dst, index);
+    FinderInsert(s, dst, index);
   } else if (s.size >= kFinderThreshold) {
     EnsureFinder(src);
   }
@@ -254,15 +264,14 @@ std::vector<uint32_t> DynamicGraph::CollectMatches(VertexId src, VertexId dst) c
   std::vector<uint32_t> matches;
   if (s.finder != nullptr) {
     const Finder& f = *s.finder;
-    if (!f.table.empty()) {
-      std::size_t pos = HashDst(dst) & f.Mask();
-      while (f.table[pos].index != Finder::kEmpty) {
-        const auto& e = f.table[pos];
-        if (e.index != Finder::kTombstone && e.dst == dst) {
-          matches.push_back(e.index);
-        }
-        pos = (pos + 1) & f.Mask();
+    const Finder::Entry* table = f.Entries();
+    std::size_t pos = HashDst(dst) & f.Mask();
+    while (table[pos].index != Finder::kEmpty) {
+      const auto& e = table[pos];
+      if (e.index != Finder::kTombstone && e.dst == dst) {
+        matches.push_back(e.index);
       }
+      pos = (pos + 1) & f.Mask();
     }
   } else {
     for (uint32_t i = 0; i < s.size; ++i) {
@@ -342,12 +351,10 @@ std::optional<uint32_t> DynamicGraph::FindEarliest(VertexId src, VertexId dst) c
   uint32_t best_ts = 0xFFFFFFFFu;
   if (s.finder != nullptr) {
     const Finder& f = *s.finder;
-    if (f.table.empty()) {
-      return std::nullopt;
-    }
+    const Finder::Entry* table = f.Entries();
     std::size_t pos = HashDst(dst) & f.Mask();
-    while (f.table[pos].index != Finder::kEmpty) {
-      const auto& e = f.table[pos];
+    while (table[pos].index != Finder::kEmpty) {
+      const auto& e = table[pos];
       if (e.index != Finder::kTombstone && e.dst == dst) {
         const uint32_t ts = s.edges[e.index].timestamp;
         if (ts < best_ts || (ts == best_ts && e.index < best_index)) {
@@ -397,7 +404,7 @@ void DynamicGraph::AddVertices(VertexId count) {
 std::size_t DynamicGraph::SlotBytes(const Slot& s) {
   std::size_t bytes = static_cast<std::size_t>(s.capacity) * sizeof(Edge);
   if (s.finder != nullptr) {
-    bytes += s.finder->table.size() * sizeof(Finder::Entry) + sizeof(Finder);
+    bytes += s.finder->Bytes();
   }
   return bytes;
 }
@@ -452,7 +459,8 @@ void DynamicGraph::CloneVertex(VertexId v, Retired& retired) {
                 static_cast<std::size_t>(old.size) * sizeof(Edge));
   }
   if (old.finder != nullptr) {
-    s.finder = new Finder(*old.finder);
+    s.finder = static_cast<Finder*>(pool_->Allocate(old.finder->Bytes()));
+    std::memcpy(static_cast<void*>(s.finder), old.finder, old.finder->Bytes());
   }
   retired.slots_.push_back(old);
   retired.bytes_ += SlotBytes(old);
@@ -463,7 +471,7 @@ void DynamicGraph::Free(Retired& retired) {
     FreeSlot(slot);
   }
   for (SlotTable::Page* page : retired.pages_) {
-    delete page;
+    slots_.FreePage(page);
   }
   retired = Retired{};
 }

@@ -45,24 +45,33 @@ class Csr;
 class DynamicGraph {
  private:
   // Open-addressing multi-map from dst to neighbor index. Created once a
-  // vertex's degree reaches kFinderThreshold.
+  // vertex's degree reaches kFinderThreshold. One pooled block: this
+  // header, then `capacity` entries (a power of two).
   struct Finder {
     struct Entry {
-      VertexId dst = kInvalidVertex;
-      uint32_t index = kEmpty;
+      VertexId dst;
+      uint32_t index;
     };
     static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
     static constexpr uint32_t kTombstone = 0xFFFFFFFEu;
 
-    std::vector<Entry> table;
-    uint32_t live = 0;
-    uint32_t used = 0;  // live + tombstones
+    uint32_t capacity;
+    uint32_t live;
+    uint32_t used;  // live + tombstones
+    uint32_t reserved;
 
-    void Insert(VertexId dst, uint32_t index);
+    Entry* Entries() { return reinterpret_cast<Entry*>(this + 1); }
+    const Entry* Entries() const {
+      return reinterpret_cast<const Entry*>(this + 1);
+    }
+    std::size_t Mask() const { return capacity - 1; }
+    std::size_t Bytes() const { return BytesFor(capacity); }
+    static std::size_t BytesFor(std::size_t capacity) {
+      return sizeof(Finder) + capacity * sizeof(Entry);
+    }
+    // Drops the entry (dst, index) / re-points it; false if absent.
     bool Erase(VertexId dst, uint32_t index);
     bool Reindex(VertexId dst, uint32_t old_index, uint32_t new_index);
-    void Grow(std::size_t min_capacity);
-    std::size_t Mask() const { return table.size() - 1; }
   };
 
   // A trivially copyable handle: page copies alias the block and finder;
@@ -88,7 +97,11 @@ class DynamicGraph {
     Edge moved_edge;  // post-move copy, for group re-pointing
   };
 
-  explicit DynamicGraph(VertexId num_vertices);
+  // `pool` is where every per-vertex byte comes from; null gives the graph
+  // a pool of its own. Graphs that share a pool reuse each other's freed
+  // blocks.
+  explicit DynamicGraph(VertexId num_vertices,
+                        std::shared_ptr<util::MemoryPool> pool = nullptr);
   // Frees every block this graph owns; a view owns none.
   ~DynamicGraph();
 
@@ -98,7 +111,8 @@ class DynamicGraph {
   DynamicGraph& operator=(DynamicGraph&&) noexcept;
 
   // Bulk-loads from a weighted edge list (biases preserved).
-  static DynamicGraph FromEdges(VertexId num_vertices, const WeightedEdgeList& edges);
+  static DynamicGraph FromEdges(VertexId num_vertices, const WeightedEdgeList& edges,
+                                std::shared_ptr<util::MemoryPool> pool = nullptr);
 
   // Bulk-loads from CSR with per-edge biases (parallel arrays).
   static DynamicGraph FromCsr(const Csr& csr, std::span<const double> biases);
@@ -197,7 +211,10 @@ class DynamicGraph {
   // Bytes of v's adjacency block and finder.
   std::size_t VertexBytes(VertexId v) const { return SlotBytes(slots_[v]); }
 
-  util::MemoryPool& Pool() { return *pool_; }
+  // The pool every per-vertex byte of this graph comes from: adjacency
+  // blocks, finders and slot pages. Shared with its views, and with the
+  // sampler storage of a store built on it. Thread-safe.
+  util::MemoryPool& Pool() const { return *pool_; }
 
   // --- copy-on-write versions --------------------------------------------
 
@@ -244,6 +261,10 @@ class DynamicGraph {
   void FreeSlot(const Slot& slot);
   void Grow(Slot& slot);
   void EnsureFinder(VertexId v);
+  // A finder with room for `min_capacity` live entries at half load, holding
+  // the live entries of `from` (if any), which it frees.
+  Finder* RebuildFinder(Finder* from, std::size_t min_capacity);
+  void FinderInsert(Slot& slot, VertexId dst, uint32_t index);
   // Check-then-store keeps the line shared once the flag is down, since
   // batched updates mutate disjoint vertices in parallel.
   void MarkModified() {

@@ -15,15 +15,21 @@
 //
 // Elements are trivially copyable: a page copy duplicates handles, not what
 // they point to. Whoever owns the pointees frees them.
+//
+// Pages come from the MemoryPool the array was built on (a store's own
+// pool), so a page freed on any thread is the next ClonePage's page.
 
 #ifndef BINGO_SRC_UTIL_COW_ARRAY_H_
 #define BINGO_SRC_UTIL_COW_ARRAY_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/util/memory_pool.h"
 
 namespace bingo::util {
 
@@ -38,8 +44,11 @@ class CowArray {
     T items[kPageSize];
   };
 
+  // An empty array with no pool: a placeholder to move or View() into.
   CowArray() = default;
-  explicit CowArray(std::size_t n) { Resize(n); }
+  // `n` value-initialized elements in pages from `pool`, which must
+  // outlive the array and every page it retires.
+  CowArray(MemoryPool& pool, std::size_t n) : pool_(&pool) { Resize(n); }
   ~CowArray() { Clear(); }
 
   CowArray(CowArray&& other) noexcept { Take(other); }
@@ -58,6 +67,7 @@ class CowArray {
   // later ClonePage supersedes (the caller retires those).
   CowArray View() const {
     CowArray view;
+    view.pool_ = pool_;
     view.pages_ = pages_;
     view.size_ = size_;
     view.owner_ = false;
@@ -81,7 +91,7 @@ class CowArray {
   // copies them before its first write (cheap, and growth is rare).
   void Resize(std::size_t n) {
     while (pages_.size() * kPageSize < n) {
-      pages_.push_back(new Page{});
+      pages_.push_back(new (pool_->Allocate(sizeof(Page))) Page{});
       born_.push_back(0);
     }
     size_ = n;
@@ -98,10 +108,13 @@ class CowArray {
       return nullptr;
     }
     Page* old = pages_[p];
-    pages_[p] = new Page(*old);
+    pages_[p] = new (pool_->Allocate(sizeof(Page))) Page(*old);
     born_[p] = version;
     return old;
   }
+
+  // Frees a page ClonePage returned, once no view can read it.
+  void FreePage(Page* page) const { pool_->Deallocate(page, sizeof(Page)); }
 
   // Bytes of the elements the pages hold room for (the directory, one
   // pointer and one stamp per page, is not counted).
@@ -115,7 +128,7 @@ class CowArray {
   void Clear() {
     if (owner_) {
       for (Page* page : pages_) {
-        delete page;
+        FreePage(page);
       }
     }
     pages_.clear();
@@ -124,6 +137,7 @@ class CowArray {
     owner_ = true;
   }
   void Take(CowArray& other) {
+    pool_ = other.pool_;
     pages_ = std::move(other.pages_);
     born_ = std::move(other.born_);
     size_ = other.size_;
@@ -133,7 +147,10 @@ class CowArray {
     other.size_ = 0;
   }
 
-  std::vector<Page*> pages_;
+  static_assert(std::is_trivially_destructible_v<Page>);
+
+  MemoryPool* pool_ = nullptr;
+  std::vector<Page*> pages_;  // the directory: one pointer per page
   std::vector<uint64_t> born_;  // owner only: the version that made each page
   std::size_t size_ = 0;
   bool owner_ = true;

@@ -1,12 +1,22 @@
 #include "src/util/memory_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <new>
-#include <thread>
 
 #include "src/util/bitops.h"
 #include "src/util/thread_pool.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define BINGO_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BINGO_POOL_ASAN 1
+#endif
+#endif
+
+#ifdef BINGO_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace bingo::util {
 
@@ -19,15 +29,75 @@ int ThreadStripeIndex() {
   thread_local int index = next.fetch_add(1, std::memory_order_relaxed);
   return index;
 }
+
+// Arenas and oversize blocks come from the C++ heap: an arena is small
+// enough to be served from memory the rest of the process freed, and goes
+// back to it when the pool dies.
+std::byte* NewChunk(std::size_t bytes) {
+  return static_cast<std::byte*>(::operator new(bytes));
+}
+
+void DeleteChunk(void* chunk) { ::operator delete(chunk); }
+
+// Under AddressSanitizer a block reads as unaddressable while it is free,
+// and so does the slack between a request and its class size.
+void Poison([[maybe_unused]] const void* begin,
+            [[maybe_unused]] std::size_t bytes) {
+#ifdef BINGO_POOL_ASAN
+  ASAN_POISON_MEMORY_REGION(begin, bytes);
+#endif
+}
+void Unpoison([[maybe_unused]] const void* begin,
+              [[maybe_unused]] std::size_t bytes) {
+#ifdef BINGO_POOL_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(begin, bytes);
+#endif
+}
+
+// Hands a block of class size `cls` to a caller that asked for `bytes`.
+void* Lease(void* block, std::size_t bytes, std::size_t cls) {
+  Unpoison(block, bytes);
+  Poison(static_cast<std::byte*>(block) + bytes, cls - bytes);
+  return block;
+}
 }  // namespace
 
-std::size_t MemoryPool::ClassSize(std::size_t bytes) {
-  return CeilPow2(std::max(bytes, kMinClassBytes));
+MemoryPool::~MemoryPool() {
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mutex);
+    for (const auto& [base, bytes] : shard.arenas) {
+      Unpoison(base, bytes);
+      DeleteChunk(base);
+    }
+  }
 }
 
 int MemoryPool::ClassIndex(std::size_t bytes) {
-  const std::size_t cls = ClassSize(bytes);
-  return HighestBit(cls) - HighestBit(kMinClassBytes);
+  const std::size_t b = std::max(bytes, kMinClassBytes);
+  if (b <= 128) {
+    return static_cast<int>((b + 15) / 16) - 1;
+  }
+  const int k = HighestBit(b - 1);  // 2^k < b <= 2^(k+1)
+  const std::size_t step = std::size_t{1} << (k - 2);
+  const std::size_t sub = (b - (std::size_t{1} << k) + step - 1) / step;
+  return 8 + (k - 7) * 4 + static_cast<int>(sub) - 1;
+}
+
+std::size_t MemoryPool::ClassBytes(int class_index) {
+  if (class_index < 8) {
+    return 16 * static_cast<std::size_t>(class_index + 1);
+  }
+  const int j = class_index - 8;
+  const int k = 7 + j / 4;
+  return (std::size_t{1} << k) +
+         static_cast<std::size_t>(j % 4 + 1) * (std::size_t{1} << (k - 2));
+}
+
+std::size_t MemoryPool::ClassSize(std::size_t bytes) {
+  if (bytes > kMaxClassBytes) {
+    return bytes;
+  }
+  return ClassBytes(ClassIndex(bytes));
 }
 
 int MemoryPool::CurrentShardIndex() {
@@ -38,91 +108,130 @@ int MemoryPool::CurrentShardIndex() {
   return ThreadStripeIndex() % kNumShards;
 }
 
-MemoryPool::Shard& MemoryPool::LocalShard() {
-  return shards_[CurrentShardIndex()];
+void MemoryPool::MarkNonEmpty(Shard& shard, int class_index, bool nonempty) {
+  std::atomic<uint64_t>& word = shard.nonempty[class_index / 64];
+  const uint64_t bit = uint64_t{1} << (class_index % 64);
+  const uint64_t old = word.load(std::memory_order_relaxed);
+  word.store(nonempty ? old | bit : old & ~bit, std::memory_order_relaxed);
+}
+
+void* MemoryPool::PopLocked(Shard& shard, int class_index) {
+  FreeBlock* head = shard.free_lists[class_index];
+  if (head == nullptr) {
+    return nullptr;
+  }
+  Unpoison(head, sizeof(FreeBlock));
+  shard.free_lists[class_index] = head->next;
+  if (head->next == nullptr) {
+    MarkNonEmpty(shard, class_index, false);
+  }
+  return head;
+}
+
+void* MemoryPool::Steal(Shard& shard, Shard& victim, int class_index) {
+  const uint64_t bit = uint64_t{1} << (class_index % 64);
+  if ((victim.nonempty[class_index / 64].load(std::memory_order_relaxed) &
+       bit) == 0) {
+    return nullptr;  // probed without the victim's lock
+  }
+  void* block = nullptr;
+  {
+    MutexLock lock(victim.mutex);
+    block = PopLocked(victim, class_index);
+  }
+  if (block != nullptr) {
+    MutexLock lock(shard.mutex);
+    ++shard.free_list_hits;
+  }
+  return block;
 }
 
 void* MemoryPool::Allocate(std::size_t bytes) {
   if (bytes == 0) {
     return nullptr;
   }
-  const std::size_t cls = ClassSize(bytes);
   const int self = CurrentShardIndex();
   Shard& shard = shards_[self];
+  if (bytes > kMaxClassBytes) {
+    std::byte* block = NewChunk(bytes);
+    MutexLock lock(shard.mutex);
+    ++shard.allocations;
+    ++shard.oversize;
+    shard.live_bytes += static_cast<std::ptrdiff_t>(bytes);
+    shard.reserved_bytes += static_cast<std::ptrdiff_t>(bytes);
+    return block;
+  }
   const int class_index = ClassIndex(bytes);
+  const std::size_t cls = ClassBytes(class_index);
   {
     MutexLock lock(shard.mutex);
     ++shard.allocations;
     shard.live_bytes += static_cast<std::ptrdiff_t>(cls);
-    if (cls > kMaxClassBytes) {
-      shard.reserved_bytes += cls;
-      ++shard.oversize;
-      return ::operator new(cls);
-    }
-    auto& free_list = shard.free_lists[class_index];
-    if (!free_list.empty()) {
-      void* block = free_list.back();
-      free_list.pop_back();
+    if (void* block = PopLocked(shard, class_index)) {
       ++shard.free_list_hits;
-      return block;
+      return Lease(block, bytes, cls);
     }
   }
-  // Local miss: steal a recycled block of this class from a sibling shard
-  // before carving fresh memory. Scratch buffers are leased on executor
-  // workers but often freed by the blocking caller (a different shard) —
-  // without the steal, blocks would pile up on the caller's shard while
-  // every worker keeps carving, and the steady state would never become
-  // allocation-free. Locks are taken one shard at a time (no ordering
-  // hazard); the scan only runs on the miss path.
+  // Local miss: take a sibling shard's recycled blocks of this class before
+  // carving fresh memory. Versions are allocated by the writer and freed
+  // by whichever thread releases the last view of them; scratch buffers
+  // are leased on executor workers but often freed by the blocking caller.
+  // Without the steal, freed blocks would pile up on the freeing shards
+  // while the allocating shard keeps carving.
   for (int i = 1; i < kNumShards; ++i) {
-    Shard& victim = shards_[(self + i) % kNumShards];
-    void* block = nullptr;
-    {
-      MutexLock lock(victim.mutex);
-      auto& free_list = victim.free_lists[class_index];
-      if (!free_list.empty()) {
-        block = free_list.back();
-        free_list.pop_back();
-      }
-    }
-    if (block != nullptr) {
-      MutexLock lock(shard.mutex);
-      ++shard.free_list_hits;
-      return block;
+    if (void* block = Steal(shard, shards_[(self + i) % kNumShards],
+                            class_index)) {
+      return Lease(block, bytes, cls);
     }
   }
-  // Carve from the shard's newest arena; start a new arena if it won't fit.
+  // Carve from the shard's newest arena; start a new one if it won't fit.
+  // A block of more than a quarter arena is a chunk of its own, so that an
+  // arena never strands a large tail.
   MutexLock lock(shard.mutex);
-  const std::size_t arena_size = std::max(cls, kArenaBytes);
-  if (shard.arenas.empty() || shard.arena_used + cls > kArenaBytes ||
-      cls > kArenaBytes) {
-    // Not zero-filled: an arena's pages become resident only as blocks are
-    // carved from it.
-    shard.arenas.push_back(
-        std::make_unique_for_overwrite<std::byte[]>(arena_size));
-    shard.arena_used = 0;
-    shard.reserved_bytes += arena_size;
-  }
-  void* block = shard.arenas.back().get() + shard.arena_used;
-  shard.arena_used += cls;
   ++shard.carves;
-  return block;
+  if (cls > kArenaBytes / 4) {
+    std::byte* base = NewChunk(cls);
+    shard.arenas.emplace_back(base, cls);
+    shard.reserved_bytes += static_cast<std::ptrdiff_t>(cls);
+    return Lease(base, bytes, cls);
+  }
+  if (static_cast<std::size_t>(shard.arena_end - shard.arena_cursor) < cls) {
+    std::byte* base = NewChunk(kArenaBytes);
+    Poison(base, kArenaBytes);
+    shard.arenas.emplace_back(base, kArenaBytes);
+    shard.arena_cursor = base;
+    shard.arena_end = base + kArenaBytes;
+    shard.reserved_bytes += static_cast<std::ptrdiff_t>(kArenaBytes);
+  }
+  void* block = shard.arena_cursor;
+  shard.arena_cursor += cls;
+  return Lease(block, bytes, cls);
 }
 
 void MemoryPool::Deallocate(void* ptr, std::size_t bytes) {
   if (ptr == nullptr || bytes == 0) {
     return;
   }
-  const std::size_t cls = ClassSize(bytes);
-  Shard& shard = LocalShard();
-  MutexLock lock(shard.mutex);
-  shard.live_bytes -= static_cast<std::ptrdiff_t>(cls);
-  if (cls > kMaxClassBytes) {
-    shard.reserved_bytes -= static_cast<std::ptrdiff_t>(cls);
-    ::operator delete(ptr);
+  Shard& shard = shards_[CurrentShardIndex()];
+  if (bytes > kMaxClassBytes) {
+    DeleteChunk(ptr);
+    MutexLock lock(shard.mutex);
+    shard.live_bytes -= static_cast<std::ptrdiff_t>(bytes);
+    shard.reserved_bytes -= static_cast<std::ptrdiff_t>(bytes);
     return;
   }
-  shard.free_lists[ClassIndex(bytes)].push_back(ptr);
+  const int class_index = ClassIndex(bytes);
+  const std::size_t cls = ClassBytes(class_index);
+  Unpoison(ptr, sizeof(FreeBlock));
+  auto* block = static_cast<FreeBlock*>(ptr);
+  MutexLock lock(shard.mutex);
+  shard.live_bytes -= static_cast<std::ptrdiff_t>(cls);
+  if (shard.free_lists[class_index] == nullptr) {
+    MarkNonEmpty(shard, class_index, true);
+  }
+  block->next = shard.free_lists[class_index];
+  shard.free_lists[class_index] = block;
+  Poison(block, cls);
 }
 
 std::size_t MemoryPool::ReservedBytes() const {

@@ -42,6 +42,11 @@ void EpochReclaimer::Unpin(uint64_t version) {
   Free(freeable);
 }
 
+bool EpochReclaimer::Pinned() const {
+  MutexLock lock(mutex_);
+  return !pins_.empty();
+}
+
 void EpochReclaimer::Retire(uint64_t version, std::size_t bytes,
                             std::function<void()> free) {
   std::vector<Retired> freeable;
@@ -96,11 +101,12 @@ void EpochReclaimer::Free(std::vector<Retired>& batch) {
 
 EpochReclaimer::~EpochReclaimer() {
   FreeAll();
-  // Versions are copied and freed piecemeal, often on other threads than
-  // the ones whose allocator arenas hold their replacements, so a store's
-  // freed memory is scattered through the heap rather than handed back.
-  // When the store goes away (this reclaimer is the last of it to be
-  // destroyed), give the free pages back to the operating system.
+  // A store's memory pool takes its arenas from the C heap on whichever
+  // threads carve them (the build pool's workers, the writer), so when the
+  // store goes away (this reclaimer is the last of it to be destroyed) its
+  // arenas return to those threads' allocator arenas, where other threads
+  // do not reuse them. Give the free pages back to the operating system:
+  // without this, float_bias peak RSS read 181 MiB instead of 153.
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif

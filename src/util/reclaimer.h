@@ -43,6 +43,9 @@ class EpochReclaimer {
   void Retire(uint64_t version, std::size_t bytes, std::function<void()> free)
       BINGO_EXCLUDES(mutex_);
 
+  // True while any view is pinned.
+  bool Pinned() const BINGO_EXCLUDES(mutex_);
+
   // Frees everything retired, pinned or not (the store is going away).
   void FreeAll() BINGO_EXCLUDES(mutex_);
 

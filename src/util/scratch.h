@@ -121,8 +121,8 @@ class ScratchVector {
 
  private:
   void Grow(std::size_t needed) {
-    // Doubling lands exactly on the pool's power-of-two size classes, so a
-    // regrown buffer of a recycled size is a free-list pop.
+    // Doubling lands on powers of two, which are exact pool size classes,
+    // so a regrown buffer of a recycled size is a free-list pop.
     std::size_t new_capacity = capacity_ == 0 ? 16 : capacity_ * 2;
     while (new_capacity < needed) {
       new_capacity *= 2;

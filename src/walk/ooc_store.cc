@@ -79,7 +79,8 @@ std::unique_ptr<TieredStore> TieredStore::Open(const std::string& csr_path,
       config, pool);
   store->writer_ = overlay.get();
   store->overlay_ = std::move(overlay);
-  store->promoted_.Resize(tier.csr.NumVertices());
+  store->promoted_ =
+      PromotedSet(store->writer_->Pool(), tier.csr.NumVertices());
   store->base_live_edges_ = tier.csr.NumEdges();
   return store;
 }
@@ -277,9 +278,9 @@ core::BatchResult TieredStore::ApplyBatch(const graph::UpdateList& updates,
   if (!superseded.empty()) {
     writer_->Reclaimer().Retire(
         version, superseded.size() * sizeof(PromotedSet::Page),
-        [pages = std::move(superseded)] {
+        [pool = &writer_->Pool(), pages = std::move(superseded)] {
           for (PromotedSet::Page* page : pages) {
-            delete page;
+            pool->Deallocate(page, sizeof(PromotedSet::Page));
           }
         });
   }

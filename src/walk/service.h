@@ -57,6 +57,7 @@
 #include "src/graph/types.h"
 #include "src/util/fileio.h"
 #include "src/util/sync.h"
+#include "src/util/memory_pool.h"
 #include "src/util/thread_pool.h"
 #include "src/walk/apps.h"
 #include "src/walk/store.h"
@@ -549,11 +550,14 @@ using RecoveryBatchHook =
     std::function<void(uint64_t seq, const graph::UpdateList& batch,
                        WalkService& service)>;
 
+// `memory`, when set, is the pool the store's per-vertex storage comes from
+// (the shards of a sharded service share one); null gives it its own.
 std::unique_ptr<WalkService> RecoverWalkService(
     const std::string& dir, core::BingoConfig config = {},
     graph::VertexId num_vertices = 0, util::ThreadPool* build_pool = nullptr,
     util::ThreadPool* update_pool = nullptr, WalPersistenceOptions options = {},
-    RecoveryReport* report = nullptr, RecoveryBatchHook batch_hook = {});
+    RecoveryReport* report = nullptr, RecoveryBatchHook batch_hook = {},
+    std::shared_ptr<util::MemoryPool> memory = nullptr);
 
 // ------------------------------------------------------- stress driving --
 //

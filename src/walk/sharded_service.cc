@@ -67,11 +67,13 @@ std::unique_ptr<ShardedWalkService> RecoverShardedWalkService(
   }
   std::vector<std::unique_ptr<WalkService>> shards;
   shards.reserve(static_cast<std::size_t>(num_shards));
+  // One pool for every shard, as MakeShardedWalkService builds them.
+  const auto memory = std::make_shared<util::MemoryPool>();
   for (int s = 0; s < num_shards; ++s) {
     RecoveryReport shard_report;
-    auto shard =
-        RecoverWalkService(ShardWalDir(dir, s), config, num_vertices,
-                           build_pool, update_pool, options, &shard_report);
+    auto shard = RecoverWalkService(ShardWalDir(dir, s), config, num_vertices,
+                                    build_pool, update_pool, options,
+                                    &shard_report, {}, memory);
     if (shard == nullptr) {
       return fail();
     }
@@ -115,10 +117,15 @@ std::unique_ptr<ShardedWalkService> MakeShardedWalkService(
   for (const graph::WeightedEdge& e : edges) {
     (*per_shard)[e.src % num_shards].push_back(e);
   }
-  const auto factory = [per_shard, num_vertices, config,
-                        build_pool](int shard) {
+  // The shards draw from one pool: a batch applies to them one after
+  // another, so what one shard's new version superseded is the next
+  // shard's copy space.
+  const auto memory = std::make_shared<util::MemoryPool>();
+  const auto factory = [per_shard, num_vertices, config, build_pool,
+                        memory](int shard) {
     return std::make_unique<core::BingoStore>(
-        graph::DynamicGraph::FromEdges(num_vertices, (*per_shard)[shard]),
+        graph::DynamicGraph::FromEdges(num_vertices, (*per_shard)[shard],
+                                       memory),
         config, build_pool);
   };
   return std::make_unique<ShardedWalkService>(num_shards, factory, update_pool);

@@ -285,6 +285,7 @@ struct SamplerFixture {
   explicit SamplerFixture(const std::vector<double>& biases,
                           double lambda = 1.0) {
     config.lambda = lambda;
+    config.pool = &graph.Pool();  // as BingoStore does
     graph::VertexId dst = 1;
     for (double b : biases) {
       graph.Insert(0, dst++, b);

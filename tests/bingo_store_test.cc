@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/core/bingo_store.h"
@@ -354,6 +357,106 @@ TEST(BingoStoreTest, TenRoundWorkloadEndToEnd) {
     ++round;
   }
   EXPECT_EQ(round, 10u);
+}
+
+// Single-edge versions made by an off-pool writer thread (the update writer
+// of a service) and freed by another thread (a reader releasing the last
+// view of the version they superseded) go back onto the store's pool, and
+// the next versions reuse them: after a warm-up over a fixed set of
+// vertices, the pool takes no fresh memory, however long the stream runs.
+TEST(BingoStoreTest, SingleEdgeVersionsReuseTheStorePool) {
+  util::ThreadPool workers(2);
+  BingoStore store(
+      graph::DynamicGraph::FromEdges(1 << 9, TestEdges(9, 6000, 71, true)),
+      Ga(), &workers);
+  const util::MemoryPool& pool = store.Pool();
+  constexpr int kBatches = 2000;
+  constexpr int kWarmup = 400;
+  uint64_t fresh_after_warmup = 0;
+  std::size_t reserved_after_warmup = 0;
+  // The writer hands each pinned view to the reader, which drops it (and
+  // so frees the version it pinned) before the writer goes on.
+  std::atomic<const BingoStore*> handoff{nullptr};
+  std::atomic<int> dropped{0};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    for (;;) {
+      if (const BingoStore* view = handoff.exchange(nullptr)) {
+        EXPECT_TRUE(view->Intact());
+        delete view;
+        dropped.fetch_add(1);
+      } else if (done.load()) {
+        return;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::thread writer([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      if (i == kWarmup) {
+        fresh_after_warmup = pool.Stats().FreshAllocations();
+        reserved_after_warmup = pool.ReservedBytes();
+      }
+      // Forty vertices in turn, each taking one fractional edge and then
+      // giving it back, each time under a pinned view, so each batch copies
+      // its vertex.
+      Update u;
+      u.kind = i % 2 == 0 ? Update::Kind::kInsert : Update::Kind::kDelete;
+      u.src = static_cast<VertexId>((i / 2) % 40) * 7;
+      u.dst = 3;
+      u.bias = 2.75;
+      std::unique_ptr<const BingoStore> view = store.View();
+      store.ApplyBatch(graph::UpdateList{u});
+      handoff.store(view.release());
+      while (dropped.load() != i + 1) {
+        std::this_thread::yield();
+      }
+    }
+    done.store(true);
+  });
+  writer.join();
+  reader.join();
+  EXPECT_EQ(pool.Stats().FreshAllocations(), fresh_after_warmup);
+  EXPECT_EQ(pool.ReservedBytes(), reserved_after_warmup);
+  EXPECT_EQ(store.MemoryStats().retired_bytes, 0u);
+  EXPECT_TRUE(store.CheckInvariants().empty()) << store.CheckInvariants();
+}
+
+// With no view pinned nothing can read an older version, so a batch
+// changes its vertices in place: it supersedes (and so retires) nothing,
+// and ends in the same state as a batch applied under a view.
+TEST(BingoStoreTest, BatchWithoutViewsAppliesInPlace) {
+  const auto edges = TestEdges(9, 6000, 73, true);
+  util::Rng rng(74);
+  graph::UpdateWorkloadParams wparams;
+  wparams.kind = graph::UpdateKind::kMixed;
+  wparams.batch_size = 300;
+  wparams.num_batches = 3;
+  const auto workload = graph::BuildUpdateWorkload(edges, wparams, rng);
+  BingoStore in_place(
+      graph::DynamicGraph::FromEdges(1 << 9, workload.initial_edges), Ga());
+  BingoStore copied(
+      graph::DynamicGraph::FromEdges(1 << 9, workload.initial_edges), Ga());
+  for (const auto& batch : graph::SplitIntoBatches(workload.updates, 300)) {
+    const uint64_t carves = in_place.Pool().Stats().carves;
+    in_place.ApplyBatch(batch);
+    EXPECT_EQ(in_place.MemoryStats().retired_bytes, 0u);
+    EXPECT_LT(in_place.Pool().Stats().carves - carves, batch.size())
+        << "an in-place batch copies no vertex";
+    const auto view = copied.View();
+    copied.ApplyBatch(batch);
+    EXPECT_GT(copied.MemoryStats().retired_bytes, 0u);
+  }
+  EXPECT_EQ(in_place.Version(), copied.Version());
+  ExpectStoresEquivalent(in_place, copied);
+  util::Rng a(5);
+  util::Rng b(5);
+  for (VertexId v = 0; v < in_place.NumVertices(); ++v) {
+    for (int draw = 0; draw < 4; ++draw) {
+      ASSERT_EQ(in_place.SampleNeighbor(v, a), copied.SampleNeighbor(v, b));
+    }
+  }
 }
 
 }  // namespace

@@ -9,10 +9,17 @@
 #include <vector>
 
 #include "src/core/groups.h"
+#include "src/util/memory_pool.h"
 #include "src/util/rng.h"
 
 namespace bingo::core {
 namespace {
+
+// The pool every group payload in this file lives in.
+util::MemoryPool& Pool() {
+  static util::MemoryPool pool;
+  return pool;
+}
 
 AdaptiveConfig Ga() { return AdaptiveConfig{true, 40.0, 10.0}; }
 AdaptiveConfig Bs() { return AdaptiveConfig{false, 40.0, 10.0}; }
@@ -120,10 +127,10 @@ std::vector<uint32_t> MembersOf(const RadixGroup& g) {
 TEST(RadixGroupTest, EmptyToOneElementToRegularEscalation) {
   RadixGroup g;
   EXPECT_EQ(g.Kind(), GroupKind::kEmpty);
-  g.Insert(7, 10);
+  g.Insert(7, 10, Pool());
   EXPECT_EQ(g.Kind(), GroupKind::kOneElement);
   EXPECT_EQ(g.Count(), 1u);
-  g.Insert(3, 10);
+  g.Insert(3, 10, Pool());
   EXPECT_EQ(g.Kind(), GroupKind::kRegular);
   EXPECT_EQ(g.Count(), 2u);
   EXPECT_EQ(MembersOf(g), (std::vector<uint32_t>{3, 7}));
@@ -133,9 +140,9 @@ TEST(RadixGroupTest, EmptyToOneElementToRegularEscalation) {
 TEST(RadixGroupTest, RegularRemoveKeepsInvariants) {
   RadixGroup g;
   std::vector<uint32_t> members = {0, 1, 2, 3, 4, 5};
-  g.RebuildAs(GroupKind::kRegular, members, 6);
-  g.Remove(2);
-  g.Remove(5);
+  g.RebuildAs(GroupKind::kRegular, members, 6, Pool());
+  g.Remove(2, Pool());
+  g.Remove(5, Pool());
   EXPECT_EQ(g.Count(), 4u);
   EXPECT_EQ(MembersOf(g), (std::vector<uint32_t>{0, 1, 3, 4}));
   EXPECT_TRUE(g.CheckInvariants().empty()) << g.CheckInvariants();
@@ -143,8 +150,8 @@ TEST(RadixGroupTest, RegularRemoveKeepsInvariants) {
 
 TEST(RadixGroupTest, RemoveLastMemberClearsGroup) {
   RadixGroup g;
-  g.Insert(4, 5);
-  g.Remove(4);
+  g.Insert(4, 5, Pool());
+  g.Remove(4, Pool());
   EXPECT_EQ(g.Kind(), GroupKind::kEmpty);
   EXPECT_EQ(g.Count(), 0u);
   EXPECT_EQ(g.MemoryBytes(), 0u);
@@ -153,8 +160,8 @@ TEST(RadixGroupTest, RemoveLastMemberClearsGroup) {
 TEST(RadixGroupTest, RenameRegular) {
   RadixGroup g;
   std::vector<uint32_t> members = {0, 5, 9};
-  g.RebuildAs(GroupKind::kRegular, members, 10);
-  g.Rename(9, 2);
+  g.RebuildAs(GroupKind::kRegular, members, 10, Pool());
+  g.Rename(9, 2, Pool());
   EXPECT_TRUE(g.Contains(2));
   EXPECT_FALSE(g.Contains(9));
   EXPECT_TRUE(g.CheckInvariants().empty()) << g.CheckInvariants();
@@ -163,36 +170,36 @@ TEST(RadixGroupTest, RenameRegular) {
 TEST(RadixGroupTest, RenameSparseAndOneElement) {
   RadixGroup sparse;
   std::vector<uint32_t> members = {10, 40};
-  sparse.RebuildAs(GroupKind::kSparse, members, 100);
-  sparse.Rename(40, 3);
+  sparse.RebuildAs(GroupKind::kSparse, members, 100, Pool());
+  sparse.Rename(40, 3, Pool());
   EXPECT_TRUE(sparse.Contains(3));
   EXPECT_FALSE(sparse.Contains(40));
   EXPECT_TRUE(sparse.CheckInvariants().empty());
 
   RadixGroup one;
   std::vector<uint32_t> single = {10};
-  one.RebuildAs(GroupKind::kOneElement, single, 100);
-  one.Rename(10, 0);
+  one.RebuildAs(GroupKind::kOneElement, single, 100, Pool());
+  one.Rename(10, 0, Pool());
   EXPECT_TRUE(one.Contains(0));
 }
 
 TEST(RadixGroupTest, DenseStoresOnlyCount) {
   RadixGroup g;
   std::vector<uint32_t> members = {1, 2, 3, 4, 5};
-  g.RebuildAs(GroupKind::kDense, members, 8);
+  g.RebuildAs(GroupKind::kDense, members, 8, Pool());
   EXPECT_EQ(g.Count(), 5u);
   EXPECT_EQ(g.MemoryBytes(), 0u);
-  g.Insert(6, 9);
+  g.Insert(6, 9, Pool());
   EXPECT_EQ(g.Count(), 6u);
-  g.Remove(3);
+  g.Remove(3, Pool());
   EXPECT_EQ(g.Count(), 5u);
-  g.Rename(4, 0);  // no-op, must not crash
+  g.Rename(4, 0, Pool());  // no-op, must not crash
 }
 
 TEST(RadixGroupTest, PickUniformCoversAllMembers) {
   RadixGroup g;
   std::vector<uint32_t> members = {2, 4, 8, 16};
-  g.RebuildAs(GroupKind::kRegular, members, 20);
+  g.RebuildAs(GroupKind::kRegular, members, 20, Pool());
   util::Rng rng(1);
   std::set<uint32_t> seen;
   for (int i = 0; i < 1000; ++i) {
@@ -208,7 +215,7 @@ TEST(RadixGroupTest, RebuildAsRoundTripsAcrossKinds) {
   for (const GroupKind kind :
        {GroupKind::kRegular, GroupKind::kSparse, GroupKind::kDense}) {
     RadixGroup g;
-    g.RebuildAs(kind, members, 16);
+    g.RebuildAs(kind, members, 16, Pool());
     EXPECT_EQ(g.Kind(), kind);
     EXPECT_EQ(g.Count(), 4u);
     if (kind != GroupKind::kDense) {
@@ -237,7 +244,7 @@ TEST_P(BatchRemoveParamTest, RemovesExactlyTheVictims) {
     std::swap(members[i - 1], members[rng.NextBounded(i)]);
   }
   RadixGroup g;
-  g.RebuildAs(kind, members, size * 3 + 1);
+  g.RebuildAs(kind, members, size * 3 + 1, Pool());
 
   std::vector<uint32_t> victims;
   std::vector<uint32_t> survivors;
@@ -248,7 +255,7 @@ TEST_P(BatchRemoveParamTest, RemovesExactlyTheVictims) {
     victims.push_back(members[0]);
     survivors.erase(std::find(survivors.begin(), survivors.end(), members[0]));
   }
-  g.BatchRemove(victims);
+  g.BatchRemove(victims, Pool());
   EXPECT_EQ(g.Count(), survivors.size());
   if (kind != GroupKind::kDense && !survivors.empty()) {
     EXPECT_EQ(MembersOf(g), Sorted(survivors));
@@ -265,8 +272,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RadixGroupTest, BatchRemoveAllClears) {
   RadixGroup g;
   std::vector<uint32_t> members = {1, 2, 3};
-  g.RebuildAs(GroupKind::kRegular, members, 4);
-  g.BatchRemove(members);
+  g.RebuildAs(GroupKind::kRegular, members, 4, Pool());
+  g.BatchRemove(members, Pool());
   EXPECT_EQ(g.Kind(), GroupKind::kEmpty);
 }
 
@@ -275,16 +282,16 @@ TEST(RadixGroupTest, StreamingChurnMatchesReferenceSet) {
   for (const GroupKind kind : {GroupKind::kRegular, GroupKind::kSparse}) {
     RadixGroup g;
     std::vector<uint32_t> init;
-    g.RebuildAs(kind, init, 1);
+    g.RebuildAs(kind, init, 1, Pool());
     std::set<uint32_t> reference;
     util::Rng rng(kind == GroupKind::kRegular ? 5 : 6);
     for (int round = 0; round < 4000; ++round) {
       const uint32_t idx = static_cast<uint32_t>(rng.NextBounded(128));
       if (reference.count(idx)) {
-        g.Remove(idx);
+        g.Remove(idx, Pool());
         reference.erase(idx);
       } else {
-        g.Insert(idx, 128);
+        g.Insert(idx, 128, Pool());
         reference.insert(idx);
       }
       ASSERT_EQ(g.Count(), reference.size());
@@ -306,13 +313,13 @@ TEST(RadixGroupTest, StreamingChurnMatchesReferenceSet) {
 TEST(RadixGroupTest, SparseSteadySizeChurnRehashesTombstones) {
   RadixGroup g;
   std::vector<uint32_t> live = {0, 1, 2, 3, 4};
-  g.RebuildAs(GroupKind::kSparse, live, 1000);
+  g.RebuildAs(GroupKind::kSparse, live, 1000, Pool());
   uint32_t next = static_cast<uint32_t>(live.size());
   for (int round = 0; round < 5000; ++round) {
     const uint32_t victim = live[static_cast<std::size_t>(round) % live.size()];
-    g.Remove(victim);
+    g.Remove(victim, Pool());
     EXPECT_FALSE(g.Contains(victim));
-    g.Insert(next, 1000);
+    g.Insert(next, 1000, Pool());
     live[static_cast<std::size_t>(round) % live.size()] = next;
     ++next;
     ASSERT_EQ(g.Kind(), GroupKind::kSparse);

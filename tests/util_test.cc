@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -183,12 +184,79 @@ TEST(StatsTest, NormalizeZeroTotalYieldsZeros) {
 
 // ----------------------------------------------------------- memory pool --
 
-TEST(MemoryPoolTest, ClassSizeRoundsToPow2) {
+TEST(MemoryPoolTest, ClassSizeSpacing) {
+  // 16-byte steps to 128 B, then four classes per doubling.
   EXPECT_EQ(MemoryPool::ClassSize(1), 16u);
   EXPECT_EQ(MemoryPool::ClassSize(16), 16u);
   EXPECT_EQ(MemoryPool::ClassSize(17), 32u);
+  EXPECT_EQ(MemoryPool::ClassSize(100), 112u);
+  EXPECT_EQ(MemoryPool::ClassSize(129), 160u);
+  EXPECT_EQ(MemoryPool::ClassSize(200), 224u);
   EXPECT_EQ(MemoryPool::ClassSize(4096), 4096u);
-  EXPECT_EQ(MemoryPool::ClassSize(4097), 8192u);
+  EXPECT_EQ(MemoryPool::ClassSize(4097), 5120u);
+}
+
+// Every class round-trips through Allocate/Deallocate, powers of two are
+// exact classes, and no request wastes a class spacing or more: under 16 B
+// up to 128 B, under a quarter of the class's lower power of two above.
+TEST(MemoryPoolTest, EveryClassRoundTripsWithinItsSpacing) {
+  MemoryPool pool;
+  std::size_t previous = 0;
+  for (std::size_t bytes = 1; bytes <= (std::size_t{1} << 20); ++bytes) {
+    const std::size_t cls = MemoryPool::ClassSize(bytes);
+    ASSERT_GE(cls, bytes);
+    ASSERT_EQ(cls % 16, 0u) << bytes;
+    const std::size_t spacing =
+        bytes <= 128 ? 16 : std::bit_floor(bytes - 1) / 4;
+    ASSERT_LT(cls - bytes, spacing) << bytes;
+    if (std::has_single_bit(bytes) && bytes >= 16) {
+      ASSERT_EQ(cls, bytes);
+    }
+    if (cls == previous) {
+      continue;  // one round trip per class
+    }
+    previous = cls;
+    void* block = pool.Allocate(bytes);
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(block) % 16, 0u);
+    std::memset(block, 0x5A, bytes);
+    pool.Deallocate(block, bytes);
+    EXPECT_EQ(pool.Allocate(cls), block) << "class " << cls;
+    pool.Deallocate(block, cls);
+  }
+  EXPECT_EQ(pool.LiveBytes(), 0u);
+}
+
+// A copy-on-write store allocates versions on its writer and frees the ones
+// they supersede on whichever thread releases the last view: blocks freed
+// on one thread must serve allocations on another without carving.
+TEST(MemoryPoolTest, BlockFreedOnOneThreadServesAnother) {
+  MemoryPool pool;
+  constexpr int kBlocks = 512;
+  constexpr std::size_t kBytes = 208;
+  std::vector<void*> blocks(kBlocks);
+  std::thread([&] {
+    for (void*& block : blocks) {
+      block = pool.Allocate(kBytes);
+    }
+  }).join();
+  const uint64_t carves = pool.Stats().carves;
+  std::thread([&] {
+    for (void* block : blocks) {
+      pool.Deallocate(block, kBytes);
+    }
+  }).join();
+  std::set<void*> freed(blocks.begin(), blocks.end());
+  std::thread([&] {
+    for (void*& block : blocks) {
+      block = pool.Allocate(kBytes);
+    }
+  }).join();
+  EXPECT_EQ(pool.Stats().carves, carves);
+  EXPECT_EQ(std::set<void*>(blocks.begin(), blocks.end()), freed);
+  for (void* block : blocks) {
+    pool.Deallocate(block, kBytes);
+  }
+  EXPECT_EQ(pool.LiveBytes(), 0u);
 }
 
 TEST(MemoryPoolTest, AllocateReturnsDistinctWritableBlocks) {
@@ -215,10 +283,10 @@ TEST(MemoryPoolTest, FreedBlocksAreRecycled) {
 TEST(MemoryPoolTest, LiveBytesTracksClassSizes) {
   MemoryPool pool;
   EXPECT_EQ(pool.LiveBytes(), 0u);
-  void* a = pool.Allocate(100);  // class 128
-  EXPECT_EQ(pool.LiveBytes(), 128u);
+  void* a = pool.Allocate(100);  // class 112
+  EXPECT_EQ(pool.LiveBytes(), 112u);
   void* b = pool.Allocate(17);  // class 32
-  EXPECT_EQ(pool.LiveBytes(), 160u);
+  EXPECT_EQ(pool.LiveBytes(), 144u);
   pool.Deallocate(a, 100);
   EXPECT_EQ(pool.LiveBytes(), 32u);
   pool.Deallocate(b, 17);

@@ -30,6 +30,7 @@ class Harness {
   Harness(BingoConfig config, const std::vector<double>& biases)
       : config_(config), graph_(100000) {
     config_.conversion_stats = &stats_;
+    config_.pool = &graph_.Pool();  // as BingoStore does
     for (double b : biases) {
       graph_.Insert(0, next_dst_++, b);
     }

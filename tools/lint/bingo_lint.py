@@ -35,6 +35,15 @@ Rules (see README "Correctness tooling"):
                          budget. The one justified allow() is the mmap arena
                          in CsrMmap::MapBlock — block residency IS the product
                          there, and Unmap returns the pages on eviction.
+                         `::operator new(` / `operator delete(` count as bare
+                         allocations too. The rule also covers the per-vertex
+                         storage of a BingoStore (src/core/vertex_sampler.cc,
+                         src/core/groups.cc, src/core/decimal_group.*,
+                         src/graph/dynamic_graph.cc, src/util/cow_array.h):
+                         every per-vertex byte comes from the store's
+                         util::MemoryPool, so a superseded version goes back
+                         onto the pool's free lists whichever thread frees
+                         it; placement new into a pooled block is the idiom.
 
   wall-clock-time        std::chrono::{system,steady,high_resolution}_clock,
                          time(), and gettimeofday() are banned in src/walk/
@@ -91,17 +100,41 @@ UNORDERED = [
 ]
 
 BARE_ALLOC = [
-    (re.compile(r'\bnew\b(?!\s*\()'),  # `new T`, `new T[...]`; placement-new
-                                       # (`new (ptr) T`) is pool-backed and ok
+    # `new T`, `new T[...]`; placement-new (`new (ptr) T`) is pool-backed
+    # and ok, and so is `#include <new>`.
+    (re.compile(r'(?<!<)\bnew\b(?!\s*\()'),
      "bare new in steady-state walk code; lease from ScratchMemory "
      "(zero-alloc contract)"),
     (re.compile(r'\b(?:std::)?(malloc|calloc|realloc)\s*\('),
      "bare {0}() in steady-state walk code; lease from ScratchMemory "
      "(zero-alloc contract)"),
+    (re.compile(r'\boperator\s+(new|delete)\s*\('),
+     "bare operator {0}() in steady-state walk code; lease from "
+     "ScratchMemory (zero-alloc contract)"),
     (re.compile(r'\bmmap\s*\('),
      "raw mmap() outside the accounted block arena; map blocks through "
      "core::BlockCache so residency counts against the byte budget"),
 ]
+
+# Per-vertex storage of a BingoStore: every byte comes from the store's
+# MemoryPool (placement new into a pooled block is fine).
+POOLED_STORAGE = [
+    (re.compile(r'(?<!<)\bnew\b(?!\s*\()'),
+     "bare new in per-vertex storage; allocate from the store's "
+     "util::MemoryPool and placement-new into the block"),
+    (re.compile(r'\boperator\s+(new|delete)\s*\('),
+     "bare operator {0}() in per-vertex storage; allocate from and free to "
+     "the store's util::MemoryPool"),
+    (re.compile(r'\b(?:std::)?(malloc|calloc|realloc|free)\s*\('),
+     "bare {0}() in per-vertex storage; allocate from and free to the "
+     "store's util::MemoryPool"),
+]
+
+POOLED_STORAGE_FILES = (
+    'src/core/vertex_sampler.cc', 'src/core/groups.cc',
+    'src/core/decimal_group.h', 'src/core/decimal_group.cc',
+    'src/graph/dynamic_graph.cc', 'src/util/cow_array.h',
+)
 
 WALL_CLOCK = [
     (re.compile(r'\bstd::chrono::(system_clock|steady_clock|'
@@ -147,6 +180,8 @@ def rules_for(rel):
             'src/core/block_cache.h', 'src/core/block_cache.cc',
             'src/graph/csr_mmap.h', 'src/graph/csr_mmap.cc'):
         applicable.append(('bare-allocation', BARE_ALLOC))
+    elif posix in POOLED_STORAGE_FILES:
+        applicable.append(('bare-allocation', POOLED_STORAGE))
     # query_batcher's admission deadlines are wall-clock by design (they
     # bound queueing latency, never a sampling decision), mirroring the
     # sync.h whole-file exemption above.
