@@ -61,7 +61,7 @@ void BingoStore::WriteVertices(std::span<const graph::VertexId> vertices,
                                util::ThreadPool* pool, std::size_t grain,
                                Fn&& write) {
   const uint64_t version = version_ + 1;
-  if (!reclaimer_->Pinned()) {
+  if (reclaimer_->Views() == 0) {
     // No view reads any version, so nothing needs the originals: the
     // vertices change in place. (Views are only taken between mutations.)
     const auto run_in_place = [&](std::size_t lo, std::size_t hi) {

@@ -16,9 +16,12 @@
 // read-only store pinned at the current version; it keeps reading exactly
 // that version, bit for bit, while later batches apply. What a version
 // supersedes is freed by epoch-based reclamation (util/reclaimer.h) once no
-// older view is pinned. While no view is pinned at all, nothing can read an
-// older version, and a mutation changes its vertices in place instead of
-// copying them (WAL replay during recovery, bare stores).
+// older view is pinned. While no view is pinned at all (Views() is 0),
+// nothing can read an older version, and a mutation changes its vertices in
+// place instead of copying them, O(K) per update as in the paper: a bare
+// store, WAL replay, and every WalkService batch that no snapshot reads
+// (the service then drops its own view first, walk/service.h). Views are
+// taken only between mutations.
 //
 // Storage. Every per-vertex byte — adjacency blocks, finders, sampler
 // blocks, group and decimal payloads, and the pages of both tables — comes
@@ -66,6 +69,10 @@ class BingoStore {
   // A read-only store frozen at the current version. Later mutations of
   // this store never change what it reads; it must not outlive this store.
   std::unique_ptr<const BingoStore> View() const;
+
+  // Views of this store alive right now, at every version. A mutation made
+  // while this is 0 copies nothing.
+  std::size_t Views() const { return reclaimer_->Views(); }
 
   // False once storage this view reads has been freed — which the
   // reclamation protocol never does while the view is alive. Always true

@@ -42,9 +42,13 @@ void EpochReclaimer::Unpin(uint64_t version) {
   Free(freeable);
 }
 
-bool EpochReclaimer::Pinned() const {
+std::size_t EpochReclaimer::Views() const {
   MutexLock lock(mutex_);
-  return !pins_.empty();
+  std::size_t views = 0;
+  for (const auto& pin : pins_) {
+    views += static_cast<std::size_t>(pin.second);
+  }
+  return views;
 }
 
 void EpochReclaimer::Retire(uint64_t version, std::size_t bytes,

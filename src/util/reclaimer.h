@@ -7,6 +7,12 @@
 // retired at r is freed as soon as no view below r is pinned: at Retire
 // when there is none, otherwise by the Unpin that releases the last one,
 // on whichever thread releases it. The writer never waits for a reader.
+// While no view is pinned at all (Views() is 0), nothing can read an older
+// version, so the writer need not copy: it changes the storage in place
+// and retires nothing. A store's owner that can rule out new views for the
+// length of a mutation (walk/service.h drops its own view of an unread
+// version under the lock that hands out snapshots) uses this to apply a
+// batch without a copy.
 // Destroying the reclaimer frees what is left and returns free heap pages
 // to the operating system (see the destructor).
 
@@ -43,8 +49,8 @@ class EpochReclaimer {
   void Retire(uint64_t version, std::size_t bytes, std::function<void()> free)
       BINGO_EXCLUDES(mutex_);
 
-  // True while any view is pinned.
-  bool Pinned() const BINGO_EXCLUDES(mutex_);
+  // Views pinned right now, at every version.
+  std::size_t Views() const BINGO_EXCLUDES(mutex_);
 
   // Frees everything retired, pinned or not (the store is going away).
   void FreeAll() BINGO_EXCLUDES(mutex_);

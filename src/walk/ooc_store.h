@@ -87,6 +87,8 @@ class TieredStore {
   // VersionedStore); it must not outlive this store.
   std::unique_ptr<const TieredStore> View() const;
   bool Intact() const { return overlay_->Intact(); }
+  // Views of this store alive right now (each pins one overlay view).
+  std::size_t Views() const { return overlay_->Views(); }
 
   // ---- WalkStore / BatchSamplingStore / AdjacencyStore surface ----
 

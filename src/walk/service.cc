@@ -54,35 +54,27 @@ std::unique_ptr<WalkService> RecoverWalkService(
   local.base_wal_seq = info.wal_seq;
   local.num_vertices = n;
 
-  auto store = std::make_unique<core::BingoStore>(
-      graph::DynamicGraph::FromEdges(n, edges, std::move(memory)), config,
-      build_pool);
+  auto service = std::make_unique<WalkService>(
+      std::make_unique<core::BingoStore>(
+          graph::DynamicGraph::FromEdges(n, edges, std::move(memory)), config,
+          build_pool),
+      update_pool);
   edges = {};
 
   // Replay the journaled suffix, on the build pool: replay is part of
   // building the store. Journaling is not armed yet, so the replayed
-  // batches are applied without being re-appended. Without a hook nothing
-  // reads the store before it is served, so no view pins it and the
-  // batches apply in place; a hook observes the service after each batch,
-  // so then the service comes first.
-  std::unique_ptr<WalkService> service;
-  if (batch_hook) {
-    service = std::make_unique<WalkService>(std::move(store), update_pool);
-  }
+  // batches are applied without being re-appended. No snapshot is alive
+  // between batches (a hook releases the ones it takes), so each batch is
+  // applied in place.
   const std::string wal_path = dir + "/wal.log";
   const core::WalReplayResult replay = core::ReplayWal(
       wal_path, info.wal_seq,
       [&](uint64_t seq, const graph::UpdateList& batch) {
-        if (service == nullptr) {
-          store->ApplyBatch(batch, build_pool);
-          return;
-        }
         service->ApplyBatch(batch, build_pool);
-        batch_hook(seq, batch, *service);
+        if (batch_hook) {
+          batch_hook(seq, batch, *service);
+        }
       });
-  if (service == nullptr) {
-    service = std::make_unique<WalkService>(std::move(store), update_pool);
-  }
   const core::WalOptions wal_options{options.fsync_on_commit};
   std::unique_ptr<core::WalWriter> wal;
   if (!replay.opened || (replay.header_torn && !replay.header_ok)) {

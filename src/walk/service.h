@@ -5,32 +5,41 @@
 // concurrency story: many walk queries run concurrently with batched
 // updates, and no query ever observes a half-rebuilt vertex sampler.
 //
-// Design — one copy-on-write store with snapshot epochs:
+// Design — one store with snapshot epochs, copied only while read:
 //
-//   * The service owns ONE store. Its ApplyBatch builds a new version from
-//     private copies of the vertices the batch touches (core/bingo_store.h:
-//     Bingo updates are vertex-local, §4.2, and a vertex's sampler is a pure
-//     function of its adjacency, Theorem 4.1), so the vertices it does not
-//     touch are shared with every earlier version. The service then
-//     publishes a view of the new version (epoch++) and returns.
-//   * A Snapshot pins one published version: a read-only view of the store
-//     that keeps reading exactly that version, whatever is applied after
-//     it. Acquire is one brief critical section on the front mutex (shared
-//     with the writer's O(1) publish) plus a reference count; the walk runs
-//     lock-free on the frozen view.
-//   * The writer never waits for readers. What a version supersedes (the
-//     old copies of touched vertices, and the table pages that held them)
-//     is freed by epoch-based reclamation once the last snapshot of an
-//     older version is released — by the thread that releases it, or at
-//     publish when none is pinned (util/reclaimer.h).
+//   * The service owns ONE store and, after each batch, publishes a view of
+//     it (epoch++). A Snapshot pins one published version: a read-only view
+//     of the store that keeps reading exactly that version, whatever is
+//     applied after it. Acquire is one brief critical section on the front
+//     mutex plus a reader count; the walk runs lock-free on the frozen view.
+//   * A batch that no snapshot reads is applied in place. Under the front
+//     mutex the writer checks that the published version has no readers, no
+//     older view is pinned and no Acquire is waiting; then it drops its own
+//     view, so the store has none and changes the touched vertices in place
+//     (core/bingo_store.h; O(K) per update, §4.2), and publishes the result
+//     before it releases the mutex.
+//   * Any other batch builds a new version from private copies of the
+//     vertices it touches (Bingo updates are vertex-local, §4.2, and a
+//     vertex's sampler is a pure function of its adjacency, Theorem 4.1),
+//     with the front mutex released, so the vertices it does not touch are
+//     shared with every earlier version. What a version supersedes (the old
+//     copies of touched vertices, and the table pages that held them) is
+//     freed by epoch-based reclamation once the last snapshot of an older
+//     version is released — by the thread that releases it, or at publish
+//     when none is pinned (util/reclaimer.h).
+//   * Who waits for whom: the writer never waits for a reader, and
+//     releasing a snapshot never waits. An Acquire waits for at most one
+//     batch, an in-place apply that started because no snapshot was alive;
+//     while it waits, the next batch takes the copy path. It never waits
+//     for a copy.
 //   * Snapshot::Consistent() checks that protocol: nothing the pinned view
 //     reads has been freed. Tests assert it after every concurrent query.
 //
-// Update latency is one store ApplyBatch: the copies of the touched
-// vertices plus the per-vertex update work, then the publish. Memory is one
-// store plus the versions pinned snapshots still read. A snapshot also
-// keeps its store alive, so it may outlive a base write that replaces the
-// store (see AttachWal) or the service itself.
+// Update latency is one store ApplyBatch, in place or over copies of the
+// touched vertices, then the publish. Memory is one store plus the versions
+// pinned snapshots still read. A snapshot also keeps its store alive, so it
+// may outlive a base write that replaces the store (see AttachWal) or the
+// service itself.
 //
 // Caveat: CheckInvariants, MemoryStats and the durability calls take the
 // writer lock; they never wait for readers.
@@ -69,9 +78,11 @@ struct ServiceStats {
   uint64_t queries_served = 0;   // snapshots handed out
   uint64_t batches_applied = 0;
   uint64_t updates_applied = 0;  // individual update requests ingested
+  // Batches applied over copies of the vertices they touch, because a
+  // snapshot was alive or being acquired; the rest were applied in place.
+  uint64_t batches_copied = 0;
   // Writer yields spent waiting for readers: always 0, since the writer
-  // builds a new version instead of waiting (kept so stats readers that
-  // chart it keep working).
+  // never waits for one (kept so stats readers that chart it keep working).
   uint64_t drain_spins = 0;
   uint64_t wal_records = 0;      // batches journaled to the WAL
   uint64_t wal_updates = 0;      // updates journaled to the WAL
@@ -130,7 +141,7 @@ class WalkServiceT {
   explicit WalkServiceT(std::unique_ptr<Store> store,
                         util::ThreadPool* update_pool = nullptr)
       : store_(std::move(store)),
-        front_(std::make_shared<const Version>(store_, 0)),
+        front_(std::make_shared<Version>(store_, 0)),
         update_pool_(update_pool) {}
 
   WalkServiceT(const WalkServiceT&) = delete;
@@ -143,8 +154,13 @@ class WalkServiceT {
     Version(std::shared_ptr<Store> s, uint64_t e)
         : store(std::move(s)), view(store->View()), epoch(e) {}
     std::shared_ptr<Store> store;
+    // Dropped by a writer that applies the next batch in place, which it
+    // does only while no snapshot reads this version.
     std::unique_ptr<const Store> view;
     uint64_t epoch;
+    // Live snapshots of this version: added under front_mutex_, released
+    // with release order once a snapshot is done reading.
+    mutable std::atomic<uint64_t> readers{0};
   };
 
  public:
@@ -155,6 +171,11 @@ class WalkServiceT {
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
     Snapshot& operator=(Snapshot&&) = delete;
+    ~Snapshot() {
+      if (version_ != nullptr) {
+        version_->readers.fetch_sub(1, std::memory_order_release);
+      }
+    }
 
     const Store& store() const { return *version_->view; }
     uint64_t epoch() const { return version_->epoch; }
@@ -166,14 +187,23 @@ class WalkServiceT {
 
    private:
     friend class WalkServiceT;
+    // Taken under front_mutex_, which orders the count for the writer.
     explicit Snapshot(std::shared_ptr<const Version> version)
-        : version_(std::move(version)) {}
+        : version_(std::move(version)) {
+      version_->readers.fetch_add(1, std::memory_order_relaxed);
+    }
 
     std::shared_ptr<const Version> version_;
   };
 
+  // Waits only while an in-place apply holds the front mutex (see the
+  // design notes above).
   Snapshot Acquire() const BINGO_EXCLUDES(front_mutex_) {
+    // Announced before the lock: a batch that starts while this waits takes
+    // the copy path instead of making it wait again.
+    acquiring_.fetch_add(1, std::memory_order_relaxed);
     util::MutexLock lock(front_mutex_);
+    acquiring_.fetch_sub(1, std::memory_order_relaxed);
     queries_.fetch_add(1, std::memory_order_relaxed);
     return Snapshot(front_);
   }
@@ -205,14 +235,18 @@ class WalkServiceT {
         [&](const Store& s) { return RunNode2vec(s, cfg, params, pool); });
   }
 
-  // Applies one update batch as a new store version, publishes it
-  // (epoch++) and returns. Writers are serialized; readers never wait, and
-  // the writer never waits for them. With a WAL attached the batch is
-  // journaled BEFORE the store is touched (write-ahead), so recovery never
-  // misses an applied batch; a journaling failure poisons the WAL (surfaced
-  // by CheckInvariants) and the next Checkpoint() repairs durability by
-  // compacting. `pool` (default: the update pool) runs the per-vertex copies
-  // and updates; recovery replays on its build pool.
+  // Applies one update batch, publishes the new version (epoch++) and
+  // returns. Writers are serialized, and the writer never waits for a
+  // reader. When no snapshot is alive or being acquired, the batch is
+  // applied in place while the front mutex is held: an Acquire that
+  // arrives meanwhile waits for this one apply and then sees its result.
+  // Otherwise the batch copies the vertices it touches, with the front
+  // mutex released, and no Acquire waits for it. With a WAL attached the
+  // batch is journaled BEFORE the store is touched (write-ahead), so
+  // recovery never misses an applied batch; a journaling failure poisons
+  // the WAL (surfaced by CheckInvariants) and the next Checkpoint() repairs
+  // durability by compacting. `pool` (default: the update pool) runs the
+  // per-vertex copies and updates; recovery replays on its build pool.
   core::BatchResult ApplyBatch(const graph::UpdateList& updates,
                                util::ThreadPool* pool = nullptr)
       BINGO_EXCLUDES(update_mutex_, front_mutex_) {
@@ -228,9 +262,15 @@ class WalkServiceT {
         wal_failed_.store(true, std::memory_order_relaxed);
       }
     }
-    const core::BatchResult result =
-        store_->ApplyBatch(updates, pool != nullptr ? pool : update_pool_);
-    PublishLocked();
+    if (pool == nullptr) {
+      pool = update_pool_;
+    }
+    core::BatchResult result;
+    if (!ApplyInPlaceLocked(updates, pool, result)) {
+      result = store_->ApplyBatch(updates, pool);
+      PublishLocked();
+      batches_copied_.fetch_add(1, std::memory_order_relaxed);
+    }
     batches_.fetch_add(1, std::memory_order_relaxed);
     updates_count_.fetch_add(updates.size(), std::memory_order_relaxed);
     return result;
@@ -395,6 +435,7 @@ class WalkServiceT {
     stats.epoch = Epoch();
     stats.queries_served = queries_.load(std::memory_order_relaxed);
     stats.batches_applied = batches_.load(std::memory_order_relaxed);
+    stats.batches_copied = batches_copied_.load(std::memory_order_relaxed);
     stats.updates_applied = updates_count_.load(std::memory_order_relaxed);
     stats.wal_records = wal_records_.load(std::memory_order_relaxed);
     stats.wal_updates = wal_updates_.load(std::memory_order_relaxed);
@@ -425,13 +466,44 @@ class WalkServiceT {
   }
 
  private:
+  // If no snapshot reads the published version or an older one, and no
+  // Acquire is waiting, applies the batch in place and publishes it, all
+  // under the front mutex, so no snapshot can be taken mid-apply; returns
+  // false, having done nothing, otherwise.
+  bool ApplyInPlaceLocked(const graph::UpdateList& updates,
+                          util::ThreadPool* pool, core::BatchResult& result)
+      BINGO_REQUIRES(update_mutex_) BINGO_EXCLUDES(front_mutex_) {
+    std::shared_ptr<Version> old;  // released after the front mutex
+    util::MutexLock lock(front_mutex_);
+    // A snapshot's release (release order) happens before this acquire
+    // load reads 0, so its reads precede the writes below; only Acquire
+    // adds readers, under this mutex. The one view left must be the
+    // front's own: views are taken only under update_mutex_, and older
+    // ones can only go away meanwhile.
+    if (front_->readers.load(std::memory_order_acquire) != 0 ||
+        acquiring_.load(std::memory_order_relaxed) != 0 ||
+        store_->Views() != 1) {
+      return false;
+    }
+    front_->view.reset();
+    result = store_->ApplyBatch(updates, pool);
+    old = std::exchange(front_, NextVersionLocked());
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  std::shared_ptr<Version> NextVersionLocked() const
+      BINGO_REQUIRES(update_mutex_) {
+    return std::make_shared<Version>(
+        store_, epoch_.load(std::memory_order_relaxed) + 1);
+  }
+
   // Makes the store's current version the front: new snapshots see it. The
   // old front is released outside the lock; if no snapshot still reads it,
   // that frees what the new version superseded.
   void PublishLocked() BINGO_REQUIRES(update_mutex_) {
-    auto next = std::make_shared<const Version>(
-        store_, epoch_.load(std::memory_order_relaxed) + 1);
-    std::shared_ptr<const Version> old;
+    std::shared_ptr<Version> next = NextVersionLocked();
+    std::shared_ptr<Version> old;
     {
       util::MutexLock lock(front_mutex_);
       old = std::exchange(front_, std::move(next));
@@ -496,7 +568,9 @@ class WalkServiceT {
   mutable util::Mutex update_mutex_;  // serializes writers
   std::shared_ptr<Store> store_ BINGO_GUARDED_BY(update_mutex_);
   mutable util::Mutex front_mutex_;  // guards the publish and Acquire
-  std::shared_ptr<const Version> front_ BINGO_GUARDED_BY(front_mutex_);
+  std::shared_ptr<Version> front_ BINGO_GUARDED_BY(front_mutex_);
+  // Acquire calls waiting for front_mutex_.
+  mutable std::atomic<uint64_t> acquiring_{0};
   std::atomic<uint64_t> epoch_{0};
   // No batch applied since the store was built or last rebuilt: with a
   // canonical graph, it equals what a base write would rebuild.
@@ -504,6 +578,7 @@ class WalkServiceT {
   util::ThreadPool* update_pool_;
   mutable std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> batches_copied_{0};
   std::atomic<uint64_t> updates_count_{0};
 
   // Persistence state (update_mutex_ guards it; counters are atomic so

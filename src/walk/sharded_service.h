@@ -6,9 +6,12 @@
 // v % num_shards, and each shard is an independent WalkServiceT — one
 // store with its own versions, epoch and writer lock. A batch pays one
 // ApplyBatch per touched shard, over that shard's slice; slices of one
-// batch, and batches for disjoint shards, apply in parallel, and queries
-// never wait for any of them. Since a WalkService copies only the vertices
-// a batch touches (walk/service.h), sharding no longer buys update latency
+// batch, and batches for disjoint shards, apply in parallel. A shard
+// applies its slice in place when no snapshot of that shard is alive, and
+// over copies of the touched vertices otherwise (walk/service.h). Queries
+// never wait for a copy; a composite Acquire waits at most for one
+// in-place slice per shard, and may do so while it already holds the
+// snapshots of the shards before it. Sharding does not buy update latency
 // by shrinking the store a batch is applied to; what it adds is a writer
 // lock per shard, which lets several writers apply at once.
 //
@@ -65,6 +68,8 @@ struct ShardedServiceStats {
   uint64_t queries_served = 0;   // composite snapshots handed out
   uint64_t batches_applied = 0;  // per-shard batches (one multi-shard
                                  // ApplyBatch counts once per shard hit)
+  uint64_t batches_copied = 0;   // per-shard batches applied over copies
+                                 // (see ServiceStats::batches_copied)
   uint64_t updates_applied = 0;
   uint64_t drain_spins = 0;      // always 0 (see ServiceStats::drain_spins)
   uint64_t wal_records = 0;      // per-shard batches journaled
@@ -416,6 +421,7 @@ class ShardedWalkServiceT {
       stats.min_shard_epoch = std::min(stats.min_shard_epoch, s.epoch);
       stats.max_shard_epoch = std::max(stats.max_shard_epoch, s.epoch);
       stats.batches_applied += s.batches_applied;
+      stats.batches_copied += s.batches_copied;
       stats.updates_applied += s.updates_applied;
       stats.drain_spins += s.drain_spins;
       stats.wal_records += s.wal_records;

@@ -22,6 +22,7 @@
 #define BINGO_SRC_WALK_STORE_H_
 
 #include <concepts>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,14 +84,17 @@ concept WalkStore =
 
 // Stores that version themselves copy-on-write: every mutation builds a new
 // version, View() returns a read-only store pinned at the current one
-// (immutable for its lifetime; it must not outlive its store), and
-// Intact() reports that nothing the view reads has been reclaimed.
-// WalkService serves any such store from one copy (walk/service.h).
+// (immutable for its lifetime; it must not outlive its store),
+// Intact() reports that nothing the view reads has been reclaimed, and
+// Views() counts the live views; a mutation made while it is 0 is applied
+// in place. WalkService serves any such store from one copy
+// (walk/service.h).
 template <typename S>
 concept VersionedStore =
     WalkStore<S> && requires(const S& cs) {
       { cs.View() } -> std::same_as<std::unique_ptr<const S>>;
       { cs.Intact() } -> std::same_as<bool>;
+      { cs.Views() } -> std::same_as<std::size_t>;
     };
 
 }  // namespace bingo::walk

@@ -1,5 +1,6 @@
 // WalkService: snapshot isolation, epoch publication, reclamation of
-// superseded versions, and concurrent queries racing batched updates (the
+// superseded versions, the in-place path for batches no snapshot reads,
+// and concurrent queries racing batched updates (the
 // CI sanitizer jobs run this under ASan/UBSan and TSan; the stress path is
 // the data-race canary).
 
@@ -14,6 +15,7 @@
 #include "src/graph/bias.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
+#include "src/util/memory_pool.h"
 #include "src/util/thread_pool.h"
 #include "src/walk/apps.h"
 #include "src/walk/service.h"
@@ -231,6 +233,176 @@ TEST(WalkServiceTest, PinnedSnapshotRetainsOnlyTouchedVersions) {
   { auto release = std::move(snap); }
   EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
   EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
+}
+
+// ------------------------------------------------------ in-place path --
+
+// A batch that no snapshot reads is applied in place: 1,000 single-edge
+// batches with no snapshot alive copy nothing and leave the pool's
+// footprint where it was. The same batches under one held snapshot each
+// copy, and the snapshot keeps walking its version bit for bit.
+TEST(WalkServiceTest, UnreadVersionAppliesInPlace) {
+  constexpr VertexId kVertices = 4096;
+  util::Rng rng(67);
+  auto pairs = graph::GenerateRmat(12, 30000, rng);
+  graph::Canonicalize(pairs);
+  const graph::Csr csr = graph::Csr::FromPairs(kVertices, pairs);
+  const auto edges =
+      graph::ToWeightedEdges(csr, graph::GenerateBiases(csr, {}, rng));
+  const auto service = MakeWalkService(edges, kVertices);
+  BingoStore reference(graph::DynamicGraph::FromEdges(kVertices, edges));
+  const util::MemoryPool* pool =
+      service->Query([](const BingoStore& s) { return &s.Pool(); });
+
+  // Forty vertices in turn, each taking one edge and then giving it back.
+  const auto apply = [&](int i) {
+    const graph::Update u{i % 2 == 0 ? graph::Update::Kind::kInsert
+                                     : graph::Update::Kind::kDelete,
+                          static_cast<VertexId>((i / 2) % 40) * 7, 3, 2.75};
+    service->ApplyBatch({u});
+    reference.ApplyBatch({u});
+  };
+  constexpr int kWarmup = 100;  // every vertex's blocks at their size
+  for (int i = 0; i < kWarmup; ++i) {
+    apply(i);
+  }
+  const std::size_t reserved = pool->ReservedBytes();
+  for (int i = kWarmup; i < kWarmup + 1000; ++i) {
+    apply(i);
+  }
+  EXPECT_EQ(service->Stats().batches_copied, 0u);
+  EXPECT_EQ(pool->ReservedBytes(), reserved);
+  EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
+
+  WalkConfig cfg;
+  cfg.walk_length = 10;
+  cfg.record_paths = true;
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
+
+  auto snap = service->Acquire();
+  const auto before = RunDeepWalk(snap.store(), cfg);
+  for (int i = 0; i < 1000; ++i) {
+    apply(i);
+  }
+  EXPECT_EQ(service->Stats().batches_copied, 1000u);
+  EXPECT_GT(service->MemoryStats().retired_bytes, 0u);
+  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
+  EXPECT_TRUE(snap.Consistent());
+  { auto release = std::move(snap); }
+  EXPECT_EQ(service->MemoryStats().retired_bytes, 0u);
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+}
+
+// A snapshot of epoch e keeps every later batch on the copy path while it
+// lives, the one building e + 2 included: the published version then has
+// no reader, but an older view is pinned.
+TEST(WalkServiceTest, OlderSnapshotKeepsCopyPath) {
+  const auto edges = TestGraph(68);
+  const auto service = MakeWalkService(edges, kNumVertices);
+  BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges));
+  const auto apply = [&](uint64_t seed) {
+    const auto updates = MixedUpdates(seed, 300);
+    service->ApplyBatch(updates);
+    reference.ApplyBatch(updates);
+  };
+  WalkConfig cfg;
+  cfg.walk_length = 12;
+  cfg.record_paths = true;
+
+  apply(51);
+  EXPECT_EQ(service->Stats().batches_copied, 0u);
+  auto snap = service->Acquire();
+  const uint64_t e = snap.epoch();
+  const auto before = RunDeepWalk(snap.store(), cfg);
+  apply(52);  // builds e + 1 while the snapshot reads e
+  EXPECT_EQ(service->Stats().batches_copied, 1u);
+  apply(53);  // builds e + 2: e + 1 is unread, e is still pinned
+  EXPECT_EQ(service->Epoch(), e + 2);
+  EXPECT_EQ(service->Stats().batches_copied, 2u);
+  EXPECT_EQ(before.paths, RunDeepWalk(snap.store(), cfg).paths);
+  EXPECT_TRUE(snap.Consistent());
+
+  { auto release = std::move(snap); }
+  apply(54);
+  EXPECT_EQ(service->Stats().batches_copied, 2u);
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+}
+
+// Readers Acquire in a loop while 2k-update batches apply, in place when no
+// snapshot is alive: every snapshot is consistent, holds the edge count of
+// a batch boundary, and walks exactly like a bare store that replayed the
+// batches up to its epoch.
+TEST(WalkServiceTest, AcquireDuringInPlaceApplySeesBatchBoundaries) {
+  constexpr int kBatches = 16;
+  constexpr std::size_t kBatchSize = 2000;
+  const auto edges = TestGraph(69);
+  util::ThreadPool pool(2);
+  const auto service =
+      MakeWalkService(edges, kNumVertices, {}, nullptr, &pool);
+  const auto updates = MixedUpdates(71, kBatches * kBatchSize);
+  const auto batch = [&](int b) {
+    return graph::UpdateList(updates.begin() + b * kBatchSize,
+                             updates.begin() + (b + 1) * kBatchSize);
+  };
+
+  WalkConfig cfg;
+  cfg.num_walkers = 16;
+  cfg.walk_length = 5;
+  cfg.record_paths = true;
+  std::vector<uint64_t> edges_at;
+  std::vector<std::vector<VertexId>> paths_at;
+  {
+    BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges));
+    for (int b = 0;; ++b) {
+      edges_at.push_back(reference.NumEdges());
+      paths_at.push_back(RunDeepWalk(reference, cfg).paths);
+      if (b == kBatches) {
+        break;
+      }
+      reference.ApplyBatch(batch(b));
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> observed{0};
+  std::atomic<uint64_t> wrong{0};
+  const auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      {
+        const auto snap = service->Acquire();
+        const uint64_t e = snap.epoch();
+        const bool ok = snap.Consistent() && e < edges_at.size() &&
+                        snap.store().NumEdges() == edges_at[e] &&
+                        RunDeepWalk(snap.store(), cfg).paths == paths_at[e];
+        wrong.fetch_add(ok ? 0 : 1, std::memory_order_relaxed);
+        observed.fetch_add(1, std::memory_order_relaxed);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back(reader);
+  }
+  for (int b = 0; b < kBatches; ++b) {
+    service->ApplyBatch(batch(b));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+
+  EXPECT_GT(observed.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.batches_applied, static_cast<uint64_t>(kBatches));
+  // Readers sleep between snapshots, so most batches find none alive.
+  EXPECT_LT(stats.batches_copied, static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(service->Epoch(), static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(service->DeepWalk(cfg).paths, paths_at.back());
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 }
 
 // ------------------------------------------------------- concurrency --

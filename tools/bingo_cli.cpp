@@ -1075,6 +1075,17 @@ int Restore(const Args& args) {
   return invariants.empty() ? 0 : 1;
 }
 
+// How the service applied its batches: in place (no snapshot alive) or
+// over copies of the touched vertices (walk/service.h).
+void PrintBatchPaths(uint64_t applied, uint64_t copied) {
+  std::printf("batch paths:      %llu in place, %llu copied (%.1f%% copied)\n",
+              static_cast<unsigned long long>(applied - copied),
+              static_cast<unsigned long long>(copied),
+              applied > 0 ? 100.0 * static_cast<double>(copied) /
+                                static_cast<double>(applied)
+                          : 0.0);
+}
+
 // One machine-readable line for the perf-trajectory tooling (BENCH_*.json):
 // printed last so scripts can take the final '{'-prefixed stdout line.
 void PrintServeJson(const Args& args, double samples_per_sec,
@@ -1162,6 +1173,7 @@ int ServeBenchSharded(const Args& args, const graph::VertexId n,
               static_cast<unsigned long long>(stats.min_shard_epoch),
               static_cast<unsigned long long>(stats.max_shard_epoch),
               stats.num_shards);
+  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
   std::printf("consistency:      %llu violations\n",
               static_cast<unsigned long long>(report.inconsistent_snapshots));
   const std::string invariants = service->CheckInvariants();
@@ -1486,6 +1498,8 @@ int ServeBenchOoc(const Args& args, const graph::VertexId n,
   std::printf("samples served:   %llu (%.2fM samples/s)\n",
               static_cast<unsigned long long>(report.walk_steps),
               report.SamplesPerSecond() / 1e6);
+  const walk::ServiceStats stats = service->Stats();
+  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
   std::printf("consistency:      %llu violations\n",
               static_cast<unsigned long long>(report.inconsistent_snapshots));
 
@@ -1710,6 +1724,8 @@ int ServeBench(const Args& args) {
   std::printf("epochs observed:  [%llu, %llu]\n",
               static_cast<unsigned long long>(report.min_epoch_observed),
               static_cast<unsigned long long>(report.max_epoch_observed));
+  const walk::ServiceStats stats = service->Stats();
+  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
   std::printf("consistency:      %llu violations\n",
               static_cast<unsigned long long>(report.inconsistent_snapshots));
   const std::string invariants = service->CheckInvariants();
