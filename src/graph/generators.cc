@@ -1,11 +1,13 @@
 #include "src/graph/generators.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bingo::graph {
 
 EdgePairList GenerateRmat(int scale, uint64_t num_edges, util::Rng& rng,
                           const RmatParams& params) {
+  assert(scale >= 1 && scale <= 31);
   EdgePairList edges;
   edges.reserve(num_edges);
   const VertexId n = VertexId{1} << scale;

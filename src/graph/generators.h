@@ -23,7 +23,8 @@ struct RmatParams {
   double noise = 0.1;  // per-level parameter perturbation, avoids exact grids
 };
 
-// R-MAT with 2^scale vertices and `num_edges` directed edges.
+// R-MAT with 2^scale vertices and `num_edges` directed edges. `scale` must
+// be in [1, 31]: the vertex count has to fit the 32-bit VertexId.
 EdgePairList GenerateRmat(int scale, uint64_t num_edges, util::Rng& rng,
                           const RmatParams& params = {});
 

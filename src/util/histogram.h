@@ -1,9 +1,9 @@
 // Fixed-capacity log-linear latency histogram (HDR-histogram layout).
 //
-// The open-loop serve benchmark records one latency sample per query; at
-// thousands of QPS over minutes that is millions of samples, and the old
-// store-every-sample accounting grew memory linearly with run length. This
-// histogram stores a constant ~12 KiB regardless of sample count: values
+// A latency recorder takes one sample per operation (a query in
+// bench_index, a corpus repair in WalkIndexService); at thousands per
+// second over minutes that is millions of samples, and storing every one
+// grows memory linearly with run length. This histogram stores a constant ~12 KiB regardless of sample count: values
 // (nanoseconds) are bucketed into 32 linear sub-buckets per power-of-two
 // octave, giving a guaranteed relative error under 1/32 (~3.2%) across the
 // full range [0, ~2^49 ns ≈ 6.5 days]. Values below 32 ns are exact.

@@ -44,10 +44,9 @@ double MaxRelativeError(std::span<const double> p, std::span<const double> q,
 // yields an all-zero vector.
 std::vector<double> Normalize(std::span<const double> weights);
 
-// Linearly interpolated quantile (q in [0, 1]) of an unsorted sample, the
-// shared latency-percentile definition of every stress/bench report (p50
-// and p99 must mean the same thing across BENCH_*.json emitters). Empty
-// samples yield 0.
+// Linearly interpolated quantile (q in [0, 1]) of an unsorted sample: the
+// rank convention util::LatencyHistogram follows, and the exact reference
+// its tests compare against. Empty samples yield 0.
 double SampleQuantile(std::span<const double> samples, double q);
 
 }  // namespace bingo::util

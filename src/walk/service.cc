@@ -1,12 +1,8 @@
 #include "src/walk/service.h"
 
 #include <algorithm>
-#include <thread>
-#include <vector>
 
 #include "src/graph/dynamic_graph.h"
-#include "src/util/stats.h"
-#include "src/util/timer.h"
 
 namespace bingo::walk {
 
@@ -103,89 +99,6 @@ std::unique_ptr<WalkService> RecoverWalkService(
     *report = local;
   }
   return service;
-}
-
-double ServiceStressReport::UpdateSecondsQuantile(double q) const {
-  return util::SampleQuantile(batch_seconds, q);
-}
-
-ServiceStressReport RunWalkServiceStress(WalkService& service,
-                                         const graph::UpdateList& updates,
-                                         const ServiceStressOptions& options) {
-  ServiceStressReport report;
-  report.min_epoch_observed = UINT64_MAX;
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> walk_steps{0};
-  std::atomic<uint64_t> inconsistent{0};
-  std::atomic<uint64_t> min_epoch{UINT64_MAX};
-  std::atomic<uint64_t> max_epoch{0};
-
-  const auto query_loop = [&](int thread_id) {
-    uint64_t iteration = 0;
-    // Every thread issues at least one query even if updates finish first.
-    while (!stop.load(std::memory_order_acquire) || iteration == 0) {
-      WalkConfig cfg;
-      cfg.num_walkers = options.walkers_per_query;
-      cfg.walk_length = options.walk_length;
-      cfg.seed = options.seed + static_cast<uint64_t>(thread_id) * 0x9e3779b9ULL +
-                 iteration;
-      const WalkService::Snapshot snap = service.Acquire();
-      const WalkResult result = RunDeepWalk(snap.store(), cfg, nullptr);
-      walk_steps.fetch_add(result.total_steps, std::memory_order_relaxed);
-      if (!snap.Consistent()) {
-        inconsistent.fetch_add(1, std::memory_order_relaxed);
-      }
-      const uint64_t epoch = snap.epoch();
-      uint64_t seen = min_epoch.load(std::memory_order_relaxed);
-      while (epoch < seen &&
-             !min_epoch.compare_exchange_weak(seen, epoch,
-                                              std::memory_order_relaxed)) {
-      }
-      seen = max_epoch.load(std::memory_order_relaxed);
-      while (epoch > seen &&
-             !max_epoch.compare_exchange_weak(seen, epoch,
-                                              std::memory_order_relaxed)) {
-      }
-      queries.fetch_add(1, std::memory_order_relaxed);
-      ++iteration;
-    }
-  };
-
-  util::Timer wall;
-  std::vector<std::thread> workers;
-  workers.reserve(options.query_threads);
-  for (int t = 0; t < options.query_threads; ++t) {
-    workers.emplace_back(query_loop, t);
-  }
-
-  // The calling thread is the single writer, streaming batches.
-  const uint64_t batch_size = std::max<uint64_t>(1, options.batch_size);
-  for (std::size_t begin = 0; begin < updates.size(); begin += batch_size) {
-    const std::size_t end = std::min(updates.size(), begin + batch_size);
-    const graph::UpdateList batch(updates.begin() + begin,
-                                  updates.begin() + end);
-    util::Timer batch_timer;
-    service.ApplyBatch(batch);
-    const double seconds = batch_timer.Seconds();
-    report.update_seconds_total += seconds;
-    report.update_seconds_max = std::max(report.update_seconds_max, seconds);
-    report.batch_seconds.push_back(seconds);
-    ++report.batches;
-  }
-
-  stop.store(true, std::memory_order_release);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  report.wall_seconds = wall.Seconds();
-  report.queries = queries.load();
-  report.walk_steps = walk_steps.load();
-  report.inconsistent_snapshots = inconsistent.load();
-  report.min_epoch_observed = min_epoch.load();
-  report.max_epoch_observed = max_epoch.load();
-  return report;
 }
 
 }  // namespace bingo::walk

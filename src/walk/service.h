@@ -634,48 +634,6 @@ std::unique_ptr<WalkService> RecoverWalkService(
     RecoveryReport* report = nullptr, RecoveryBatchHook batch_hook = {},
     std::shared_ptr<util::MemoryPool> memory = nullptr);
 
-// ------------------------------------------------------- stress driving --
-//
-// Shared by tests/walk_service_test.cc and `bingo_cli serve-bench`: N query
-// threads issue walk queries against snapshots while the calling thread
-// streams update batches through ApplyBatch.
-
-struct ServiceStressOptions {
-  int query_threads = 4;
-  uint64_t batch_size = 1000;       // updates per ApplyBatch
-  uint64_t walkers_per_query = 256;
-  uint32_t walk_length = 10;
-  uint64_t seed = 42;
-};
-
-struct ServiceStressReport {
-  uint64_t queries = 0;
-  uint64_t walk_steps = 0;               // neighbor samples served
-  uint64_t inconsistent_snapshots = 0;   // protocol violations (must be 0)
-  uint64_t min_epoch_observed = 0;
-  uint64_t max_epoch_observed = 0;
-  uint64_t batches = 0;
-  double wall_seconds = 0.0;
-  double update_seconds_total = 0.0;
-  double update_seconds_max = 0.0;
-  std::vector<double> batch_seconds;  // per-batch update latency, in order
-
-  double SamplesPerSecond() const {
-    return wall_seconds > 0.0 ? static_cast<double>(walk_steps) / wall_seconds
-                              : 0.0;
-  }
-  double MeanUpdateSeconds() const {
-    return batches > 0 ? update_seconds_total / static_cast<double>(batches)
-                       : 0.0;
-  }
-  // Latency percentile over the recorded batches (q in [0, 1]).
-  double UpdateSecondsQuantile(double q) const;
-};
-
-ServiceStressReport RunWalkServiceStress(WalkService& service,
-                                         const graph::UpdateList& updates,
-                                         const ServiceStressOptions& options);
-
 }  // namespace bingo::walk
 
 #endif  // BINGO_SRC_WALK_SERVICE_H_

@@ -1,17 +1,12 @@
 #include "src/walk/sharded_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "src/graph/dynamic_graph.h"
 #include "src/util/fileio.h"
-#include "src/util/stats.h"
-#include "src/util/timer.h"
-#include "src/walk/batcher.h"
 
 namespace bingo::walk {
 
@@ -129,105 +124,6 @@ std::unique_ptr<ShardedWalkService> MakeShardedWalkService(
         config, build_pool);
   };
   return std::make_unique<ShardedWalkService>(num_shards, factory, update_pool);
-}
-
-double ShardedStressReport::MeanUpdateSeconds() const {
-  if (batch_seconds.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (double s : batch_seconds) {
-    total += s;
-  }
-  return total / static_cast<double>(batch_seconds.size());
-}
-
-double ShardedStressReport::MaxUpdateSeconds() const {
-  double max_seconds = 0.0;
-  for (double s : batch_seconds) {
-    max_seconds = std::max(max_seconds, s);
-  }
-  return max_seconds;
-}
-
-double ShardedStressReport::UpdateSecondsQuantile(double q) const {
-  return util::SampleQuantile(batch_seconds, q);
-}
-
-ShardedStressReport RunShardedServiceStress(
-    ShardedWalkService& service, const graph::UpdateList& updates,
-    const ShardedStressOptions& options) {
-  ShardedStressReport report;
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> walk_steps{0};
-  std::atomic<uint64_t> inconsistent{0};
-
-  // Query threads run poolless so the writer side has any pool to itself
-  // (and so batcher writer tasks can never starve walk chunks).
-  const auto query_loop = [&](int thread_id) {
-    uint64_t iteration = 0;
-    while (!stop.load(std::memory_order_acquire) || iteration == 0) {
-      WalkConfig cfg;
-      cfg.num_walkers = options.walkers_per_query;
-      cfg.walk_length = options.walk_length;
-      cfg.seed = options.seed +
-                 static_cast<uint64_t>(thread_id) * 0x9e3779b9ULL + iteration;
-      const ShardedWalkService::Snapshot snap = service.Acquire();
-      const WalkResult result = RunDeepWalk(snap, cfg, nullptr);
-      walk_steps.fetch_add(result.total_steps, std::memory_order_relaxed);
-      if (!snap.Consistent()) {
-        inconsistent.fetch_add(1, std::memory_order_relaxed);
-      }
-      queries.fetch_add(1, std::memory_order_relaxed);
-      ++iteration;
-    }
-  };
-
-  util::Timer wall;
-  std::vector<std::thread> workers;
-  workers.reserve(options.query_threads);
-  for (int t = 0; t < options.query_threads; ++t) {
-    workers.emplace_back(query_loop, t);
-  }
-
-  const uint64_t batch_size = std::max<uint64_t>(1, options.batch_size);
-  if (options.use_batcher) {
-    // Single-edge submissions coalesced by the batcher; each window's
-    // latency is submit-to-flushed (what a producer actually waits for).
-    UpdateBatcher batcher(service);
-    for (std::size_t begin = 0; begin < updates.size(); begin += batch_size) {
-      const std::size_t end = std::min(updates.size(), begin + batch_size);
-      util::Timer batch_timer;
-      for (std::size_t i = begin; i < end; ++i) {
-        batcher.Submit(updates[i]);
-      }
-      batcher.Flush();
-      report.batch_seconds.push_back(batch_timer.Seconds());
-      ++report.batches;
-    }
-  } else {
-    for (std::size_t begin = 0; begin < updates.size(); begin += batch_size) {
-      const std::size_t end = std::min(updates.size(), begin + batch_size);
-      const graph::UpdateList batch(updates.begin() + begin,
-                                    updates.begin() + end);
-      util::Timer batch_timer;
-      service.ApplyBatch(batch);
-      report.batch_seconds.push_back(batch_timer.Seconds());
-      ++report.batches;
-    }
-  }
-
-  stop.store(true, std::memory_order_release);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  report.wall_seconds = wall.Seconds();
-  report.queries = queries.load();
-  report.walk_steps = walk_steps.load();
-  report.inconsistent_snapshots = inconsistent.load();
-  return report;
 }
 
 }  // namespace bingo::walk

@@ -28,8 +28,8 @@
 // Update latency model: a batch B is visible once, per touched shard s and
 // in parallel across shards, ApplyBatch(shard s slice of B) has copied the
 // slice's vertices, applied it and published; the untouched vertices of the
-// shard cost nothing. bench/bench_sharded_service.cc measures the curve
-// over shard counts.
+// shard cost nothing. bench/e2e measures update latency under a live query
+// stream; walk/stress.h drives the same race in the concurrency tests.
 //
 // The caveat of walk/service.h carries over per shard: CheckInvariants,
 // MemoryStats and the durability calls take each shard's writer lock.
@@ -63,8 +63,6 @@ namespace bingo::walk {
 struct ShardedServiceStats {
   int num_shards = 0;
   uint64_t epoch = 0;            // sum of shard epochs (batches x shards hit)
-  uint64_t min_shard_epoch = 0;  // spread shows routing skew
-  uint64_t max_shard_epoch = 0;
   uint64_t queries_served = 0;   // composite snapshots handed out
   uint64_t batches_applied = 0;  // per-shard batches (one multi-shard
                                  // ApplyBatch counts once per shard hit)
@@ -414,12 +412,9 @@ class ShardedWalkServiceT {
   ShardedServiceStats Stats() const {
     ShardedServiceStats stats;
     stats.num_shards = NumShards();
-    stats.min_shard_epoch = UINT64_MAX;
     for (const auto& shard : shards_) {
       const ServiceStats s = shard->Stats();
       stats.epoch += s.epoch;
-      stats.min_shard_epoch = std::min(stats.min_shard_epoch, s.epoch);
-      stats.max_shard_epoch = std::max(stats.max_shard_epoch, s.epoch);
       stats.batches_applied += s.batches_applied;
       stats.batches_copied += s.batches_copied;
       stats.updates_applied += s.updates_applied;
@@ -491,44 +486,6 @@ std::unique_ptr<ShardedWalkService> RecoverShardedWalkService(
     graph::VertexId num_vertices = 0, util::ThreadPool* build_pool = nullptr,
     util::ThreadPool* update_pool = nullptr, WalPersistenceOptions options = {},
     RecoveryReport* report = nullptr);
-
-// ------------------------------------------------------- stress driving --
-//
-// Shared by `bingo_cli serve-bench --store sharded` and
-// bench/bench_sharded_service.cc: N query threads walk composite snapshots
-// while the calling thread streams update batches, either directly through
-// ApplyBatch or coalesced through an UpdateBatcher (see walk/batcher.h).
-
-struct ShardedStressOptions {
-  int query_threads = 4;
-  uint64_t batch_size = 1000;  // updates per ApplyBatch / per flush window
-  uint64_t walkers_per_query = 256;
-  uint32_t walk_length = 10;
-  uint64_t seed = 42;
-  bool use_batcher = false;  // submit single edges + flush, vs direct batches
-};
-
-struct ShardedStressReport {
-  uint64_t queries = 0;
-  uint64_t walk_steps = 0;
-  uint64_t inconsistent_snapshots = 0;  // protocol violations (must be 0)
-  uint64_t batches = 0;
-  double wall_seconds = 0.0;
-  std::vector<double> batch_seconds;  // per-batch update latency, in order
-
-  double SamplesPerSecond() const {
-    return wall_seconds > 0.0 ? static_cast<double>(walk_steps) / wall_seconds
-                              : 0.0;
-  }
-  double MeanUpdateSeconds() const;
-  double MaxUpdateSeconds() const;
-  // Latency percentile over the recorded batches (q in [0, 1]).
-  double UpdateSecondsQuantile(double q) const;
-};
-
-ShardedStressReport RunShardedServiceStress(ShardedWalkService& service,
-                                            const graph::UpdateList& updates,
-                                            const ShardedStressOptions& options);
 
 }  // namespace bingo::walk
 

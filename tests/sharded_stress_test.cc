@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/bingo_store.h"
 #include "src/graph/bias.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
@@ -19,6 +20,7 @@
 #include "src/walk/apps.h"
 #include "src/walk/batcher.h"
 #include "src/walk/sharded_service.h"
+#include "src/walk/stress.h"
 
 namespace bingo::walk {
 namespace {
@@ -226,9 +228,8 @@ TEST(ShardedStressTest, ManualModeAppliesNothingBeforeFlush) {
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
 }
 
-// The shared stress harness itself (used by serve-bench and the bench
-// sweep), in batcher mode: every window's updates are applied when the
-// flush returns, and snapshots stay consistent throughout.
+// The stress driver in batcher mode: every window's updates are applied
+// when the flush returns, and snapshots stay consistent throughout.
 TEST(ShardedStressTest, StressHarnessBatcherMode) {
   const auto edges = TestGraph(72);
   const auto service = MakeShardedWalkService(edges, kNumVertices, 4);
@@ -239,22 +240,75 @@ TEST(ShardedStressTest, StressHarnessBatcherMode) {
     updates.push_back(RandomUpdate(rng));
   }
 
-  ShardedStressOptions options;
+  StressOptions options;
   options.query_threads = 3;
   options.batch_size = 500;
   options.walkers_per_query = 128;
   options.walk_length = 8;
   options.use_batcher = true;
-  const auto report = RunShardedServiceStress(*service, updates, options);
+  const auto report = RunServiceStress(*service, updates, options);
 
   EXPECT_EQ(report.inconsistent_snapshots, 0u);
   EXPECT_EQ(report.batches, 6u);
-  EXPECT_EQ(report.batch_seconds.size(), 6u);
   EXPECT_GT(report.walk_steps, 0u);
-  EXPECT_GE(report.UpdateSecondsQuantile(0.99),
-            report.UpdateSecondsQuantile(0.50));
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
   EXPECT_EQ(service->Stats().updates_applied, updates.size());
+}
+
+// Logical-clock ticks on a decaying pipeline while query threads hold
+// composite snapshots, with direct multi-shard batches. Each tick is
+// broadcast to every shard and re-buckets all of its biases; snapshots stay
+// consistent, and the end state walks like one bare store that applied the
+// same batches.
+TEST(ShardedStressTest, DecayTicksUnderLiveQueriesStayConsistent) {
+  constexpr int kShards = 4;
+  constexpr uint64_t kWindows = 8;
+  const auto edges = TestGraph(75);
+  core::BingoConfig config;
+  config.pipeline.decay = 0.9;
+  const auto service =
+      MakeShardedWalkService(edges, kNumVertices, kShards, config);
+
+  StressOptions options;
+  options.query_threads = 4;
+  options.batch_size = 500;
+  options.walkers_per_query = 128;
+  options.walk_length = 8;
+  // Every odd window opens with a tick to the next epoch.
+  util::Rng rng(10);
+  graph::UpdateList updates;
+  uint32_t epoch = 0;
+  for (uint64_t w = 0; w < kWindows; ++w) {
+    for (uint64_t i = 0; i < options.batch_size; ++i) {
+      updates.push_back(w % 2 == 1 && i == 0 ? graph::MakeAdvanceTime(++epoch)
+                                             : RandomUpdate(rng));
+    }
+  }
+  const auto report = RunServiceStress(*service, updates, options);
+
+  EXPECT_EQ(report.inconsistent_snapshots, 0u);
+  EXPECT_EQ(report.batches, kWindows);
+  EXPECT_GE(report.queries, static_cast<uint64_t>(options.query_threads));
+  EXPECT_LE(report.max_epoch_observed, kWindows * kShards);
+  EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+
+  core::BingoStore reference(
+      graph::DynamicGraph::FromEdges(kNumVertices, edges), config);
+  for (std::size_t begin = 0; begin < updates.size();
+       begin += options.batch_size) {
+    reference.ApplyBatch(graph::UpdateList(
+        updates.begin() + begin, updates.begin() + begin + options.batch_size));
+  }
+  EXPECT_EQ(reference.LogicalEpoch(), epoch);
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(service->Shard(s).Query([](const core::BingoStore& store) {
+      return store.LogicalEpoch();
+    }), epoch);
+  }
+  WalkConfig cfg;
+  cfg.walk_length = 10;
+  cfg.record_paths = true;
+  EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // WalkService: snapshot isolation, epoch publication, reclamation of
 // superseded versions, the in-place path for batches no snapshot reads,
 // and concurrent queries racing batched updates (the
-// CI sanitizer jobs run this under ASan/UBSan and TSan; the stress path is
-// the data-race canary).
+// CI sanitizer jobs run this under ASan/UBSan and TSan; the stress path,
+// with and without decay ticks, is the data-race canary).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "src/util/thread_pool.h"
 #include "src/walk/apps.h"
 #include "src/walk/service.h"
+#include "src/walk/stress.h"
 
 namespace bingo::walk {
 namespace {
@@ -407,35 +408,45 @@ TEST(WalkServiceTest, AcquireDuringInPlaceApplySeesBatchBoundaries) {
 
 // ------------------------------------------------------- concurrency --
 
-TEST(WalkServiceTest, ConcurrentQueriesDuringUpdatesStayConsistent) {
-  const auto edges = TestGraph(64);
-  util::ThreadPool pool(2);
-  const auto service = MakeWalkService(edges, kNumVertices, {}, &pool, nullptr);
+constexpr std::size_t kStressWindow = 500;
 
-  const auto updates = MixedUpdates(31, 4000);
-  ServiceStressOptions options;
+// Streams `updates` in windows of kStressWindow through the stress driver
+// while 4 query threads walk snapshots, then checks the protocol and the
+// end state: no snapshot saw a freed version, invariants hold, and the
+// service walks bit-identically to a bare store that applied the same
+// batches (a batch reorders insert-before-delete per vertex, so the
+// boundaries are semantically significant). Returns the final service.
+std::unique_ptr<WalkService> StressAndCompareWithReplay(
+    uint64_t graph_seed, core::BingoConfig config,
+    const graph::UpdateList& updates) {
+  const auto edges = TestGraph(graph_seed);
+  util::ThreadPool pool(2);
+  auto service = MakeWalkService(edges, kNumVertices, config, &pool, nullptr);
+
+  StressOptions options;
   options.query_threads = 4;
-  options.batch_size = 500;
+  options.batch_size = kStressWindow;
   options.walkers_per_query = 128;
   options.walk_length = 8;
-  const auto report = RunWalkServiceStress(*service, updates, options);
+  const auto report = RunServiceStress(*service, updates, options);
 
+  const uint64_t batches = (updates.size() + kStressWindow - 1) / kStressWindow;
   EXPECT_EQ(report.inconsistent_snapshots, 0u);
-  EXPECT_EQ(report.batches, 8u);
+  EXPECT_EQ(report.batches, batches);
   EXPECT_GE(report.queries, static_cast<uint64_t>(options.query_threads));
   EXPECT_GT(report.walk_steps, 0u);
-  EXPECT_LE(report.max_epoch_observed, 8u);
-  EXPECT_EQ(service->Epoch(), 8u);
+  EXPECT_LE(report.max_epoch_observed, batches);
+  EXPECT_EQ(service->Epoch(), batches);
   EXPECT_TRUE(service->CheckInvariants().empty()) << service->CheckInvariants();
+  const auto stats = service->Stats();
+  EXPECT_EQ(stats.batches_applied, batches);
+  EXPECT_EQ(stats.updates_applied, updates.size());
+  EXPECT_GE(stats.queries_served, report.queries);
 
-  // Deterministic end state: same as replaying the stream on a plain store
-  // with the same batch boundaries (a batch reorders insert-before-delete
-  // per vertex, so boundaries are semantically significant).
-  BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges));
-  for (std::size_t begin = 0; begin < updates.size();
-       begin += options.batch_size) {
-    const std::size_t end = std::min<std::size_t>(updates.size(),
-                                                  begin + options.batch_size);
+  BingoStore reference(graph::DynamicGraph::FromEdges(kNumVertices, edges),
+                       config);
+  for (std::size_t begin = 0; begin < updates.size(); begin += kStressWindow) {
+    const std::size_t end = std::min(updates.size(), begin + kStressWindow);
     reference.ApplyBatch(
         graph::UpdateList(updates.begin() + begin, updates.begin() + end));
   }
@@ -443,11 +454,28 @@ TEST(WalkServiceTest, ConcurrentQueriesDuringUpdatesStayConsistent) {
   cfg.walk_length = 10;
   cfg.record_paths = true;
   EXPECT_EQ(service->DeepWalk(cfg).paths, RunDeepWalk(reference, cfg).paths);
+  return service;
+}
 
-  const auto stats = service->Stats();
-  EXPECT_EQ(stats.batches_applied, 8u);
-  EXPECT_EQ(stats.updates_applied, updates.size());
-  EXPECT_GE(stats.queries_served, report.queries);
+TEST(WalkServiceTest, ConcurrentQueriesDuringUpdatesStayConsistent) {
+  StressAndCompareWithReplay(64, {}, MixedUpdates(31, 4000));
+}
+
+// Logical-clock ticks on a decaying pipeline while query threads hold
+// snapshots. A tick re-buckets every stored bias, so under a live snapshot
+// it copies every vertex.
+TEST(WalkServiceTest, DecayTicksUnderLiveQueriesStayConsistent) {
+  // Every odd window opens with a tick to the next epoch.
+  auto updates = MixedUpdates(32, 8 * kStressWindow);
+  uint32_t epoch = 0;
+  for (std::size_t w = 1; w < 8; w += 2) {
+    updates[w * kStressWindow] = graph::MakeAdvanceTime(++epoch);
+  }
+  core::BingoConfig config;
+  config.pipeline.decay = 0.9;
+  const auto service = StressAndCompareWithReplay(65, config, updates);
+  EXPECT_EQ(service->Query([](const BingoStore& s) { return s.LogicalEpoch(); }),
+            epoch);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Subcommands:
 //   generate    --scale N --edges M [--bias degree|uniform|gauss|powerlaw]
 //               [--undirected] --out FILE[.bin]
-//       Generate an R-MAT weighted edge list and save it.
+//       Generate an R-MAT weighted edge list over 2^N vertices (N in
+//       [1, 31]) and save it.
 //
 //   walk        --graph FILE
 //               --app deepwalk|node2vec|ppr|simple|metapath|temporal
@@ -36,43 +37,6 @@
 //       Load a graph and print structural + store statistics (degrees,
 //       group-kind census, memory breakdown).
 //
-//   serve-bench --graph FILE [--store bingo|sharded] [--shards S]
-//               [--batcher] [--threads N] [--batches B] [--batch-size K]
-//               [--walkers W] [--length L] [--seed S]
-//               [--kind mixed|insert|delete] [--pin] [--numa] [--json]
-//               [--wal DIR] [--fsync] [--compact-fraction F]
-//               [--open-loop --qps Q --duration S
-//                --front batched|direct|index]
-//       Drive the concurrent serving front-end: N query threads issue walk
-//       queries against snapshot epochs while one writer streams B update
-//       batches. Reports samples/sec, update latency, and snapshot
-//       consistency. The engine/update executor is shaped by --pin
-//       (CPU-affinity pinning) and --numa (interleave workers across NUMA
-//       nodes); --json appends one machine-readable JSON line with
-//       {throughput, p50, p99, recovery_ms, ...} for the perf-trajectory
-//       tooling. --store sharded uses one copy-on-write store per shard
-//       (ShardedWalkService) and reports p50/p99 per-batch update latency;
-//       --batcher routes updates one edge at a time through the coalescing
-//       UpdateBatcher instead of pre-formed batches. --walkers is walkers
-//       *per query* (0 = 1024), unlike walk where 0 means one per vertex.
-//       --wal DIR (sharded only) attaches WAL-backed durability: every
-//       batch is journaled before it applies, a final incremental
-//       checkpoint runs after the stream, and the tool then recovers a
-//       second service from DIR and reports the recovery time.
-//       --open-loop switches serve-bench to an open-loop load generator:
-//       N client threads issue DeepWalk queries with Poisson arrivals at a
-//       combined offered rate of --qps for --duration seconds, and each
-//       query's latency is measured from its SCHEDULED arrival time
-//       (coordinated-omission-free), recorded into an HDR-style histogram.
-//       --front batched routes queries through the coalescing QueryBatcher
-//       (fused walk passes, one snapshot per dispatch); --front direct
-//       issues one service query per request; --front index mounts a
-//       WalkIndexService and serves each query as a corpus read (no
-//       sampling on the query path — the always-fresh walk index). Same
-//       seeds => identical walk results for batched vs direct; the JSON
-//       line reports offered vs achieved QPS and p50/p90/p99/p999 for the
-//       QPS-vs-tail-latency trajectory.
-//
 //   build-csr   --graph FILE --out FILE.csr [--block-bytes N[K|M|G]]
 //       Write the graph as the immutable block-structured CSR container
 //       (graph/csr_mmap.h) the out-of-core walk tier mmaps from. Edges are
@@ -88,15 +52,6 @@
 //       evictions, peak resident bytes, and process peak RSS; walk output
 //       is bit-identical across budgets and thread counts.
 //
-//   serve-bench --store ooc --wal DIR [--memory-budget N[K|M|G]] ...
-//       Runs the standard serve-bench stress on an in-memory service with
-//       WAL durability into DIR, checkpoints, tears it down, then recovers
-//       an OUT-OF-CORE service from DIR: the base snapshot is streamed
-//       record by record into DIR/base.csr (never materialized) and one
-//       tiered store mounts it under the budget. Reports streamed
-//       recovery time, verifies queries + further updates on the recovered
-//       service, and emits recovery_ms/peak_rss_bytes in --json.
-//
 //   checkpoint  --graph FILE --dir DIR [--shards S] [--fsync]
 //               [--compact-fraction F]
 //       Build a sharded service over the graph and write its durable base
@@ -111,27 +66,19 @@
 //   bingo_cli generate --scale 16 --edges 1000000 --out g.bin
 //   bingo_cli walk --graph g.bin --app deepwalk --length 80
 //   bingo_cli walk --graph g.bin --app ppr --store partitioned --shards 4
-//   bingo_cli serve-bench --graph g.bin --threads 8 --batches 20
 //   bingo_cli stats --graph g.bin
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
 #include "src/bingo.h"
-#include "src/util/cpu_features.h"
-#include "src/util/histogram.h"
 
 namespace {
 
@@ -145,41 +92,30 @@ struct Args {
   std::string bias = "degree";
   std::string store = "bingo";
   std::string driver = "engine";
-  std::string kind = "mixed";
   int scale = 14;
   int shards = 4;
   int threads = 4;
   bool threads_set = false;  // `walk` defaults to hardware concurrency
-  int batches = 10;
   uint64_t edges = 200000;
-  uint64_t batch_size = 10000;
   uint32_t length = 80;
   uint64_t walkers = 0;
   double p = 0.5;
   double q = 2.0;
   uint64_t seed = 42;
   bool undirected = false;
-  bool batcher = false;
   bool pin = false;    // pin executor workers to planned CPUs
   bool numa = false;   // interleave executor workers across NUMA nodes
-  bool json = false;   // serve-bench: append a machine-readable JSON line
   std::string paths_out;
   std::string dir;       // checkpoint/restore durability directory
-  std::string wal_dir;   // serve-bench --wal
   bool fsync = false;
   double compact_fraction = 0.5;
-  bool open_loop = false;        // serve-bench: open-loop load generator
-  double qps = 200.0;            // combined offered arrival rate
-  double duration = 5.0;         // seconds of offered load
-  std::string front = "batched"; // batched (QueryBatcher) | direct
-  // Bias-pipeline knobs (walk --app temporal/metapath, serve-bench decay).
+  // Bias-pipeline knobs (walk --app temporal/metapath).
   double decay = 1.0;            // per-epoch temporal decay (1.0 = off)
   uint32_t horizon = 0;          // decay age cap in epochs (0 = unbounded)
   uint32_t epoch = 0;            // walk: advance the logical clock to E
   uint32_t types = 2;            // metapath: vertex type count (v mod T)
   std::string metapath = "0,1";  // metapath: cyclic type pattern
-  int advance_every = 0;         // serve-bench: AdvanceTime every K batches
-  // Out-of-core knobs (build-csr, walk --store ooc, serve-bench --store ooc).
+  // Out-of-core knobs (build-csr, walk --store ooc).
   std::string csr_path;            // walk --store ooc: the CSR container
   uint64_t memory_budget = 0;      // block-cache budget in bytes (0 = all)
   uint64_t block_bytes = graph::kDefaultCsrBlockBytes;  // build-csr target
@@ -212,7 +148,7 @@ bool ParseByteSize(const char* text, uint64_t* out) {
   return true;
 }
 
-// The pipeline-bearing store config the walk/serve flags describe.
+// The pipeline-bearing store config the walk flags describe.
 core::BingoConfig PipelineConfig(const Args& args) {
   core::BingoConfig config;
   config.pipeline.decay = args.decay;
@@ -253,7 +189,7 @@ void PrintUsage() {
       "usage: bingo_cli <command> [flags]\n"
       "\n"
       "commands:\n"
-      "  generate    --scale N --edges M --out FILE[.bin]\n"
+      "  generate    --scale N --edges M --out FILE[.bin]   (N in [1, 31])\n"
       "              [--bias degree|uniform|gauss|powerlaw] [--undirected]\n"
       "  walk        --graph FILE\n"
       "              [--app deepwalk|node2vec|ppr|simple|metapath|temporal]\n"
@@ -284,28 +220,6 @@ void PrintUsage() {
       "               park per block and the block with most parked walkers\n"
       "               loads next; 0 = unconstrained. Output is bit-identical\n"
       "               at every budget/thread count)\n"
-      "  serve-bench --graph FILE [--store bingo|sharded|ooc] [--shards S]\n"
-      "              [--batcher] [--threads N] [--batches B]\n"
-      "              [--batch-size K] [--walkers W] [--length L] [--seed S]\n"
-      "              [--kind mixed|insert|delete] [--pin] [--numa] [--json]\n"
-      "              [--wal DIR] [--fsync] [--compact-fraction F]\n"
-      "              [--decay D] [--horizon H] [--advance-every K]\n"
-      "              [--open-loop --qps Q --duration S\n"
-      "               --front batched|direct|index]\n"
-      "              (--walkers = walkers per query, 0 = 1024; unlike walk,\n"
-      "               where 0 = one walker per vertex; --wal journals every\n"
-      "               batch and reports recovery time afterwards;\n"
-      "               --open-loop issues Poisson arrivals at Q queries/sec\n"
-      "               and reports coordinated-omission-free p50/p99/p999,\n"
-      "               through the QueryBatcher, one query per request, or\n"
-      "               corpus reads from the always-fresh walk index;\n"
-      "               --advance-every K interleaves an AdvanceTime tick\n"
-      "               into the stream every K batches — with --decay D the\n"
-      "               tick re-buckets every stored bias under live queries;\n"
-      "               --store ooc requires --wal DIR: after the stress +\n"
-      "               checkpoint it recovers an out-of-core service from\n"
-      "               DIR by STREAMING the base into DIR/base.csr and\n"
-      "               reports the streamed recovery time + peak RSS)\n"
       "  checkpoint  --graph FILE --dir DIR [--shards S] [--fsync]\n"
       "              [--compact-fraction F]\n"
       "  restore     --dir DIR [--out FILE.bin]\n"
@@ -321,9 +235,9 @@ bool Parse(int argc, char** argv, Args& args) {
   bool missing_value = false;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    // Every flag except the booleans (--undirected, --batcher, --pin,
-    // --numa, --json, --fsync, --open-loop) takes a value; the next token
-    // must exist and not itself be a flag.
+    // Every flag except the booleans (--undirected, --pin, --numa,
+    // --fsync) takes a value; the next token must exist and not itself be
+    // a flag.
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
         missing_value = true;
@@ -343,8 +257,6 @@ bool Parse(int argc, char** argv, Args& args) {
       args.store = next();
     } else if (flag == "--driver") {
       args.driver = next();
-    } else if (flag == "--kind") {
-      args.kind = next();
     } else if (flag == "--scale") {
       args.scale = std::atoi(next());
     } else if (flag == "--shards") {
@@ -352,10 +264,6 @@ bool Parse(int argc, char** argv, Args& args) {
     } else if (flag == "--threads") {
       args.threads = std::atoi(next());
       args.threads_set = true;
-    } else if (flag == "--batches") {
-      args.batches = std::atoi(next());
-    } else if (flag == "--batch-size") {
-      args.batch_size = std::atoll(next());
     } else if (flag == "--edges") {
       args.edges = std::atoll(next());
     } else if (flag == "--length") {
@@ -383,40 +291,16 @@ bool Parse(int argc, char** argv, Args& args) {
       args.seed = std::atoll(next());
     } else if (flag == "--undirected") {
       args.undirected = true;
-    } else if (flag == "--batcher") {
-      args.batcher = true;
     } else if (flag == "--pin") {
       args.pin = true;
     } else if (flag == "--numa") {
       args.numa = true;
-    } else if (flag == "--json") {
-      args.json = true;
     } else if (flag == "--fsync") {
       args.fsync = true;
     } else if (flag == "--paths") {
       args.paths_out = next();
     } else if (flag == "--dir") {
       args.dir = next();
-    } else if (flag == "--wal") {
-      args.wal_dir = next();
-    } else if (flag == "--open-loop") {
-      args.open_loop = true;
-    } else if (flag == "--qps") {
-      const double value = std::atof(next());
-      if (!missing_value && !(value > 0.0)) {
-        std::fprintf(stderr, "--qps must be > 0\n");
-        return false;
-      }
-      args.qps = value;
-    } else if (flag == "--duration") {
-      const double value = std::atof(next());
-      if (!missing_value && !(value > 0.0)) {
-        std::fprintf(stderr, "--duration must be > 0\n");
-        return false;
-      }
-      args.duration = value;
-    } else if (flag == "--front") {
-      args.front = next();
     } else if (flag == "--decay") {
       const double value = std::atof(next());
       if (!missing_value && !(value > 0.0 && value <= 1.0)) {
@@ -437,13 +321,6 @@ bool Parse(int argc, char** argv, Args& args) {
       args.types = static_cast<uint32_t>(value);
     } else if (flag == "--metapath") {
       args.metapath = next();
-    } else if (flag == "--advance-every") {
-      const int value = std::atoi(next());
-      if (!missing_value && value < 0) {
-        std::fprintf(stderr, "--advance-every must be >= 0\n");
-        return false;
-      }
-      args.advance_every = value;
     } else if (flag == "--csr") {
       args.csr_path = next();
     } else if (flag == "--spill-dir") {
@@ -510,8 +387,12 @@ int Generate(const Args& args) {
     std::fprintf(stderr, "generate: --out is required\n");
     return 2;
   }
-  if (!ValidatePositive("--scale", args.scale) ||
-      !ValidatePositive("--edges", static_cast<long long>(args.edges))) {
+  // 2^scale vertices must fit the 32-bit VertexId.
+  if (args.scale < 1 || args.scale > 31) {
+    std::fprintf(stderr, "--scale must be in [1, 31] (got %d)\n", args.scale);
+    return 2;
+  }
+  if (!ValidatePositive("--edges", static_cast<long long>(args.edges))) {
     return 2;
   }
   util::Rng rng(args.seed);
@@ -1075,674 +956,6 @@ int Restore(const Args& args) {
   return invariants.empty() ? 0 : 1;
 }
 
-// How the service applied its batches: in place (no snapshot alive) or
-// over copies of the touched vertices (walk/service.h).
-void PrintBatchPaths(uint64_t applied, uint64_t copied) {
-  std::printf("batch paths:      %llu in place, %llu copied (%.1f%% copied)\n",
-              static_cast<unsigned long long>(applied - copied),
-              static_cast<unsigned long long>(copied),
-              applied > 0 ? 100.0 * static_cast<double>(copied) /
-                                static_cast<double>(applied)
-                          : 0.0);
-}
-
-// One machine-readable line for the perf-trajectory tooling (BENCH_*.json):
-// printed last so scripts can take the final '{'-prefixed stdout line.
-void PrintServeJson(const Args& args, double samples_per_sec,
-                    double queries_per_sec, double p50_ms, double p99_ms,
-                    double mean_ms, double max_ms, uint64_t batches,
-                    double recovery_ms, uint64_t violations) {
-  std::printf(
-      "{\"bench\":\"serve-bench\",\"store\":\"%s\",\"shards\":%d,"
-      "\"query_threads\":%d,\"pin\":%s,\"numa\":%s,"
-      "\"throughput_samples_per_sec\":%.1f,\"queries_per_sec\":%.2f,"
-      "\"update_p50_ms\":%.4f,\"update_p99_ms\":%.4f,"
-      "\"update_mean_ms\":%.4f,\"update_max_ms\":%.4f,\"batches\":%llu,"
-      "\"recovery_ms\":%.2f,\"consistency_violations\":%llu,"
-      "\"peak_rss_bytes\":%llu}\n",
-      args.store.c_str(), args.store == "sharded" ? args.shards : 1,
-      args.threads, args.pin ? "true" : "false", args.numa ? "true" : "false",
-      samples_per_sec, queries_per_sec, p50_ms, p99_ms, mean_ms, max_ms,
-      static_cast<unsigned long long>(batches), recovery_ms,
-      static_cast<unsigned long long>(violations),
-      static_cast<unsigned long long>(util::PeakRssBytes()));
-}
-
-// The sharded serving path: one copy-on-write store per shard, optional
-// coalescing batcher front-end, p50/p99 per-batch update latency.
-int ServeBenchSharded(const Args& args, const graph::VertexId n,
-                      const graph::UpdateWorkload& workload,
-                      util::ThreadPool* pool) {
-  util::Timer build_timer;
-  auto service = walk::MakeShardedWalkService(
-      workload.initial_edges, n, args.shards, PipelineConfig(args), pool, pool);
-  std::printf(
-      "serve-bench[sharded]: %u vertices, %zu initial edges, %d shard "
-      "stores built in %.2fs (%.1f MiB)\n",
-      n, workload.initial_edges.size(), args.shards, build_timer.Seconds(),
-      service->MemoryStats().TotalBytes() / 1024.0 / 1024.0);
-  std::printf(
-      "%d query threads vs 1 update thread, %d x %llu %s updates (%s)\n",
-      args.threads, args.batches,
-      static_cast<unsigned long long>(args.batch_size), args.kind.c_str(),
-      args.batcher ? "single-edge submits through the batcher"
-                   : "direct multi-shard batches");
-
-  walk::WalPersistenceOptions persist;
-  persist.fsync_on_commit = args.fsync;
-  persist.compact_fraction = args.compact_fraction;
-  if (!args.wal_dir.empty()) {
-    util::Timer attach_timer;
-    const walk::CheckpointResult base = service->AttachWal(args.wal_dir, persist);
-    if (!base.ok) {
-      std::fprintf(stderr, "failed to attach WAL at %s\n",
-                   args.wal_dir.c_str());
-      return 1;
-    }
-    std::printf("wal attached:     %s (base %.1f MiB in %.2fs, fsync %s)\n",
-                args.wal_dir.c_str(), base.bytes_written / 1024.0 / 1024.0,
-                attach_timer.Seconds(), args.fsync ? "per-batch" : "deferred");
-  }
-
-  walk::ShardedStressOptions options;
-  options.query_threads = args.threads;
-  options.batch_size = args.batch_size;
-  options.walkers_per_query = args.walkers == 0 ? 1024 : args.walkers;
-  options.walk_length = args.length;
-  options.seed = args.seed;
-  options.use_batcher = args.batcher;
-  const auto report =
-      walk::RunShardedServiceStress(*service, workload.updates, options);
-
-  std::printf("\nqueries:          %llu (%.1f/s)\n",
-              static_cast<unsigned long long>(report.queries),
-              report.queries / report.wall_seconds);
-  std::printf("samples served:   %llu (%.2fM samples/s)\n",
-              static_cast<unsigned long long>(report.walk_steps),
-              report.SamplesPerSecond() / 1e6);
-  std::printf(
-      "update latency:   p50 %.2fms, p99 %.2fms, mean %.2fms, max %.2fms "
-      "(%llu batches)\n",
-      report.UpdateSecondsQuantile(0.50) * 1e3,
-      report.UpdateSecondsQuantile(0.99) * 1e3,
-      report.MeanUpdateSeconds() * 1e3, report.MaxUpdateSeconds() * 1e3,
-      static_cast<unsigned long long>(report.batches));
-  const auto stats = service->Stats();
-  std::printf("shard epochs:     sum %llu, min %llu, max %llu (%d shards)\n",
-              static_cast<unsigned long long>(stats.epoch),
-              static_cast<unsigned long long>(stats.min_shard_epoch),
-              static_cast<unsigned long long>(stats.max_shard_epoch),
-              stats.num_shards);
-  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
-  std::printf("consistency:      %llu violations\n",
-              static_cast<unsigned long long>(report.inconsistent_snapshots));
-  const std::string invariants = service->CheckInvariants();
-  std::printf("invariants:       %s\n",
-              invariants.empty() ? "ok" : invariants.c_str());
-
-  double recovery_ms = 0.0;
-  if (!args.wal_dir.empty()) {
-    // Seal the stream with an incremental checkpoint, then measure a full
-    // recovery from disk — the crash-restart cost a deployment would pay.
-    util::Timer ckpt_timer;
-    const walk::CheckpointResult ckpt = service->Checkpoint();
-    std::printf("final checkpoint: %s, %.2f MiB in %.3fs (%s)\n",
-                ckpt.ok ? "ok" : "FAILED",
-                ckpt.bytes_written / 1024.0 / 1024.0, ckpt_timer.Seconds(),
-                ckpt.compacted ? "compacted" : "incremental");
-    walk::RecoveryReport recovery;
-    util::Timer recover_timer;
-    // Recovery must present the same config: the snapshot fingerprint now
-    // covers the bias pipeline, so a mismatched decay would (correctly)
-    // refuse to load.
-    auto recovered = walk::RecoverShardedWalkService(
-        args.wal_dir, PipelineConfig(args), 0, pool, pool, persist, &recovery);
-    recovery_ms = recover_timer.Seconds() * 1e3;
-    if (recovered == nullptr) {
-      std::fprintf(stderr, "recovery from %s failed\n", args.wal_dir.c_str());
-      return 1;
-    }
-    std::printf(
-        "recovery:         %.2fs (%llu base edges + %llu wal records / %llu "
-        "updates replayed)\n",
-        recovery_ms / 1e3,
-        static_cast<unsigned long long>(recovery.base_edges),
-        static_cast<unsigned long long>(recovery.wal_records_replayed),
-        static_cast<unsigned long long>(recovery.wal_updates_replayed));
-    const std::string recovered_invariants = recovered->CheckInvariants();
-    std::printf("recovered state:  %s\n", recovered_invariants.empty()
-                                              ? "ok"
-                                              : recovered_invariants.c_str());
-    if (!ckpt.ok || !recovered_invariants.empty()) {
-      return 1;
-    }
-  }
-  if (args.json) {
-    PrintServeJson(args, report.SamplesPerSecond(),
-                   report.queries / report.wall_seconds,
-                   report.UpdateSecondsQuantile(0.50) * 1e3,
-                   report.UpdateSecondsQuantile(0.99) * 1e3,
-                   report.MeanUpdateSeconds() * 1e3,
-                   report.MaxUpdateSeconds() * 1e3, report.batches,
-                   recovery_ms, report.inconsistent_snapshots);
-  }
-  return report.inconsistent_snapshots == 0 && invariants.empty() ? 0 : 1;
-}
-
-// --------------------------------------------------- open-loop serving --
-
-// One client thread's slice of the open-loop run. Arrivals are an
-// independent Poisson process at rate qps/threads (their superposition is
-// Poisson at the full offered rate); latency is measured from the
-// SCHEDULED arrival, so queuing delay from an overloaded service is part
-// of the number rather than silently omitted.
-struct OpenLoopThreadResult {
-  util::LatencyHistogram latency;
-  uint64_t queries = 0;
-};
-
-// `issue` submits one query and returns a std::future<walk::WalkResult>;
-// the client never blocks on a result while arrivals are due, which is
-// what makes the loop open rather than closed.
-template <typename IssueFn>
-OpenLoopThreadResult OpenLoopClient(const Args& args, int thread,
-                                    std::chrono::steady_clock::time_point t0,
-                                    IssueFn&& issue) {
-  using Clock = std::chrono::steady_clock;
-  const auto to_duration = [](double seconds) {
-    return std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(seconds));
-  };
-  OpenLoopThreadResult result;
-  util::Rng arrivals = util::Rng::ForStream(args.seed ^ 0x6f70656e6c6f6fULL,
-                                            static_cast<uint64_t>(thread));
-  const double rate = args.qps / std::max(args.threads, 1);
-  const auto next_delay = [&] {
-    return -std::log(1.0 - arrivals.NextUnit()) / rate;
-  };
-  double next_arrival_s = next_delay();
-  uint64_t issued = 0;
-  std::deque<std::pair<Clock::time_point, std::future<walk::WalkResult>>>
-      pending;
-  while (next_arrival_s < args.duration || !pending.empty()) {
-    const auto next_arrival = t0 + to_duration(next_arrival_s);
-    if (next_arrival_s < args.duration && Clock::now() >= next_arrival) {
-      walk::WalkConfig cfg;
-      cfg.num_walkers = args.walkers == 0 ? 1024 : args.walkers;
-      cfg.walk_length = args.length;
-      cfg.seed = args.seed + static_cast<uint64_t>(thread) * 1'000'003 + issued;
-      pending.emplace_back(next_arrival, issue(cfg));
-      ++issued;
-      next_arrival_s += next_delay();
-      continue;
-    }
-    if (pending.empty()) {
-      std::this_thread::sleep_until(next_arrival);
-      continue;
-    }
-    // Drain the oldest in-flight query while waiting out the gap; wake in
-    // time for the next arrival so submission never falls behind on our
-    // account.
-    const auto wake = next_arrival_s < args.duration
-                          ? next_arrival
-                          : Clock::now() + to_duration(0.010);
-    if (pending.front().second.wait_until(wake) == std::future_status::ready) {
-      pending.front().second.get();
-      result.latency.RecordSeconds(std::chrono::duration<double>(
-                                       Clock::now() - pending.front().first)
-                                       .count());
-      pending.pop_front();
-    }
-  }
-  result.queries = issued;
-  return result;
-}
-
-template <typename Service>
-int RunOpenLoopBench(const Args& args, Service& service,
-                     util::ThreadPool* pool) {
-  const bool batched = args.front == "batched";
-  const bool index_front = args.front == "index";
-  std::optional<walk::QueryBatcherT<Service>> batcher;
-  if (batched) {
-    batcher.emplace(service, walk::QueryBatcherOptions{}, pool);
-  }
-  std::optional<walk::WalkIndexServiceT<Service>> index;
-  if (index_front) {
-    typename walk::WalkIndexServiceT<Service>::Options index_options;
-    index_options.corpus.walk_length = args.length;
-    index_options.corpus.seed = args.seed;
-    index.emplace(service, index_options, pool);
-    const walk::WalkIndexStats istats = index->Stats();
-    std::printf("index front: corpus %llu walks x %u steps generated in "
-                "%.2fs (%.1f MiB)\n",
-                static_cast<unsigned long long>(istats.corpus_walks),
-                args.length, istats.generate_seconds,
-                static_cast<double>(istats.corpus_memory_bytes) / (1u << 20));
-  }
-  std::printf(
-      "open-loop: %d clients, %.0f qps offered for %.1fs, front %s, "
-      "%llu walkers x %u steps per query, simd %s\n",
-      args.threads, args.qps, args.duration, args.front.c_str(),
-      static_cast<unsigned long long>(args.walkers == 0 ? 1024 : args.walkers),
-      args.length, util::ToString(util::ActiveSimdLevel()));
-
-  std::vector<OpenLoopThreadResult> slices(args.threads);
-  util::Timer wall;
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(args.threads);
-    for (int t = 0; t < args.threads; ++t) {
-      clients.emplace_back([&, t] {
-        slices[t] = OpenLoopClient(args, t, t0, [&](const walk::WalkConfig& cfg) {
-          if (batched) {
-            walk::WalkQuery query;
-            query.cfg = cfg;
-            return batcher->Submit(query);
-          }
-          std::promise<walk::WalkResult> done;
-          std::future<walk::WalkResult> future = done.get_future();
-          if (index_front) {
-            // Index front-end: the query is a read of stored walks (the
-            // rotating window keeps requests spread over the corpus); no
-            // sampling happens on the query path.
-            done.set_value(index->QueryWalks(cfg.seed, cfg.num_walkers));
-          } else {
-            // Direct front-end: one service query per request, same pool.
-            done.set_value(service.DeepWalk(cfg, pool));
-          }
-          return future;
-        });
-      });
-    }
-    for (auto& c : clients) {
-      c.join();
-    }
-  }
-  const double wall_seconds = wall.Seconds();
-
-  util::LatencyHistogram latency;
-  uint64_t queries = 0;
-  for (const auto& slice : slices) {
-    latency.Merge(slice.latency);
-    queries += slice.queries;
-  }
-  const double achieved = queries / wall_seconds;
-  std::printf("queries:          %llu in %.2fs (offered %.0f/s, achieved "
-              "%.1f/s)\n",
-              static_cast<unsigned long long>(queries), wall_seconds, args.qps,
-              achieved);
-  std::printf(
-      "query latency:    p50 %.2fms, p90 %.2fms, p99 %.2fms, p999 %.2fms\n",
-      latency.QuantileSeconds(0.50) * 1e3, latency.QuantileSeconds(0.90) * 1e3,
-      latency.QuantileSeconds(0.99) * 1e3,
-      latency.QuantileSeconds(0.999) * 1e3);
-  std::printf("                  mean %.2fms, max %.2fms\n",
-              latency.MeanSeconds() * 1e3, latency.MaxSeconds() * 1e3);
-  double coalesce = 0.0;
-  if (batched) {
-    const auto stats = batcher->Stats();
-    coalesce = stats.CoalesceRatio();
-    std::printf(
-        "batcher:          %llu dispatches (%llu size, %llu time), %llu "
-        "fused groups, %.2f queries/dispatch, max batch %llu\n",
-        static_cast<unsigned long long>(stats.dispatches),
-        static_cast<unsigned long long>(stats.size_dispatches),
-        static_cast<unsigned long long>(stats.time_dispatches),
-        static_cast<unsigned long long>(stats.fused_groups), coalesce,
-        static_cast<unsigned long long>(stats.max_batch));
-  }
-  if (args.json) {
-    std::printf(
-        "{\"bench\":\"serve-open-loop\",\"store\":\"%s\",\"shards\":%d,"
-        "\"front\":\"%s\",\"clients\":%d,\"simd\":\"%s\","
-        "\"qps_offered\":%.1f,\"qps_achieved\":%.1f,\"queries\":%llu,"
-        "\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
-        "\"mean_ms\":%.4f,\"max_ms\":%.4f,\"coalesce\":%.2f}\n",
-        args.store.c_str(), args.store == "sharded" ? args.shards : 1,
-        args.front.c_str(), args.threads,
-        util::ToString(util::ActiveSimdLevel()), args.qps, achieved,
-        static_cast<unsigned long long>(queries),
-        latency.QuantileSeconds(0.50) * 1e3, latency.QuantileSeconds(0.90) * 1e3,
-        latency.QuantileSeconds(0.99) * 1e3,
-        latency.QuantileSeconds(0.999) * 1e3, latency.MeanSeconds() * 1e3,
-        latency.MaxSeconds() * 1e3, coalesce);
-  }
-  return 0;
-}
-
-// Open-loop entry: builds the requested service over the full graph (no
-// update stream; this benchmark isolates the read-serving path).
-int ServeOpenLoop(const Args& args) {
-  if (args.front != "batched" && args.front != "direct" &&
-      args.front != "index") {
-    std::fprintf(stderr, "--front must be batched, direct, or index (got %s)\n",
-                 args.front.c_str());
-    return 2;
-  }
-  graph::WeightedEdgeList edges;
-  if (!LoadGraphArg(args, edges)) {
-    return args.graph_path.empty() ? 2 : 1;
-  }
-  const graph::VertexId n = graph::ImpliedVertexCount(edges);
-  util::PoolOptions pool_options;
-  pool_options.pin_threads = args.pin;
-  pool_options.numa_interleave = args.numa;
-  util::ThreadPool serve_pool(pool_options);
-  PrintExecutorBanner(args, serve_pool);
-  util::Timer build_timer;
-  if (args.store == "sharded") {
-    auto service = walk::MakeShardedWalkService(edges, n, args.shards, {},
-                                                &serve_pool, &serve_pool);
-    std::printf("serve-bench[sharded]: %u vertices, %zu edges, %d shards "
-                "built in %.2fs\n",
-                n, edges.size(), args.shards, build_timer.Seconds());
-    return RunOpenLoopBench(args, *service, &serve_pool);
-  }
-  auto service =
-      walk::MakeWalkService(edges, n, {}, &serve_pool, &serve_pool);
-  std::printf("serve-bench: %u vertices, %zu edges built in %.2fs\n", n,
-              edges.size(), build_timer.Seconds());
-  return RunOpenLoopBench(args, *service, &serve_pool);
-}
-
-// serve-bench --store ooc: run the standard stress on an in-memory
-// WAL-journaled service, seal it with a checkpoint, tear it down, then
-// recover OUT OF CORE from the durability dir — the base snapshot streams
-// record by record into DIR/base.csr (core::StreamSnapshotEdges, never a
-// materialized edge list) and one tiered store mounts it under the
-// --memory-budget. The recovered service then serves queries and absorbs
-// further updates (promoting the base vertices they touch).
-int ServeBenchOoc(const Args& args, const graph::VertexId n,
-                  const graph::UpdateWorkload& workload,
-                  util::ThreadPool* pool) {
-  if (args.decay < 1.0) {
-    std::fprintf(stderr,
-                 "--store ooc requires the identity bias pipeline (no "
-                 "--decay): base biases are pre-composed into the CSR\n");
-    return 2;
-  }
-  util::Timer build_timer;
-  auto service = walk::MakeWalkService(workload.initial_edges, n,
-                                       core::BingoConfig{}, pool, pool);
-  std::printf(
-      "serve-bench[ooc]: %u vertices, %zu initial edges, store built in "
-      "%.2fs\n",
-      n, workload.initial_edges.size(), build_timer.Seconds());
-
-  walk::WalPersistenceOptions persist;
-  persist.fsync_on_commit = args.fsync;
-  persist.compact_fraction = args.compact_fraction;
-  util::Timer attach_timer;
-  const walk::CheckpointResult base = service->AttachWal(args.wal_dir, persist);
-  if (!base.ok) {
-    std::fprintf(stderr, "failed to attach WAL at %s\n", args.wal_dir.c_str());
-    return 1;
-  }
-  std::printf("wal attached:     %s (base %.1f MiB in %.2fs)\n",
-              args.wal_dir.c_str(), base.bytes_written / 1024.0 / 1024.0,
-              attach_timer.Seconds());
-
-  walk::ServiceStressOptions options;
-  options.query_threads = args.threads;
-  options.batch_size = args.batch_size;
-  options.walkers_per_query = args.walkers == 0 ? 1024 : args.walkers;
-  options.walk_length = args.length;
-  options.seed = args.seed;
-  const auto report =
-      walk::RunWalkServiceStress(*service, workload.updates, options);
-  std::printf("\nqueries:          %llu (%.1f/s)\n",
-              static_cast<unsigned long long>(report.queries),
-              report.queries / report.wall_seconds);
-  std::printf("samples served:   %llu (%.2fM samples/s)\n",
-              static_cast<unsigned long long>(report.walk_steps),
-              report.SamplesPerSecond() / 1e6);
-  const walk::ServiceStats stats = service->Stats();
-  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
-  std::printf("consistency:      %llu violations\n",
-              static_cast<unsigned long long>(report.inconsistent_snapshots));
-
-  // Seal: the WAL-journaled stream becomes the durable state.
-  const walk::CheckpointResult ckpt = service->Checkpoint();
-  std::printf("final checkpoint: %s (%.1f MiB, %s)\n",
-              ckpt.ok ? "ok" : "FAILED",
-              ckpt.bytes_written / 1024.0 / 1024.0,
-              ckpt.compacted ? "compacted" : "incremental");
-  if (!ckpt.ok) {
-    return 1;
-  }
-  service.reset();  // the recovery below must stand alone
-
-  walk::OocServiceOptions ooc_options;
-  ooc_options.store.memory_budget_bytes = args.memory_budget;
-  ooc_options.csr_block_bytes = args.block_bytes;
-  ooc_options.wal = persist;
-  walk::RecoveryReport recovery;
-  std::string error;
-  util::Timer recover_timer;
-  auto ooc = walk::RecoverOocWalkService(args.wal_dir, core::BingoConfig{},
-                                         ooc_options, pool, pool, &recovery,
-                                         &error);
-  const double recovery_ms = recover_timer.Seconds() * 1e3;
-  if (ooc == nullptr) {
-    std::fprintf(stderr, "ooc recovery from %s failed: %s\n",
-                 args.wal_dir.c_str(), error.c_str());
-    return 1;
-  }
-  std::printf(
-      "ooc recovery:     %.2fs streamed (%llu base edges -> base.csr, "
-      "%llu wal records / %llu updates replayed, budget %llu bytes)\n",
-      recovery_ms / 1e3, static_cast<unsigned long long>(recovery.base_edges),
-      static_cast<unsigned long long>(recovery.wal_records_replayed),
-      static_cast<unsigned long long>(recovery.wal_updates_replayed),
-      static_cast<unsigned long long>(args.memory_budget));
-
-  // Verify the recovered service end to end: a walk query and one more
-  // journaled update batch (promoting the base vertices it touches).
-  walk::WalkConfig cfg;
-  cfg.num_walkers = options.walkers_per_query;
-  cfg.walk_length = args.length;
-  cfg.seed = args.seed;
-  const walk::WalkResult walked = ooc->DeepWalk(cfg, pool);
-  graph::UpdateList extra(
-      workload.updates.begin(),
-      workload.updates.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min<std::size_t>(args.batch_size, workload.updates.size())));
-  ooc->ApplyBatch(extra);
-  const auto tiered_stats = ooc->Query([&](const walk::TieredStore& s) {
-    struct {
-      uint64_t promoted;
-      core::BlockCacheStats cache;
-    } out{s.PromotedVertices(), s.CacheStats()};
-    return out;
-  });
-  std::printf(
-      "ooc serving:      %llu walk steps, %llu vertices promoted by "
-      "post-recovery updates, %llu block loads, %.1f MiB resident\n",
-      static_cast<unsigned long long>(walked.total_steps),
-      static_cast<unsigned long long>(tiered_stats.promoted),
-      static_cast<unsigned long long>(tiered_stats.cache.loads),
-      tiered_stats.cache.resident_bytes / 1024.0 / 1024.0);
-  const std::string invariants = ooc->CheckInvariants();
-  std::printf("recovered state:  %s\n",
-              invariants.empty() ? "ok" : invariants.c_str());
-  std::printf("peak rss:         %.1f MiB\n",
-              util::PeakRssBytes() / 1024.0 / 1024.0);
-  if (args.json) {
-    PrintServeJson(args, report.SamplesPerSecond(),
-                   report.queries / report.wall_seconds,
-                   report.UpdateSecondsQuantile(0.50) * 1e3,
-                   report.UpdateSecondsQuantile(0.99) * 1e3,
-                   report.MeanUpdateSeconds() * 1e3,
-                   report.update_seconds_max * 1e3, report.batches,
-                   recovery_ms, report.inconsistent_snapshots);
-  }
-  return report.inconsistent_snapshots == 0 && invariants.empty() ? 0 : 1;
-}
-
-int ServeBench(const Args& args) {
-  if (args.store != "bingo" && args.store != "sharded" &&
-      args.store != "ooc") {
-    std::fprintf(
-        stderr,
-        "serve-bench supports --store bingo, sharded, or ooc (got %s)\n",
-        args.store.c_str());
-    return 2;
-  }
-  if (args.store == "sharded" &&
-      !ValidatePositive("--shards", args.shards)) {
-    return 2;
-  }
-  if (args.batcher && args.store != "sharded") {
-    std::fprintf(stderr, "--batcher requires --store sharded\n");
-    return 2;
-  }
-  if (!args.wal_dir.empty() && args.store == "bingo") {
-    std::fprintf(stderr, "--wal requires --store sharded or ooc\n");
-    return 2;
-  }
-  if (args.store == "ooc" && args.wal_dir.empty()) {
-    std::fprintf(stderr,
-                 "--store ooc needs --wal DIR (the durability directory the "
-                 "out-of-core recovery streams from)\n");
-    return 2;
-  }
-  if (args.store == "ooc" && args.open_loop) {
-    std::fprintf(stderr, "--open-loop does not support --store ooc\n");
-    return 2;
-  }
-  if (args.app != "deepwalk") {
-    std::fprintf(stderr,
-                 "serve-bench queries are deepwalk only (got --app %s)\n",
-                 args.app.c_str());
-    return 2;
-  }
-  if (!ValidatePositive("--threads", args.threads) ||
-      !ValidatePositive("--batches", args.batches) ||
-      !ValidatePositive("--batch-size",
-                        static_cast<long long>(args.batch_size))) {
-    return 2;  // fail fast, before paying for the graph load
-  }
-  if (args.open_loop) {
-    return ServeOpenLoop(args);
-  }
-  graph::UpdateWorkloadParams params;
-  params.batch_size = args.batch_size;
-  params.num_batches = args.batches;
-  if (args.kind == "insert") {
-    params.kind = graph::UpdateKind::kInsertion;
-  } else if (args.kind == "delete") {
-    params.kind = graph::UpdateKind::kDeletion;
-  } else if (args.kind == "mixed") {
-    params.kind = graph::UpdateKind::kMixed;
-  } else {
-    std::fprintf(stderr, "unknown update kind: %s\n", args.kind.c_str());
-    return 2;
-  }
-  graph::WeightedEdgeList all_edges;
-  if (!LoadGraphArg(args, all_edges)) {
-    return args.graph_path.empty() ? 2 : 1;
-  }
-  const graph::VertexId n = graph::ImpliedVertexCount(all_edges);
-  util::Rng workload_rng(args.seed);
-  auto workload = graph::BuildUpdateWorkload(all_edges, params, workload_rng);
-  if (args.advance_every > 0) {
-    // Interleave logical-clock ticks into the stream: one AdvanceTime every
-    // K batches' worth of updates. Each tick rides an ordinary batch, so it
-    // is journaled, broadcast to every shard, and (with --decay < 1)
-    // re-buckets all stored biases while query threads keep serving.
-    const uint64_t stride =
-        static_cast<uint64_t>(args.advance_every) * args.batch_size;
-    graph::UpdateList interleaved;
-    interleaved.reserve(workload.updates.size() +
-                        workload.updates.size() / std::max<uint64_t>(1, stride) +
-                        1);
-    uint32_t next_epoch = 0;
-    for (std::size_t i = 0; i < workload.updates.size(); ++i) {
-      if (i > 0 && i % stride == 0) {
-        interleaved.push_back(graph::MakeAdvanceTime(++next_epoch));
-      }
-      interleaved.push_back(workload.updates[i]);
-    }
-    workload.updates = std::move(interleaved);
-    std::printf("temporal ticks:   AdvanceTime every %d batches "
-                "(decay %.4f, %u epochs total)\n",
-                args.advance_every, args.decay, next_epoch);
-  }
-  // The engine/update executor: hardware-concurrency workers, shaped by
-  // --pin/--numa (query-thread count stays a separate knob).
-  util::PoolOptions pool_options;
-  pool_options.pin_threads = args.pin;
-  pool_options.numa_interleave = args.numa;
-  util::ThreadPool serve_pool(pool_options);
-  PrintExecutorBanner(args, serve_pool);
-  if (args.store == "sharded") {
-    return ServeBenchSharded(args, n, workload, &serve_pool);
-  }
-  if (args.store == "ooc") {
-    return ServeBenchOoc(args, n, workload, &serve_pool);
-  }
-
-  // The pool builds the store and then parallelizes each batch's
-  // per-vertex copies and rebuilds; the stress query threads deliberately
-  // run poolless, so the writer has the pool to itself.
-  util::Timer build_timer;
-  auto service = walk::MakeWalkService(workload.initial_edges, n,
-                                       PipelineConfig(args), &serve_pool,
-                                       &serve_pool);
-  std::printf(
-      "serve-bench: %u vertices, %zu initial edges, store built in "
-      "%.2fs (%.1f MiB)\n",
-      n, workload.initial_edges.size(), build_timer.Seconds(),
-      service->MemoryStats().TotalBytes() / 1024.0 / 1024.0);
-  std::printf("%d query threads vs 1 update thread, %d x %llu %s updates\n",
-              args.threads, args.batches,
-              static_cast<unsigned long long>(args.batch_size),
-              args.kind.c_str());
-
-  walk::ServiceStressOptions options;
-  options.query_threads = args.threads;
-  options.batch_size = args.batch_size;
-  options.walkers_per_query = args.walkers == 0 ? 1024 : args.walkers;
-  options.walk_length = args.length;
-  options.seed = args.seed;
-  const auto report =
-      walk::RunWalkServiceStress(*service, workload.updates, options);
-
-  std::printf("\nqueries:          %llu (%.1f/s)\n",
-              static_cast<unsigned long long>(report.queries),
-              report.queries / report.wall_seconds);
-  std::printf("samples served:   %llu (%.2fM samples/s)\n",
-              static_cast<unsigned long long>(report.walk_steps),
-              report.SamplesPerSecond() / 1e6);
-  std::printf("update latency:   mean %.2fms, max %.2fms (%llu batches)\n",
-              report.MeanUpdateSeconds() * 1e3,
-              report.update_seconds_max * 1e3,
-              static_cast<unsigned long long>(report.batches));
-  std::printf("epochs observed:  [%llu, %llu]\n",
-              static_cast<unsigned long long>(report.min_epoch_observed),
-              static_cast<unsigned long long>(report.max_epoch_observed));
-  const walk::ServiceStats stats = service->Stats();
-  PrintBatchPaths(stats.batches_applied, stats.batches_copied);
-  std::printf("consistency:      %llu violations\n",
-              static_cast<unsigned long long>(report.inconsistent_snapshots));
-  const std::string invariants = service->CheckInvariants();
-  std::printf("invariants:       %s\n",
-              invariants.empty() ? "ok" : invariants.c_str());
-  if (args.json) {
-    PrintServeJson(args, report.SamplesPerSecond(),
-                   report.queries / report.wall_seconds,
-                   report.UpdateSecondsQuantile(0.50) * 1e3,
-                   report.UpdateSecondsQuantile(0.99) * 1e3,
-                   report.MeanUpdateSeconds() * 1e3,
-                   report.update_seconds_max * 1e3, report.batches,
-                   /*recovery_ms=*/0.0, report.inconsistent_snapshots);
-  }
-  return report.inconsistent_snapshots == 0 && invariants.empty() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1762,9 +975,6 @@ int main(int argc, char** argv) {
   }
   if (args.command == "build-csr") {
     return BuildCsr(args);
-  }
-  if (args.command == "serve-bench") {
-    return ServeBench(args);
   }
   if (args.command == "checkpoint") {
     return Checkpoint(args);
