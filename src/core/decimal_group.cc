@@ -9,13 +9,18 @@
 
 namespace bingo::core {
 
+using payload::ClearPositions;
 using payload::HashCapacityFor;
 using payload::HashNeedsGrowth;
 using payload::kEmptySlot;
 using payload::kTombstoneSlot;
+using payload::LoadPosition;
 using payload::PackSlot;
+using payload::PositionBytes;
 using payload::ProbeFind;
 using payload::ProbeInsert;
+using payload::StorePosition;
+static_assert(DecimalGroup::kNoPosition == payload::kNoPosition);
 
 namespace {
 // Bytes of the member columns per member slot: idx and dec, plus the
@@ -28,7 +33,7 @@ std::size_t MemberBytes(bool its) {
 std::size_t DecimalGroup::PayloadBytes(const Payload& p) {
   return sizeof(Payload) + std::size_t{p.member_capacity} * MemberBytes(p.its) +
          std::size_t{p.index_capacity} *
-             (p.sparse ? sizeof(uint64_t) : sizeof(uint32_t));
+             (p.sparse ? sizeof(uint64_t) : PositionBytes(p.member_capacity));
 }
 
 uint32_t* DecimalGroup::Idx() const {
@@ -40,10 +45,9 @@ uint32_t* DecimalGroup::Dec() const {
 uint64_t* DecimalGroup::Cdf() const {
   return reinterpret_cast<uint64_t*>(Dec() + payload_->member_capacity);
 }
-uint32_t* DecimalGroup::Positions() const {
-  return reinterpret_cast<uint32_t*>(reinterpret_cast<char*>(payload_ + 1) +
-                                     std::size_t{payload_->member_capacity} *
-                                         MemberBytes(payload_->its));
+void* DecimalGroup::Positions() const {
+  return reinterpret_cast<char*>(payload_ + 1) +
+         std::size_t{payload_->member_capacity} * MemberBytes(payload_->its);
 }
 uint64_t* DecimalGroup::Slots() const {
   return reinterpret_cast<uint64_t*>(Positions());
@@ -72,16 +76,21 @@ void DecimalGroup::Relayout(uint32_t members, uint32_t index_extent,
   assert(members >= count_);
   const bool its = policy == Policy::kIts;
   // The smaller inverted index: positions over every neighbor index below
-  // the extent, or hash slots at most half full.
+  // the extent (at the width `members` gets), or hash slots at most half
+  // full.
   const std::size_t slots = HashCapacityFor(std::max<std::size_t>(members, 4));
-  const bool sparse = std::size_t{index_extent} * sizeof(uint32_t) >
+  const bool sparse = std::size_t{index_extent} * PositionBytes(members) >
                       slots * sizeof(uint64_t);
   const uint32_t index_capacity =
       sparse ? static_cast<uint32_t>(slots) : index_extent;
+  const uint32_t member_capacity =
+      sparse ? payload::FillClass(sizeof(Payload) + slots * sizeof(uint64_t),
+                                  MemberBytes(its), members)
+             : payload::FillClassWithPositions(
+                   sizeof(Payload), MemberBytes(its), members, index_capacity);
   const std::size_t index_bytes =
-      std::size_t{index_capacity} * (sparse ? sizeof(uint64_t) : sizeof(uint32_t));
-  const uint32_t member_capacity = payload::FillClass(
-      sizeof(Payload) + index_bytes, MemberBytes(its), members);
+      std::size_t{index_capacity} *
+      (sparse ? sizeof(uint64_t) : PositionBytes(member_capacity));
   Payload* old = payload_;
   const uint32_t* old_idx = old != nullptr ? Idx() : nullptr;
   const uint32_t* old_dec = old != nullptr ? Dec() : nullptr;
@@ -115,16 +124,17 @@ void DecimalGroup::RebuildIndex() {
     }
     payload_->index_used = count_;
   } else {
-    std::fill_n(Positions(), payload_->index_capacity, kNoPosition);
+    ClearPositions(Positions(), payload_->member_capacity,
+                   payload_->index_capacity);
     for (uint32_t pos = 0; pos < count_; ++pos) {
-      Positions()[Idx()[pos]] = pos;
+      StorePosition(Positions(), payload_->member_capacity, Idx()[pos], pos);
     }
   }
 }
 
 void DecimalGroup::IndexSet(uint32_t idx, uint32_t pos) {
   if (!payload_->sparse) {
-    Positions()[idx] = pos;
+    StorePosition(Positions(), payload_->member_capacity, idx, pos);
     return;
   }
   const std::size_t slot = ProbeFind(Slots(), payload_->index_capacity, idx);
@@ -137,7 +147,7 @@ void DecimalGroup::IndexSet(uint32_t idx, uint32_t pos) {
 
 void DecimalGroup::IndexErase(uint32_t idx) {
   if (!payload_->sparse) {
-    Positions()[idx] = kNoPosition;
+    StorePosition(Positions(), payload_->member_capacity, idx, kNoPosition);
     return;
   }
   const std::size_t slot = ProbeFind(Slots(), payload_->index_capacity, idx);
@@ -147,7 +157,9 @@ void DecimalGroup::IndexErase(uint32_t idx) {
 
 uint32_t DecimalGroup::IndexFind(uint32_t idx) const {
   if (!payload_->sparse) {
-    return idx < payload_->index_capacity ? Positions()[idx] : kNoPosition;
+    return idx < payload_->index_capacity
+               ? LoadPosition(Positions(), payload_->member_capacity, idx)
+               : kNoPosition;
   }
   const std::size_t slot = ProbeFind(Slots(), payload_->index_capacity, idx);
   return slot == payload_->index_capacity
@@ -324,7 +336,7 @@ std::string DecimalGroup::CheckInvariants() const {
       used += Slots()[i] != kEmptySlot;
       live += Slots()[i] != kEmptySlot && Slots()[i] != kTombstoneSlot;
     } else {
-      live += Positions()[i] != kNoPosition;
+      live += IndexFind(i) != kNoPosition;
     }
   }
   if (live != count_ || (payload_->sparse && used != payload_->index_used)) {

@@ -13,7 +13,8 @@
 // their fractions, the ITS prefix sums (ITS policy only), and the inverted
 // index from neighbor index to member position. Like a radix group's, the
 // inverted index is either regular (a position array over neighbor
-// indices) or sparse (hash slots, payload.h), whichever takes fewer bytes
+// indices, 16-bit while the member capacity allows) or sparse (hash
+// slots; both in payload.h), whichever takes fewer bytes
 // when the payload is laid out, so a few members at far-apart neighbor
 // indices cost bytes on the order of the member count. Member capacity
 // follows the radix-group rule: the member count, filling the payload's
@@ -104,8 +105,9 @@ class DecimalGroup {
  private:
   // This header, then idx[member_capacity], dec[member_capacity],
   // cdf[member_capacity] (ITS only, 8-byte aligned since the two uint32
-  // arrays together are), then the inverted index: index_capacity uint32
-  // positions (regular) or uint64 hash slots (sparse).
+  // arrays together are), then the inverted index: index_capacity
+  // positions (regular; 16 or 32 bits by member_capacity, payload.h) or
+  // uint64 hash slots (sparse).
   struct Payload {
     uint64_t total_fixed;
     uint32_t member_capacity;
@@ -120,7 +122,7 @@ class DecimalGroup {
   uint32_t* Idx() const;
   uint32_t* Dec() const;
   uint64_t* Cdf() const;
-  uint32_t* Positions() const;
+  void* Positions() const;
   uint64_t* Slots() const;
 
   // Lays the payload out again for `policy` with room for at least

@@ -45,14 +45,19 @@ GroupKind ClassifyGroup(uint64_t count, uint64_t degree, const AdaptiveConfig& c
   return GroupKind::kRegular;
 }
 
+using payload::ClearPositions;
 using payload::GrownHashCapacity;
 using payload::HashCapacityFor;
 using payload::HashNeedsGrowth;
 using payload::kEmptySlot;
 using payload::kTombstoneSlot;
+using payload::LoadPosition;
 using payload::PackSlot;
+using payload::PositionBytes;
 using payload::ProbeFind;
 using payload::ProbeInsert;
+using payload::StorePosition;
+static_assert(RadixGroup::kNoPosition == payload::kNoPosition);
 
 // ---------------------------------------------------------------- IndexMap --
 
@@ -123,18 +128,30 @@ RadixGroup RadixGroup::Clone(util::MemoryPool& pool) const {
   return copy;
 }
 
+std::size_t RadixGroup::PayloadBytes(uint32_t member_capacity,
+                                     uint32_t index_capacity) const {
+  const std::size_t entry_bytes = kind_ == GroupKind::kSparse
+                                      ? sizeof(uint64_t)
+                                      : PositionBytes(member_capacity);
+  return sizeof(Payload) + std::size_t{member_capacity} * sizeof(uint32_t) +
+         std::size_t{index_capacity} * entry_bytes;
+}
+
 void RadixGroup::Reserve(uint32_t member_capacity, uint32_t index_capacity,
                          util::MemoryPool& pool) {
   assert(HasPayload());
   assert(member_capacity >= count_);
-  const std::size_t index_bytes = std::size_t{index_capacity} * IndexEntryBytes();
   // Even, so that the hash slots stay 8-byte aligned.
-  member_capacity = payload::FillClass(sizeof(Payload) + index_bytes,
-                                       sizeof(uint32_t), member_capacity, 2);
-  auto* fresh = new (pool.Allocate(sizeof(Payload) +
-                                   std::size_t{member_capacity} * sizeof(uint32_t) +
-                                   index_bytes))
-      Payload{member_capacity, index_capacity, 0, 0};
+  member_capacity =
+      kind_ == GroupKind::kSparse
+          ? payload::FillClass(
+                sizeof(Payload) + std::size_t{index_capacity} * sizeof(uint64_t),
+                sizeof(uint32_t), member_capacity, 2)
+          : payload::FillClassWithPositions(sizeof(Payload), sizeof(uint32_t),
+                                            member_capacity, index_capacity, 2);
+  auto* fresh =
+      new (pool.Allocate(PayloadBytes(member_capacity, index_capacity)))
+          Payload{member_capacity, index_capacity, 0, 0};
   if (payload_ != nullptr) {
     std::copy_n(payload_->Members(), count_, fresh->Members());
     pool.Deallocate(payload_, MemoryBytes());
@@ -153,10 +170,12 @@ void RadixGroup::RebuildIndex() {
     }
     payload_->index_used = count_;
   } else {
-    std::fill_n(payload_->Positions(), payload_->index_capacity, kNoPosition);
+    ClearPositions(payload_->Positions(), payload_->member_capacity,
+                   payload_->index_capacity);
     for (uint32_t pos = 0; pos < count_; ++pos) {
       assert(members[pos] < payload_->index_capacity);
-      payload_->Positions()[members[pos]] = pos;
+      StorePosition(payload_->Positions(), payload_->member_capacity,
+                    members[pos], pos);
     }
   }
 }
@@ -192,7 +211,7 @@ void RadixGroup::ReserveForInsert(uint32_t idx, util::MemoryPool& pool) {
 
 void RadixGroup::IndexSet(uint32_t idx, uint32_t pos) {
   if (kind_ == GroupKind::kRegular) {
-    payload_->Positions()[idx] = pos;
+    StorePosition(payload_->Positions(), payload_->member_capacity, idx, pos);
     return;
   }
   const std::size_t slot =
@@ -207,7 +226,8 @@ void RadixGroup::IndexSet(uint32_t idx, uint32_t pos) {
 
 void RadixGroup::IndexErase(uint32_t idx) {
   if (kind_ == GroupKind::kRegular) {
-    payload_->Positions()[idx] = kNoPosition;
+    StorePosition(payload_->Positions(), payload_->member_capacity, idx,
+                  kNoPosition);
     return;
   }
   const std::size_t slot =
@@ -218,8 +238,10 @@ void RadixGroup::IndexErase(uint32_t idx) {
 
 uint32_t RadixGroup::IndexFind(uint32_t idx) const {
   if (kind_ == GroupKind::kRegular) {
-    return idx < payload_->index_capacity ? payload_->Positions()[idx]
-                                          : kNoPosition;
+    return idx < payload_->index_capacity
+               ? LoadPosition(payload_->Positions(), payload_->member_capacity,
+                              idx)
+               : kNoPosition;
   }
   const std::size_t slot =
       ProbeFind(payload_->Slots(), payload_->index_capacity, idx);
@@ -478,9 +500,7 @@ std::size_t RadixGroup::MemoryBytes() const {
   if (!HasPayload()) {
     return 0;
   }
-  return sizeof(Payload) +
-         std::size_t{payload_->member_capacity} * sizeof(uint32_t) +
-         std::size_t{payload_->index_capacity} * IndexEntryBytes();
+  return PayloadBytes(payload_->member_capacity, payload_->index_capacity);
 }
 
 std::string RadixGroup::CheckInvariants() const {
@@ -526,7 +546,6 @@ std::string RadixGroup::CheckInvariants() const {
         return "regular group count exceeds its member capacity";
       }
       const uint32_t* members = payload_->Members();
-      const uint32_t* inv = payload_->Positions();
       for (uint32_t pos = 0; pos < count_; ++pos) {
         if (IndexFind(members[pos]) != pos) {
           return "regular inverted index mismatch";
@@ -534,9 +553,10 @@ std::string RadixGroup::CheckInvariants() const {
       }
       uint32_t live = 0;
       for (uint32_t idx = 0; idx < payload_->index_capacity; ++idx) {
-        if (inv[idx] != kNoPosition) {
+        const uint32_t inv = IndexFind(idx);
+        if (inv != kNoPosition) {
           ++live;
-          if (inv[idx] >= count_ || members[inv[idx]] != idx) {
+          if (inv >= count_ || members[inv] != idx) {
             return "regular inverted index points to wrong member";
           }
         }

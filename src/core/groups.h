@@ -74,7 +74,8 @@ class IndexMap {
 // The group itself is a 16-byte header: kind, count, and either the
 // one-element member or a pointer to one pooled payload holding the member
 // list followed by its inverted index (regular: a neighbor-index-sized
-// position array; sparse: open-addressing hash slots). Empty, dense and
+// position array, 16-bit while the member capacity allows; sparse:
+// open-addressing hash slots, payload.h). Empty, dense and
 // one-element groups allocate nothing. The member list is sized by the
 // member count, filling its pool size class (payload.h).
 //
@@ -150,9 +151,10 @@ class RadixGroup {
  private:
   // Pooled payload of a sparse or regular group: this header, then
   // `member_capacity` member slots (the first count_ are live), then
-  // `index_capacity` inverted-index entries — uint32_t positions for a
-  // regular group, uint64_t hash slots for a sparse one (member_capacity is
-  // even, so the hash slots are 8-byte aligned).
+  // `index_capacity` inverted-index entries — positions for a regular group
+  // (16 or 32 bits, by member_capacity; payload.h), uint64_t hash slots for
+  // a sparse one (member_capacity is even, so the hash slots are 8-byte
+  // aligned).
   struct Payload {
     uint32_t member_capacity;
     uint32_t index_capacity;
@@ -163,8 +165,8 @@ class RadixGroup {
     const uint32_t* Members() const {
       return reinterpret_cast<const uint32_t*>(this + 1);
     }
-    uint32_t* Positions() { return Members() + member_capacity; }
-    const uint32_t* Positions() const { return Members() + member_capacity; }
+    void* Positions() { return Members() + member_capacity; }
+    const void* Positions() const { return Members() + member_capacity; }
     uint64_t* Slots() { return reinterpret_cast<uint64_t*>(Positions()); }
     const uint64_t* Slots() const {
       return reinterpret_cast<const uint64_t*>(Positions());
@@ -174,14 +176,14 @@ class RadixGroup {
   bool HasPayload() const {
     return kind_ == GroupKind::kSparse || kind_ == GroupKind::kRegular;
   }
-  std::size_t IndexEntryBytes() const {
-    return kind_ == GroupKind::kSparse ? sizeof(uint64_t) : sizeof(uint32_t);
-  }
+  // Bytes of a payload of this group's kind with these capacities.
+  std::size_t PayloadBytes(uint32_t member_capacity,
+                           uint32_t index_capacity) const;
   // Reallocates the payload with room for at least `member_capacity`
   // members (filling the size class) and exactly `index_capacity` index
   // entries, keeping the members and rebuilding the inverted index from
-  // them (which also drops sparse tombstones). Requires a sparse or regular
-  // kind_.
+  // them (which also drops sparse tombstones, and sets the position width
+  // for the new member capacity). Requires a sparse or regular kind_.
   void Reserve(uint32_t member_capacity, uint32_t index_capacity,
                util::MemoryPool& pool);
   // Refills the inverted index from the first count_ members.

@@ -9,6 +9,12 @@
 // it fills the MemoryPool size class it lands in. The headroom costs no
 // memory (the class is taken either way) and stays within one class
 // spacing of the member count.
+//
+// Position arrays: a regular inverted index maps a neighbor index to a
+// member position. Positions are 16-bit while the payload's member
+// capacity is at most kMaxNarrowMembers, and 32-bit above it; the width
+// follows from the capacity, so a payload records nothing more. The
+// all-ones value of either width means "no member".
 
 #ifndef BINGO_SRC_CORE_PAYLOAD_H_
 #define BINGO_SRC_CORE_PAYLOAD_H_
@@ -105,6 +111,58 @@ inline uint32_t FillClass(std::size_t fixed_bytes, std::size_t member_bytes,
       util::MemoryPool::ClassSize(fixed_bytes + want * member_bytes);
   const std::size_t fit = (cls - fixed_bytes) / member_bytes;
   return static_cast<uint32_t>(fit & ~std::size_t{multiple - 1});
+}
+
+// Member capacities up to this keep 16-bit positions (0xFFFF is "none").
+inline constexpr uint32_t kMaxNarrowMembers = 0xFFFE;
+inline constexpr uint32_t kNoPosition = 0xFFFFFFFFu;
+
+inline std::size_t PositionBytes(uint32_t member_capacity) {
+  return member_capacity <= kMaxNarrowMembers ? sizeof(uint16_t)
+                                              : sizeof(uint32_t);
+}
+
+// Position of neighbor index `idx`, or kNoPosition.
+inline uint32_t LoadPosition(const void* positions, uint32_t member_capacity,
+                             uint32_t idx) {
+  if (member_capacity <= kMaxNarrowMembers) {
+    const uint16_t pos = static_cast<const uint16_t*>(positions)[idx];
+    return pos == 0xFFFFu ? kNoPosition : pos;
+  }
+  return static_cast<const uint32_t*>(positions)[idx];
+}
+
+// Stores `pos` (kNoPosition clears the entry).
+inline void StorePosition(void* positions, uint32_t member_capacity,
+                          uint32_t idx, uint32_t pos) {
+  if (member_capacity <= kMaxNarrowMembers) {
+    static_cast<uint16_t*>(positions)[idx] = static_cast<uint16_t>(pos);
+  } else {
+    static_cast<uint32_t*>(positions)[idx] = pos;
+  }
+}
+
+// Sets `count` positions to "no member".
+inline void ClearPositions(void* positions, uint32_t member_capacity,
+                           std::size_t count) {
+  std::fill_n(static_cast<std::byte*>(positions),
+              count * PositionBytes(member_capacity), std::byte{0xFF});
+}
+
+// FillClass for a payload that also holds `index_capacity` positions:
+// below the 16-bit limit the fill stops at kMaxNarrowMembers, so the
+// position width the bytes were counted at is the width of the capacity
+// returned.
+inline uint32_t FillClassWithPositions(std::size_t fixed_bytes,
+                                       std::size_t member_bytes,
+                                       uint32_t members,
+                                       uint32_t index_capacity,
+                                       uint32_t multiple = 1) {
+  const uint32_t capacity = FillClass(
+      fixed_bytes + std::size_t{index_capacity} * PositionBytes(members),
+      member_bytes, members, multiple);
+  return members <= kMaxNarrowMembers ? std::min(capacity, kMaxNarrowMembers)
+                                      : capacity;
 }
 
 }  // namespace bingo::core::payload

@@ -666,16 +666,21 @@ VertexMemoryBreakdown VertexSampler::MemoryBreakdown() const {
   if (block_ == nullptr) {
     return breakdown;
   }
+  // Every block at the pool size class it takes; a block's slack is
+  // counted with its headers.
+  const auto pooled = util::MemoryPool::ClassSize;
   const Block& block = *block_;
   breakdown.alias_bytes = block.num_slots * Block::kSlotBytes;
   breakdown.header_bytes =
-      Block::Bytes(block.num_groups, block.has_decimal) - breakdown.alias_bytes;
+      pooled(Block::Bytes(block.num_groups, block.has_decimal)) -
+      breakdown.alias_bytes;
   for (int g = 0; g < block.num_groups; ++g) {
     const RadixGroup& group = block.Groups()[g];
-    breakdown.group_bytes[static_cast<int>(group.Kind())] += group.MemoryBytes();
+    breakdown.group_bytes[static_cast<int>(group.Kind())] +=
+        pooled(group.MemoryBytes());
   }
   if (block.has_decimal) {
-    breakdown.decimal_bytes = block.Decimal()->MemoryBytes();
+    breakdown.decimal_bytes = pooled(block.Decimal()->MemoryBytes());
   }
   return breakdown;
 }

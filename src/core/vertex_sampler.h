@@ -91,13 +91,15 @@ struct BingoConfig {
 };
 
 // Memory attribution for Fig 11. Total() is every byte the vertex owns
-// behind its handle: its block plus the group and decimal payloads.
+// behind its handle: its block plus the group and decimal payloads, each
+// at the pool size class it takes.
 struct VertexMemoryBreakdown {
   // Sparse/regular member lists and inverted indexes, indexed by GroupKind
   // (dense, one-element and empty groups own no payload).
   std::array<std::size_t, 5> group_bytes{};
-  // Fixed parts of the block: its own header (with alignment padding), the
-  // 16-byte group headers and the decimal group's 16-byte header.
+  // Fixed parts of the block: its own header (with alignment padding and
+  // the slack up to its size class), the 16-byte group headers and the
+  // decimal group's 16-byte header.
   std::size_t header_bytes = 0;
   std::size_t decimal_bytes = 0;  // the decimal group's member arrays
   std::size_t alias_bytes = 0;    // inter-group prob[], alias[], slot map

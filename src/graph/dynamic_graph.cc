@@ -4,31 +4,38 @@
 #include <cstring>
 
 #include "src/graph/csr.h"
-#include "src/util/bitops.h"
 
 namespace bingo::graph {
 
 namespace {
-// Multiplicative hash for finder probing.
-inline std::size_t HashDst(VertexId dst) {
+// Multiplicative hash for finder probing: 32 well-mixed bits.
+inline uint64_t HashDst(VertexId dst) {
   uint64_t x = dst;
   x *= 0x9e3779b97f4a7c15ULL;
-  return static_cast<std::size_t>(x >> 32);
+  return x >> 32;
 }
 }  // namespace
 
 // ---------------------------------------------------------------- Finder --
 
+std::size_t DynamicGraph::Finder::Home(VertexId dst) const {
+  return static_cast<std::size_t>((HashDst(dst) * capacity) >> 32);
+}
+
+uint32_t DynamicGraph::Finder::CapacityFor(std::size_t live) {
+  const std::size_t want = 2 * live;
+  const std::size_t bytes = util::MemoryPool::ClassSize(BytesFor(want));
+  return static_cast<uint32_t>((bytes - sizeof(Finder)) / sizeof(Entry));
+}
+
 bool DynamicGraph::Finder::Erase(VertexId dst, uint32_t index) {
   Entry* table = Entries();
-  std::size_t pos = HashDst(dst) & Mask();
-  while (table[pos].index != kEmpty) {
+  for (std::size_t pos = Home(dst); table[pos].index != kEmpty;
+       pos = Next(pos)) {
     if (table[pos].dst == dst && table[pos].index == index) {
       table[pos].index = kTombstone;
-      --live;
       return true;
     }
-    pos = (pos + 1) & Mask();
   }
   return false;
 }
@@ -36,27 +43,28 @@ bool DynamicGraph::Finder::Erase(VertexId dst, uint32_t index) {
 bool DynamicGraph::Finder::Reindex(VertexId dst, uint32_t old_index,
                                    uint32_t new_index) {
   Entry* table = Entries();
-  std::size_t pos = HashDst(dst) & Mask();
-  while (table[pos].index != kEmpty) {
+  for (std::size_t pos = Home(dst); table[pos].index != kEmpty;
+       pos = Next(pos)) {
     if (table[pos].dst == dst && table[pos].index == old_index) {
       table[pos].index = new_index;
       return true;
     }
-    pos = (pos + 1) & Mask();
   }
   return false;
 }
 
 // ---------------------------------------------------------- DynamicGraph --
 
+uint32_t DynamicGraph::BlockCapacity(std::size_t edges) {
+  return static_cast<uint32_t>(
+      util::MemoryPool::ClassSize(edges * sizeof(Edge)) / sizeof(Edge));
+}
+
 DynamicGraph::Finder* DynamicGraph::RebuildFinder(Finder* from,
-                                                  std::size_t min_capacity) {
-  std::size_t cap = 16;
-  while (cap < min_capacity * 2) {
-    cap <<= 1;
-  }
-  auto* finder = new (pool_->Allocate(Finder::BytesFor(cap)))
-      Finder{static_cast<uint32_t>(cap), 0, 0, 0};
+                                                  std::size_t live) {
+  const uint32_t cap = Finder::CapacityFor(live);
+  auto* finder =
+      new (pool_->Allocate(Finder::BytesFor(cap))) Finder{cap, 0};
   Finder::Entry* table = finder->Entries();
   std::fill_n(table, cap, Finder::Entry{kInvalidVertex, Finder::kEmpty});
   if (from != nullptr) {
@@ -64,36 +72,37 @@ DynamicGraph::Finder* DynamicGraph::RebuildFinder(Finder* from,
     for (std::size_t i = 0; i < from->capacity; ++i) {
       const Finder::Entry& e = old[i];
       if (e.index != Finder::kEmpty && e.index != Finder::kTombstone) {
-        std::size_t pos = HashDst(e.dst) & finder->Mask();
+        std::size_t pos = finder->Home(e.dst);
         while (table[pos].index != Finder::kEmpty) {
-          pos = (pos + 1) & finder->Mask();
+          pos = finder->Next(pos);
         }
         table[pos] = e;
-        ++finder->live;
+        ++finder->used;
       }
     }
-    finder->used = finder->live;
     pool_->Deallocate(from, from->Bytes());
   }
   return finder;
 }
 
+// `slot.size` already counts the edge at `index`.
 void DynamicGraph::FinderInsert(Slot& slot, VertexId dst, uint32_t index) {
   Finder* f = slot.finder;
-  if ((f->used + 1) * 4 >= f->capacity * 3) {
-    f = slot.finder = RebuildFinder(f, std::max<std::size_t>(f->live + 1, 8));
+  if ((std::size_t{f->used} + 1) * 4 >= std::size_t{f->capacity} * 3) {
+    // Rebuilt at the live count, which drops the tombstones: at a steady
+    // size the table keeps its capacity.
+    f = slot.finder = RebuildFinder(f, slot.size);
   }
   Finder::Entry* table = f->Entries();
-  std::size_t pos = HashDst(dst) & f->Mask();
+  std::size_t pos = f->Home(dst);
   while (table[pos].index != Finder::kEmpty &&
          table[pos].index != Finder::kTombstone) {
-    pos = (pos + 1) & f->Mask();
+    pos = f->Next(pos);
   }
   if (table[pos].index == Finder::kEmpty) {
     ++f->used;
   }
   table[pos] = Finder::Entry{dst, index};
-  ++f->live;
 }
 
 DynamicGraph::DynamicGraph(VertexId num_vertices,
@@ -150,7 +159,7 @@ DynamicGraph DynamicGraph::FromEdges(VertexId num_vertices,
       continue;
     }
     Slot& s = g.slots_[v];
-    s.capacity = static_cast<uint32_t>(util::CeilPow2(degree[v]));
+    s.capacity = BlockCapacity(degree[v]);
     s.edges = static_cast<Edge*>(
         g.pool_->Allocate(static_cast<std::size_t>(s.capacity) * sizeof(Edge)));
   }
@@ -187,7 +196,10 @@ DynamicGraph DynamicGraph::FromCsr(const Csr& csr, std::span<const double> biase
 }
 
 void DynamicGraph::Grow(Slot& slot) {
-  const uint32_t new_capacity = slot.capacity == 0 ? 4 : slot.capacity * 2;
+  const uint32_t new_capacity =
+      BlockCapacity(slot.capacity == 0
+                        ? 4
+                        : slot.capacity + (slot.capacity + 1) / 2);
   Edge* new_block = static_cast<Edge*>(
       pool_->Allocate(static_cast<std::size_t>(new_capacity) * sizeof(Edge)));
   if (slot.edges != nullptr) {
@@ -265,13 +277,12 @@ std::vector<uint32_t> DynamicGraph::CollectMatches(VertexId src, VertexId dst) c
   if (s.finder != nullptr) {
     const Finder& f = *s.finder;
     const Finder::Entry* table = f.Entries();
-    std::size_t pos = HashDst(dst) & f.Mask();
-    while (table[pos].index != Finder::kEmpty) {
+    for (std::size_t pos = f.Home(dst); table[pos].index != Finder::kEmpty;
+         pos = f.Next(pos)) {
       const auto& e = table[pos];
       if (e.index != Finder::kTombstone && e.dst == dst) {
         matches.push_back(e.index);
       }
-      pos = (pos + 1) & f.Mask();
     }
   } else {
     for (uint32_t i = 0; i < s.size; ++i) {
@@ -352,8 +363,8 @@ std::optional<uint32_t> DynamicGraph::FindEarliest(VertexId src, VertexId dst) c
   if (s.finder != nullptr) {
     const Finder& f = *s.finder;
     const Finder::Entry* table = f.Entries();
-    std::size_t pos = HashDst(dst) & f.Mask();
-    while (table[pos].index != Finder::kEmpty) {
+    for (std::size_t pos = f.Home(dst); table[pos].index != Finder::kEmpty;
+         pos = f.Next(pos)) {
       const auto& e = table[pos];
       if (e.index != Finder::kTombstone && e.dst == dst) {
         const uint32_t ts = s.edges[e.index].timestamp;
@@ -362,7 +373,6 @@ std::optional<uint32_t> DynamicGraph::FindEarliest(VertexId src, VertexId dst) c
           best_index = e.index;
         }
       }
-      pos = (pos + 1) & f.Mask();
     }
   } else {
     for (uint32_t i = 0; i < s.size; ++i) {
@@ -378,8 +388,26 @@ std::optional<uint32_t> DynamicGraph::FindEarliest(VertexId src, VertexId dst) c
   return best_index;
 }
 
+// Unlike FindEarliest, stops at the first live copy and reads no edge.
 bool DynamicGraph::HasEdge(VertexId src, VertexId dst) const {
-  return FindEarliest(src, dst).has_value();
+  const Slot& s = slots_[src];
+  if (s.finder != nullptr) {
+    const Finder& f = *s.finder;
+    const Finder::Entry* table = f.Entries();
+    for (std::size_t pos = f.Home(dst); table[pos].index != Finder::kEmpty;
+         pos = f.Next(pos)) {
+      if (table[pos].dst == dst && table[pos].index != Finder::kTombstone) {
+        return true;
+      }
+    }
+    return false;
+  }
+  for (uint32_t i = 0; i < s.size; ++i) {
+    if (s.edges[i].dst == dst) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool DynamicGraph::IsCanonical() const {
@@ -402,9 +430,10 @@ void DynamicGraph::AddVertices(VertexId count) {
 }
 
 std::size_t DynamicGraph::SlotBytes(const Slot& s) {
-  std::size_t bytes = static_cast<std::size_t>(s.capacity) * sizeof(Edge);
+  std::size_t bytes = util::MemoryPool::ClassSize(
+      static_cast<std::size_t>(s.capacity) * sizeof(Edge));
   if (s.finder != nullptr) {
-    bytes += s.finder->Bytes();
+    bytes += util::MemoryPool::ClassSize(s.finder->Bytes());
   }
   return bytes;
 }

@@ -1,7 +1,9 @@
 // Hornet-style dynamic graph storage (substitution S5 in DESIGN.md).
 //
 // Each vertex owns a dynamic adjacency array carved out of a size-class
-// MemoryPool, doubling capacity on growth. Deletion is swap-with-tail so
+// MemoryPool. A block's capacity fills its pool size class: the bulk load
+// takes the class that holds the vertex's degree, and growth moves to the
+// class that holds at least 1.5x the old capacity. Deletion is swap-with-tail so
 // adjacency arrays stay compact, which is what gives the per-vertex Bingo
 // sampler O(1) unbiased intra-group sampling over neighbor *indices*.
 //
@@ -13,7 +15,15 @@
 // High-degree vertices additionally keep an open-addressing (dst -> index)
 // finder so that delete-by-endpoint and node2vec's distance(w, v) adjacency
 // probes run in O(1) expected time; low-degree vertices fall back to a
-// linear scan over the (short) adjacency array.
+// linear scan over the (short) adjacency array. The finder is one table
+// that fills its pool size class, at a load of at most 1/2 when it is
+// (re)built. FindEarliest reads every slot up to the first empty one (it
+// wants the earliest of all duplicates); HasEdge stops at the first live
+// copy and reads no edge. node2vec calls HasEdge on every step and most
+// calls miss, and a miss reads the whole probe run, so the build load is
+// kept at 1/2: at 2/3 the table is a quarter smaller, but HasEdge over the
+// calls of a node2vec walk on the benchmark graph took about 1.4x as long
+// (GCC -O3, 4-vCPU x86 VM).
 //
 // Versions: the per-vertex slots live in a paged copy-on-write table
 // (util/cow_array.h). View() is a read-only graph that keeps reading the
@@ -44,9 +54,12 @@ class Csr;
 
 class DynamicGraph {
  private:
-  // Open-addressing multi-map from dst to neighbor index. Created once a
-  // vertex's degree reaches kFinderThreshold. One pooled block: this
-  // header, then `capacity` entries (a power of two).
+  // Open-addressing multi-map from dst to neighbor index, linear probing
+  // with tombstones. Created once a vertex's degree reaches
+  // kFinderThreshold. One pooled block that fills its size class: this
+  // 8-byte header, then `capacity` entries (any count; a probe starts at a
+  // multiply-shift range reduction of the dst hash). It holds one live
+  // entry per edge, so the vertex degree is its live count.
   struct Finder {
     struct Entry {
       VertexId dst;
@@ -56,19 +69,24 @@ class DynamicGraph {
     static constexpr uint32_t kTombstone = 0xFFFFFFFEu;
 
     uint32_t capacity;
-    uint32_t live;
     uint32_t used;  // live + tombstones
-    uint32_t reserved;
 
     Entry* Entries() { return reinterpret_cast<Entry*>(this + 1); }
     const Entry* Entries() const {
       return reinterpret_cast<const Entry*>(this + 1);
     }
-    std::size_t Mask() const { return capacity - 1; }
+    // First slot a probe for `dst` reads, and the slot after `pos`.
+    std::size_t Home(VertexId dst) const;
+    std::size_t Next(std::size_t pos) const {
+      return pos + 1 == capacity ? 0 : pos + 1;
+    }
     std::size_t Bytes() const { return BytesFor(capacity); }
     static std::size_t BytesFor(std::size_t capacity) {
       return sizeof(Finder) + capacity * sizeof(Entry);
     }
+    // The capacity of a table that fills its size class and holds `live`
+    // entries at a load of at most 1/2.
+    static uint32_t CapacityFor(std::size_t live);
     // Drops the entry (dst, index) / re-points it; false if absent.
     bool Erase(VertexId dst, uint32_t index);
     bool Reindex(VertexId dst, uint32_t old_index, uint32_t new_index);
@@ -122,6 +140,9 @@ class DynamicGraph {
 
   uint32_t Degree(VertexId v) const { return slots_[v].size; }
 
+  // Edges v's adjacency block has room for before it must grow.
+  uint32_t Capacity(VertexId v) const { return slots_[v].capacity; }
+
   std::span<const Edge> Neighbors(VertexId v) const {
     const Slot& s = slots_[v];
     return {s.edges, s.size};
@@ -144,7 +165,8 @@ class DynamicGraph {
   }
 
   // Appends edge (src -> dst, bias); returns its neighbor index. O(1)
-  // amortized; growth allocates the next power-of-two block from the pool.
+  // amortized; growth allocates a block of at least 1.5x the capacity
+  // from the pool.
   // Stamps the edge with the internal insertion counter.
   uint32_t Insert(VertexId src, VertexId dst, double bias);
 
@@ -205,10 +227,11 @@ class DynamicGraph {
   // O(E) scan.
   bool IsCanonical() const;
 
-  // Bytes reserved by adjacency blocks and finders (analytic accounting).
+  // Bytes the slot pages, adjacency blocks and finders take from the pool,
+  // each at its pool size class.
   std::size_t MemoryBytes() const;
 
-  // Bytes of v's adjacency block and finder.
+  // Bytes of v's adjacency block and finder, at their pool size class.
   std::size_t VertexBytes(VertexId v) const { return SlotBytes(slots_[v]); }
 
   // The pool every per-vertex byte of this graph comes from: adjacency
@@ -256,14 +279,17 @@ class DynamicGraph {
   static constexpr uint32_t kFinderThreshold = 32;
 
   DynamicGraph() = default;  // View()
-  // Adjacency block and finder bytes of one slot.
+  // Adjacency block and finder bytes of one slot, at pool size class.
   static std::size_t SlotBytes(const Slot& slot);
+  // The capacity of an adjacency block that fills the pool size class
+  // holding `edges` edges.
+  static uint32_t BlockCapacity(std::size_t edges);
   void FreeSlot(const Slot& slot);
   void Grow(Slot& slot);
   void EnsureFinder(VertexId v);
-  // A finder with room for `min_capacity` live entries at half load, holding
-  // the live entries of `from` (if any), which it frees.
-  Finder* RebuildFinder(Finder* from, std::size_t min_capacity);
+  // A finder sized by Finder::CapacityFor(live), holding the live entries
+  // of `from` (if any), which it frees.
+  Finder* RebuildFinder(Finder* from, std::size_t live);
   void FinderInsert(Slot& slot, VertexId dst, uint32_t index);
   // Check-then-store keeps the line shared once the flag is down, since
   // batched updates mutate disjoint vertices in parallel.

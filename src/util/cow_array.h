@@ -116,10 +116,10 @@ class CowArray {
   // Frees a page ClonePage returned, once no view can read it.
   void FreePage(Page* page) const { pool_->Deallocate(page, sizeof(Page)); }
 
-  // Bytes of the elements the pages hold room for (the directory, one
-  // pointer and one stamp per page, is not counted).
+  // Bytes the pages take from the pool, at its size class (the directory,
+  // one pointer and one stamp per page, is not counted).
   std::size_t CapacityBytes() const {
-    return pages_.size() * kPageSize * sizeof(T);
+    return pages_.size() * MemoryPool::ClassSize(sizeof(Page));
   }
 
  private:

@@ -8,10 +8,11 @@
 // octave, giving a guaranteed relative error under 1/32 (~3.2%) across the
 // full range [0, ~2^49 ns ≈ 6.5 days]. Values below 32 ns are exact.
 //
-// Quantiles follow the rank convention of util::SampleQuantile (rank
-// q*(count-1) over the sorted samples), returning the representative
-// midpoint of the bucket holding that rank — so histogram p50/p99 agree
-// with the sample-vector definition up to bucket resolution.
+// Quantiles follow the linear-interpolation rank convention (rank
+// q*(count-1) over the sorted samples; the exact reference is
+// SampleQuantile in tests/batch_kernels_test.cc), returning the
+// representative midpoint of the bucket holding that rank — so histogram
+// p50/p99 agree with the sample-vector definition up to bucket resolution.
 //
 // Not thread-safe: each recording thread owns a histogram and the reporter
 // Merge()s them (the same pattern as the engine's per-chunk accumulators).

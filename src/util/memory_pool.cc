@@ -94,7 +94,7 @@ std::size_t MemoryPool::ClassBytes(int class_index) {
 }
 
 std::size_t MemoryPool::ClassSize(std::size_t bytes) {
-  if (bytes > kMaxClassBytes) {
+  if (bytes == 0 || bytes > kMaxClassBytes) {
     return bytes;
   }
   return ClassBytes(ClassIndex(bytes));

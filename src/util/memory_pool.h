@@ -80,7 +80,8 @@ class MemoryPool {
   // block any other thread allocated.
   void Deallocate(void* ptr, std::size_t bytes);
 
-  // Capacity actually reserved for a request of `bytes` (its size class).
+  // Capacity actually reserved for a request of `bytes` (its size class;
+  // 0 for 0, which Allocate serves with nullptr).
   static std::size_t ClassSize(std::size_t bytes);
 
   // Bytes held in arenas plus oversize allocations (i.e. what the pool has

@@ -124,17 +124,4 @@ std::vector<double> Normalize(std::span<const double> weights) {
   return out;
 }
 
-double SampleQuantile(std::span<const double> samples, double q) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 }  // namespace bingo::util

@@ -23,8 +23,10 @@
 //
 // Latency: no timer or size threshold holds an update back. It is visible
 // to walks once its shard's ApplyBatch publishes it: after the batch
-// already applying on that shard, if any, then one catch-up and one apply
-// of its own batch (walk/service.h).
+// already applying on that shard, if any, then the apply of its own batch,
+// which is one store ApplyBatch, in place when no snapshot reads the
+// shard's published version and over private copies of the touched
+// vertices otherwise (walk/service.h).
 //
 // Durability: when the sharded service has a WAL attached (walk/service.h),
 // every drained batch is journaled BEFORE it is applied — the journal
@@ -35,11 +37,12 @@
 //
 // Ordering: per-shard FIFO (one drainer per shard). Updates to different
 // shards may apply in any order — the same independence the sharded
-// service itself exposes. Do not share the writer pool with threads that
-// run walk queries while a drain is pending: writer tasks spin waiting for
-// that shard's readers to drain, and on a fixed-size pool they can starve
-// the walk chunks those readers are waiting on. By default the batcher
-// owns a small private pool, which is always safe.
+// service itself exposes. A writer task never waits for a reader: a batch
+// that a live snapshot could read builds a new version from copies, and
+// the superseded storage is freed when the last such snapshot is released
+// (walk/service.h). Only an Acquire may wait, for at most the one in-place
+// apply it found running. By default the batcher owns a small private
+// pool, which keeps batch applies off the threads that run walks.
 
 #ifndef BINGO_SRC_WALK_BATCHER_H_
 #define BINGO_SRC_WALK_BATCHER_H_
@@ -114,9 +117,9 @@ struct BatcherStats {
 class UpdateBatcher {
  public:
   // The batcher does not own `service`; it must outlive the batcher. With
-  // `pool == nullptr` the batcher owns a private writer pool (safe
-  // default); a caller-provided pool must not be shared with walk-query
-  // threads (see the header comment).
+  // `pool == nullptr` the batcher owns a private writer pool; a caller's
+  // pool may also run walk queries, since no writer task waits for a
+  // reader (see the header comment).
   explicit UpdateBatcher(ShardedWalkService& service, BatcherOptions options = {},
                          util::ThreadPool* pool = nullptr);
 
@@ -132,8 +135,10 @@ class UpdateBatcher {
   // Convenience: queue a whole list (each update routed independently).
   void SubmitAll(const graph::UpdateList& updates);
 
-  // Applies every update Submit()ed before this call. Safe from any thread
-  // that holds no live service Snapshot (drains wait for readers).
+  // Applies every update Submit()ed before this call. Safe from any
+  // thread, including one that holds a live service Snapshot: the batches
+  // that snapshot could read are applied over copies, so no drain waits
+  // for it.
   void Flush();
 
   BatcherStats Stats() const;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/radix.h"
@@ -432,6 +433,19 @@ TEST(SampleBatchTest, AliasBatchedDrawsMatchImpliedDistribution) {
 // LatencyHistogram: exact count/min/max/mean, bounded-relative-error
 // quantiles, and merge.
 
+// Linearly interpolated quantile (q in [0, 1]) of an unsorted sample: the
+// rank convention the histogram follows, and the exact reference its
+// quantiles are checked against.
+double SampleQuantile(std::span<const double> samples, double q) {
+  std::vector<double> sorted(samples.begin(), samples.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
 TEST(LatencyHistogramTest, ExactMomentsAndBoundedQuantiles) {
   util::Rng rng(101);
   util::LatencyHistogram hist;
@@ -453,7 +467,7 @@ TEST(LatencyHistogramTest, ExactMomentsAndBoundedQuantiles) {
   EXPECT_NEAR(hist.MeanSeconds(), sum / static_cast<double>(samples.size()),
               1e-12);
   for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double exact = util::SampleQuantile(samples, q);
+    const double exact = SampleQuantile(samples, q);
     const double approx = hist.QuantileSeconds(q);
     // 32 sub-buckets per octave -> <= ~3.2% relative error, plus a little
     // slack for the rank interpolation difference.

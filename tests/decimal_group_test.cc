@@ -77,6 +77,15 @@ class ReferenceDecimal {
   }
   bool Contains(uint32_t idx) const { return pos_.count(idx) != 0; }
   std::size_t Count() const { return idx_.size(); }
+  uint32_t IdxAt(std::size_t pos) const { return idx_[pos]; }
+  // (idx, dec) in member order.
+  std::vector<std::pair<uint32_t, uint32_t>> Members() const {
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (std::size_t pos = 0; pos < idx_.size(); ++pos) {
+      out.emplace_back(idx_[pos], dec_[pos]);
+    }
+    return out;
+  }
 
  private:
   Policy policy_;
@@ -257,6 +266,71 @@ TEST_P(DecimalGroupPolicyTest, CloneIsIndependentUnderChurn) {
     EXPECT_TRUE(group->CheckInvariants().empty()) << group->CheckInvariants();
     group->Clear(Pool());
   }
+}
+
+// The regular inverted index keeps 16-bit positions while the member
+// capacity is at most 0xFFFE and 32-bit ones above. Growing past 65,534
+// members switches the width; a relayout at fewer members (here by
+// switching the policy there and back) switches it back. Members, their
+// order and the draws stay those of the reference throughout.
+TEST_P(DecimalGroupPolicyTest, PositionWidthFollowsMemberCapacity) {
+  constexpr uint32_t kIndices = 70000;
+  const Policy policy = GetParam();
+  const Policy other = policy == Policy::kIts ? Policy::kRejection : Policy::kIts;
+  DecimalGroup g(policy);
+  ReferenceDecimal ref(policy);
+  util::Rng rng(21);
+  auto dec_of = [](uint32_t idx) { return 1000u + idx * 7919u % 100000u; };
+  auto remove_random = [&] {
+    const uint32_t idx = ref.IdxAt(rng.NextBounded(ref.Count()));
+    g.Remove(idx, Pool());
+    ref.Remove(idx);
+  };
+  auto expect_state = [&](const char* step) {
+    std::vector<std::pair<uint32_t, uint32_t>> members;
+    g.CollectMembers(members);
+    ASSERT_EQ(members, ref.Members()) << step;
+    ASSERT_TRUE(g.CheckInvariants().empty()) << step << ": " << g.CheckInvariants();
+    util::Rng a(5);
+    util::Rng b(5);
+    for (int draw = 0; draw < 64; ++draw) {
+      ASSERT_EQ(g.Sample(a), ref.Sample(b)) << step;
+    }
+  };
+  // At 32-bit positions the payload holds at least the member columns (8
+  // bytes a member, 16 under ITS) and 4 bytes per index entry; at 16-bit
+  // ones, with the index wider than the member list, it holds fewer.
+  const std::size_t member_bytes = policy == Policy::kIts ? 16 : 8;
+  auto wide_floor = [&] {
+    return member_bytes * g.Count() + 4 * std::size_t{kIndices};
+  };
+
+  for (uint32_t idx = 0; idx < kIndices; ++idx) {
+    g.Insert(idx, dec_of(idx), Pool());
+    ref.Insert(idx, dec_of(idx));
+    if (idx % 16384 == 0) {
+      expect_state("growing");
+    }
+  }
+  expect_state("past 16 bits");
+  EXPECT_GE(g.MemoryBytes(), wide_floor());
+  for (int i = 0; i < 5000; ++i) {
+    remove_random();
+  }
+  expect_state("shrunk");
+  EXPECT_GE(g.MemoryBytes(), wide_floor()) << "removals keep the capacity";
+  g.SetPolicy(other, Pool());
+  g.SetPolicy(policy, Pool());
+  expect_state("laid out again");
+  EXPECT_LT(g.MemoryBytes(), wide_floor());
+  const uint32_t renamed = ref.IdxAt(0);
+  g.Rename(renamed, kIndices + 5, Pool());
+  ref.Rename(renamed, kIndices + 5);
+  for (int i = 0; i < 1000; ++i) {
+    remove_random();
+  }
+  expect_state("narrow churn");
+  g.Clear(Pool());
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DecimalGroupPolicyTest,

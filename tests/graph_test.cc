@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "src/graph/bias.h"
 #include "src/graph/csr.h"
@@ -20,6 +24,8 @@
 #include "src/graph/types.h"
 #include "src/graph/update_stream.h"
 #include "src/util/checksum.h"
+#include "src/util/memory_pool.h"
+#include "src/util/rng.h"
 
 namespace bingo::graph {
 namespace {
@@ -250,6 +256,134 @@ TEST(DynamicGraphTest, MemoryBytesGrowsWithEdges) {
     g.Insert(0, i, 1.0);
   }
   EXPECT_GT(g.MemoryBytes(), before);
+}
+
+// Runs `body` on a thread of its own and ends the process if it has not
+// finished within `limit`: a probe that never ends cannot be interrupted,
+// so the failure is the abort.
+template <typename Fn>
+void RunWithin(std::chrono::seconds limit, Fn body) {
+  std::packaged_task<void()> task(std::move(body));
+  std::future<void> done = task.get_future();
+  std::thread worker(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "timed out after %lld s\n",
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  worker.join();
+  done.get();
+}
+
+// Layout: the bulk load gives each adjacency block the pool size class that
+// holds its degree, and growth moves to the class that holds at least 1.5x
+// the old capacity.
+TEST(DynamicGraphTest, AdjacencyCapacityFillsItsSizeClass) {
+  util::Rng rng(41);
+  auto pairs = GenerateRmat(10, 20000, rng);
+  Canonicalize(pairs);
+  WeightedEdgeList edges;
+  for (const auto& [src, dst] : pairs) {
+    edges.push_back(WeightedEdge{src, dst, 1.0});
+  }
+  const DynamicGraph g = DynamicGraph::FromEdges(1 << 10, edges);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const std::size_t bytes = std::size_t{g.Degree(v)} * sizeof(Edge);
+    EXPECT_EQ(std::size_t{g.Capacity(v)} * sizeof(Edge),
+              util::MemoryPool::ClassSize(bytes))
+        << "vertex " << v << " degree " << g.Degree(v);
+  }
+
+  DynamicGraph grown(1);
+  uint32_t capacity = 0;
+  for (VertexId i = 0; i < 5000; ++i) {
+    grown.Insert(0, i, 1.0);
+    if (grown.Capacity(0) != capacity) {
+      const std::size_t bytes = std::size_t{grown.Capacity(0)} * sizeof(Edge);
+      EXPECT_EQ(bytes, util::MemoryPool::ClassSize(bytes)) << i;
+      EXPECT_GE(2 * std::size_t{grown.Capacity(0)}, 3 * std::size_t{capacity})
+          << i;
+      capacity = grown.Capacity(0);
+    }
+    ASSERT_GE(grown.Capacity(0), grown.Degree(0));
+  }
+}
+
+// Churn at a steady size on one high-degree vertex: each round inserts an
+// edge to a new dst and deletes the oldest. Every delete leaves a finder
+// tombstone while the live count stays put, so the finder must be rebuilt
+// at its capacity (which drops them) or the probe for an absent dst never
+// ends. The table, and so the vertex's bytes, stops growing.
+TEST(DynamicGraphTest, FinderSteadySizeChurnDropsTombstones) {
+  RunWithin(std::chrono::seconds(60), [] {
+    constexpr VertexId kDegree = 300;
+    DynamicGraph g(1);
+    VertexId next = 1;
+    for (; next <= kDegree; ++next) {
+      g.Insert(0, next, 1.0);
+    }
+    VertexId oldest = 1;
+    std::size_t bytes_after_warmup = 0;
+    for (uint32_t round = 0; round < 10 * kDegree; ++round) {
+      g.Insert(0, next++, 1.0);
+      const auto victim = g.FindEarliest(0, oldest);
+      ASSERT_TRUE(victim.has_value()) << round;
+      g.SwapRemove(0, *victim);
+      ASSERT_FALSE(g.HasEdge(0, oldest)) << round;
+      ++oldest;
+      ASSERT_EQ(g.Degree(0), kDegree);
+      if (round == kDegree) {
+        bytes_after_warmup = g.VertexBytes(0);
+      } else if (round > kDegree) {
+        ASSERT_EQ(g.VertexBytes(0), bytes_after_warmup) << round;
+      }
+    }
+    for (VertexId dst = oldest; dst < next; ++dst) {
+      ASSERT_TRUE(g.HasEdge(0, dst)) << dst;
+    }
+    EXPECT_FALSE(g.HasEdge(0, next));
+  });
+}
+
+// Duplicates of one dst stamped with the same timestamp are told apart by
+// neighbor index, however the finder is laid out: FindEarliest answers the
+// lowest index among the earliest, and CollectMatches orders by
+// (timestamp, index), before and after inserts that rebuild the finder.
+TEST(DynamicGraphTest, EqualTimestampDuplicatesSurviveFinderRebuild) {
+  DynamicGraph g(1);
+  std::vector<uint32_t> dup_indices;
+  for (VertexId i = 0; i < 40; ++i) {
+    g.Insert(0, 1000 + i, 1.0, 7);
+    if (i % 8 == 3) {
+      dup_indices.push_back(g.Insert(0, 5, 1.0, 9));
+    }
+  }
+  dup_indices.push_back(g.Insert(0, 5, 2.0, 9));
+  const uint32_t late = g.Insert(0, 5, 3.0, 11);
+  const uint32_t early = g.Insert(0, 5, 4.0, 3);
+  auto expect_order = [&] {
+    ASSERT_EQ(g.FindEarliest(0, 5), early);
+    std::vector<uint32_t> expected = {early};
+    std::vector<uint32_t> ties = dup_indices;
+    std::sort(ties.begin(), ties.end());
+    expected.insert(expected.end(), ties.begin(), ties.end());
+    expected.push_back(late);
+    EXPECT_EQ(g.CollectMatches(0, 5), expected);
+  };
+  expect_order();
+  // Grow the vertex far enough to rebuild the finder a few times.
+  const std::size_t bytes = g.VertexBytes(0);
+  for (VertexId i = 0; i < 400; ++i) {
+    g.Insert(0, 2000 + i, 1.0, 7);
+  }
+  EXPECT_GT(g.VertexBytes(0), bytes);
+  expect_order();
+  // Deleting the earliest copy hands the answer to the lowest tied index.
+  g.SwapRemove(0, early);
+  std::sort(dup_indices.begin(), dup_indices.end());
+  EXPECT_EQ(g.FindEarliest(0, 5), dup_indices.front());
+  EXPECT_TRUE(g.HasEdge(0, 5));
+  EXPECT_FALSE(g.HasEdge(0, 6));
 }
 
 // -------------------------------------------------------------------- Csr --

@@ -331,5 +331,83 @@ TEST(RadixGroupTest, SparseSteadySizeChurnRehashesTombstones) {
   EXPECT_TRUE(g.CheckInvariants().empty()) << g.CheckInvariants();
 }
 
+// A regular group keeps 16-bit positions while its member capacity is at
+// most 0xFFFE and 32-bit ones above. Growing past 65,534 members switches
+// the width; rebuilding at fewer members (RebuildAs, through Reserve)
+// switches it back. Member order, which every draw reads, follows the
+// same swap-with-tail rule throughout.
+TEST(RadixGroupTest, RegularPositionWidthFollowsMemberCapacity) {
+  constexpr uint32_t kIndices = 70000;
+  RadixGroup g;
+  g.RebuildAs(GroupKind::kRegular, {}, kIndices, Pool());
+  std::vector<uint32_t> order;  // reference member order
+  std::vector<uint32_t> where(kIndices + 8, RadixGroup::kNoPosition);
+  auto insert = [&](uint32_t idx) {
+    g.Insert(idx, kIndices, Pool());
+    where[idx] = static_cast<uint32_t>(order.size());
+    order.push_back(idx);
+  };
+  auto remove = [&](uint32_t idx) {
+    g.Remove(idx, Pool());
+    const uint32_t pos = where[idx];
+    order[pos] = order.back();
+    where[order[pos]] = pos;
+    order.pop_back();
+    where[idx] = RadixGroup::kNoPosition;
+  };
+  auto expect_state = [&](const char* step) {
+    std::vector<uint32_t> members;
+    g.CollectMembers(members);
+    ASSERT_EQ(members, order) << step;
+    ASSERT_EQ(g.Kind(), GroupKind::kRegular) << step;
+    ASSERT_TRUE(g.CheckInvariants().empty()) << step << ": " << g.CheckInvariants();
+  };
+  // At 32-bit positions the payload holds at least 4 bytes per member and
+  // per index entry; at 16-bit ones, with the index far wider than the
+  // member list, it holds fewer.
+  auto wide_floor = [&] { return 4 * (std::size_t{g.Count()} + kIndices); };
+
+  util::Rng rng(11);
+  for (uint32_t idx = 0; idx < kIndices; ++idx) {
+    insert(idx);
+    if (idx % 7 == 6) {  // interleaved removals exercise the tail swaps
+      remove(order[rng.NextBounded(order.size())]);
+    }
+    if (idx % 16384 == 0 || g.Count() == 0xFFFE || g.Count() == 0xFFFF) {
+      expect_state("growing");
+    }
+  }
+  // Still under 65,535 members after the removals: keep inserting back
+  // removed indices until the group is past the 16-bit limit.
+  for (uint32_t idx = 0; idx < kIndices && g.Count() < 66000; ++idx) {
+    if (where[idx] == RadixGroup::kNoPosition) {
+      insert(idx);
+    }
+  }
+  ASSERT_GE(g.Count(), 66000u);
+  expect_state("past 16 bits");
+  EXPECT_GE(g.MemoryBytes(), wide_floor());
+
+  // Shrink, then rebuild at the smaller size: back to 16-bit positions.
+  while (g.Count() > 30000) {
+    remove(order[rng.NextBounded(order.size())]);
+  }
+  expect_state("shrunk");
+  EXPECT_GE(g.MemoryBytes(), wide_floor()) << "removals keep the capacity";
+  g.RebuildAs(GroupKind::kRegular, order, kIndices, Pool());
+  expect_state("rebuilt");
+  EXPECT_LT(g.MemoryBytes(), wide_floor());
+  // Renames and removals work at the narrow width too.
+  g.Rename(order[0], kIndices + 5, Pool());
+  where[kIndices + 5] = 0;
+  where[order[0]] = RadixGroup::kNoPosition;
+  order[0] = kIndices + 5;
+  for (int i = 0; i < 1000; ++i) {
+    remove(order[rng.NextBounded(order.size())]);
+  }
+  expect_state("narrow churn");
+  g.Clear(Pool());
+}
+
 }  // namespace
 }  // namespace bingo::core
